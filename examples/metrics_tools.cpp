@@ -15,8 +15,8 @@
  *       Compare two documents. Structural divergences (catalogue,
  *       row count, sample instants) are always failures; value
  *       divergences are reported as per-series maximum relative
- *       deltas and fail only when one exceeds T (default 0: exact
- *       match). Exits 1 when the documents differ beyond tolerance.
+ *       deltas and fail only when one exceeds T (a finite number
+ *       >= 0; default 0: exact match). Exits 1 when the documents differ beyond tolerance.
  *
  *   metrics_tools validate FILE
  *       Run the schema validator (see sim/metrics_reader.hh) and list
@@ -25,9 +25,9 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -202,6 +202,20 @@ runTimeseries(int argc, char **argv)
 }
 
 /**
+ * Strict --tolerance value: the whole string must be a finite number
+ * >= 0. strtod would read "abc" as 0 and accept "nan", against which
+ * every comparison is false, so every diff would pass.
+ */
+bool
+parseTolerance(const char *text, double &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto res = std::from_chars(text, end, out);
+    return res.ec == std::errc() && res.ptr == end && std::isfinite(out) &&
+           out >= 0.0;
+}
+
+/**
  * Relative distance between two samples: |l-r| scaled by the larger
  * magnitude. Equal values (including 0 vs 0) are distance 0; a value
  * against exactly zero is distance 1 — any sign of life where the
@@ -220,15 +234,22 @@ int
 runDiff(int argc, char **argv)
 {
     double tolerance = 0.0;
+    bool badTolerance = false;
     std::vector<std::string> positional;
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-            tolerance = std::strtod(argv[++i], nullptr);
+            if (!parseTolerance(argv[++i], tolerance)) {
+                std::fprintf(stderr,
+                             "invalid --tolerance '%s': want a finite "
+                             "number >= 0\n",
+                             argv[i]);
+                badTolerance = true;
+            }
         } else {
             positional.emplace_back(argv[i]);
         }
     }
-    if (positional.size() != 2 || tolerance < 0.0) {
+    if (positional.size() != 2 || badTolerance) {
         std::fprintf(stderr,
                      "usage: %s diff LEFT RIGHT [--tolerance T]\n",
                      argv[0]);

@@ -7,7 +7,7 @@
  *       (count, mean, tail quantiles) including the end-to-end total.
  *
  *   span_tools top FILE [N]
- *       Print the N slowest exemplar spans (default: all) as span
+ *       Print the N slowest exemplar spans (N >= 1; default: all) as span
  *       trees: one header line per request, then its timestamped
  *       segments indented beneath it with per-segment share of the
  *       end-to-end latency. This is the critical-path view — the
@@ -22,7 +22,7 @@
  *       Compare the per-phase aggregates of two runs: relative delta
  *       of each phase's sum, mean, and p99. Structural divergences
  *       (schema, catalogue) always fail; value divergences fail only
- *       beyond T (default 0: exact).
+ *       beyond T (a finite number >= 0; default 0: exact).
  *
  *   span_tools validate FILE
  *       Run the schema validator (see sim/span_reader.hh) and list
@@ -31,9 +31,10 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -125,17 +126,26 @@ printSpanTree(const SpanRow &span)
 int
 runTop(int argc, char **argv)
 {
-    if (argc != 3 && argc != 4) {
+    std::size_t limit = SIZE_MAX;
+    bool badLimit = false;
+    if (argc == 4) {
+        const char *end = argv[3] + std::strlen(argv[3]);
+        const auto res = std::from_chars(argv[3], end, limit);
+        badLimit = res.ec != std::errc() || res.ptr != end || limit == 0;
+        if (badLimit) {
+            std::fprintf(stderr,
+                         "invalid N '%s': want a positive integer\n",
+                         argv[3]);
+        }
+    }
+    if ((argc != 3 && argc != 4) || badLimit) {
         std::fprintf(stderr, "usage: %s top FILE [N]\n", argv[0]);
         return 2;
     }
     const SpansFile file = loadOrComplain(argv[2]);
     if (!file.ok)
         return 2;
-    std::size_t n = file.exemplars.size();
-    if (argc == 4)
-        n = std::min<std::size_t>(
-            n, std::strtoull(argv[3], nullptr, 10));
+    const std::size_t n = std::min(limit, file.exemplars.size());
     std::printf("%zu slowest of %llu spans:\n\n", n,
                 static_cast<unsigned long long>(file.spans));
     for (std::size_t i = 0; i < n; ++i) {
@@ -191,6 +201,20 @@ runRollup(int argc, char **argv)
     return 0;
 }
 
+/**
+ * Strict --tolerance value: the whole string must be a finite number
+ * >= 0. strtod would read "abc" as 0 and accept "nan", against which
+ * every comparison is false, so every diff would pass.
+ */
+bool
+parseTolerance(const char *text, double &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto res = std::from_chars(text, end, out);
+    return res.ec == std::errc() && res.ptr == end && std::isfinite(out) &&
+           out >= 0.0;
+}
+
 double
 relativeDelta(double l, double r)
 {
@@ -204,15 +228,22 @@ int
 runDiff(int argc, char **argv)
 {
     double tolerance = 0.0;
+    bool badTolerance = false;
     std::vector<std::string> positional;
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-            tolerance = std::strtod(argv[++i], nullptr);
+            if (!parseTolerance(argv[++i], tolerance)) {
+                std::fprintf(stderr,
+                             "invalid --tolerance '%s': want a finite "
+                             "number >= 0\n",
+                             argv[i]);
+                badTolerance = true;
+            }
         } else {
             positional.emplace_back(argv[i]);
         }
     }
-    if (positional.size() != 2 || tolerance < 0.0) {
+    if (positional.size() != 2 || badTolerance) {
         std::fprintf(stderr,
                      "usage: %s diff LEFT RIGHT [--tolerance T]\n",
                      argv[0]);

@@ -270,6 +270,17 @@ InfinitePredictor::storageBits() const
     return table.size() * (64 + 16 + 2);
 }
 
+const char *
+predictorShortName(PredictorKind kind)
+{
+    switch (kind) {
+      case PredictorKind::Cam: return "cam";
+      case PredictorKind::DirectMapped: return "direct-mapped";
+      case PredictorKind::Infinite: return "infinite";
+    }
+    return "?";
+}
+
 std::unique_ptr<RunLengthPredictor>
 makePredictor(PredictorKind kind)
 {

@@ -308,6 +308,9 @@ enum class PredictorKind : std::uint8_t
     Infinite,
 };
 
+/** Artifact name ("cam", "direct-mapped", "infinite"). */
+const char *predictorShortName(PredictorKind kind);
+
 /** Factory for the configured organization. */
 std::unique_ptr<RunLengthPredictor> makePredictor(PredictorKind kind);
 

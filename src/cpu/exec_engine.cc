@@ -7,12 +7,6 @@
 
 #include "sim/logging.hh"
 
-#ifdef OSCAR_TSC_PROFILE
-#include <atomic>
-#include <cstdio>
-#include <x86intrin.h>
-#endif
-
 namespace oscar
 {
 
@@ -64,25 +58,6 @@ SegmentProfile::finalize()
         weights.push_back(ra.weight);
     alias = std::make_unique<AliasTable>(weights);
 }
-
-#ifdef OSCAR_TSC_PROFILE
-namespace
-{
-std::atomic<unsigned long long> g_execTsc{0}, g_accessTsc{0},
-    g_refs{0}, g_calls{0};
-struct TscDump
-{
-    ~TscDump()
-    {
-        std::fprintf(stderr,
-                     "[tsc] calls=%llu refs=%llu execTsc=%llu "
-                     "accessTsc=%llu\n",
-                     g_calls.load(), g_refs.load(), g_execTsc.load(),
-                     g_accessTsc.load());
-    }
-} g_tscDump;
-} // namespace
-#endif
 
 namespace
 {
@@ -149,21 +124,10 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
     std::uint64_t *out = block;
 
     const auto flush = [&] {
-#ifdef OSCAR_TSC_PROFILE
-        const unsigned long long t0 = __rdtsc();
-#endif
         result.cycles += mem.accessBatch(
             core, ctx, block, static_cast<std::size_t>(out - block));
-#ifdef OSCAR_TSC_PROFILE
-        g_accessTsc += __rdtsc() - t0;
-        g_refs += static_cast<unsigned long long>(out - block);
-#endif
         out = block;
     };
-#ifdef OSCAR_TSC_PROFILE
-    const unsigned long long tExec0 = __rdtsc();
-    ++g_calls;
-#endif
 
     // Same loop structure and — critically — the same RNG draw
     // sequence as executeReference(); the only difference is that
@@ -202,9 +166,6 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
     }
     if (out != block)
         flush();
-#ifdef OSCAR_TSC_PROFILE
-    g_execTsc += __rdtsc() - tExec0;
-#endif
     return result;
 }
 

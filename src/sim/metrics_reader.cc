@@ -2,19 +2,15 @@
  * @file
  * Implementation of the `oscar.metrics.v1` reader.
  *
- * The scanner is deliberately strict: it accepts exactly the byte
- * layout metrics_capture.cc produces (keys in writer order, no
- * whitespace, no string escapes). Anything else is a parse error —
- * which is what the validation tests and the CI schema check want.
+ * The line grammar is scanned by sim/jsonl_scan.hh, which accepts
+ * exactly the byte layout metrics_capture.cc produces.
  */
 
 #include "sim/metrics_reader.hh"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
 
-#include "sim/logging.hh"
+#include "sim/jsonl_scan.hh"
 
 namespace oscar
 {
@@ -22,65 +18,10 @@ namespace oscar
 namespace
 {
 
-/** Advance past `token` or fail. */
-bool
-expect(std::string_view text, std::size_t &pos, std::string_view token)
-{
-    if (text.substr(pos, token.size()) != token)
-        return false;
-    pos += token.size();
-    return true;
-}
-
-/** Parse a quoted string (writer strings never contain escapes). */
-bool
-parseString(std::string_view text, std::size_t &pos, std::string &out)
-{
-    if (pos >= text.size() || text[pos] != '"')
-        return false;
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string_view::npos)
-        return false;
-    out.assign(text.substr(pos + 1, end - pos - 1));
-    pos = end + 1;
-    return true;
-}
-
-bool
-parseUint(std::string_view text, std::size_t &pos, std::uint64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseInt(std::string_view text, std::size_t &pos, std::int64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseDouble(std::string_view text, std::size_t &pos, double &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
+using jsonl::expect;
+using jsonl::parseNumber;
+using jsonl::parseString;
+using jsonl::skipObject;
 
 /** Parse `[n,n,...]` (possibly empty). */
 bool
@@ -94,7 +35,7 @@ parseNumberArray(std::string_view text, std::size_t &pos,
         return true;
     for (;;) {
         double value = 0;
-        if (!parseDouble(text, pos, value))
+        if (!parseNumber(text, pos, value))
             return false;
         out.push_back(value);
         if (expect(text, pos, "]"))
@@ -102,33 +43,6 @@ parseNumberArray(std::string_view text, std::size_t &pos,
         if (!expect(text, pos, ","))
             return false;
     }
-}
-
-/** Skip a balanced `{...}` object (string-aware, escape-free). */
-bool
-skipObject(std::string_view text, std::size_t &pos)
-{
-    if (pos >= text.size() || text[pos] != '{')
-        return false;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < text.size(); ++pos) {
-        const char c = text[pos];
-        if (in_string) {
-            if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                ++pos;
-                return true;
-            }
-        }
-    }
-    return false;
 }
 
 bool
@@ -155,11 +69,11 @@ parseMetaLine(std::string_view line, MetricsFile &file)
         return false;
     }
     if (!expect(line, pos, ",\"sample_every\":") ||
-        !parseUint(line, pos, file.sampleEvery)) {
+        !parseNumber(line, pos, file.sampleEvery)) {
         return false;
     }
     if (!expect(line, pos, ",\"measure_sample\":") ||
-        !parseInt(line, pos, file.measureSample)) {
+        !parseNumber(line, pos, file.measureSample)) {
         return false;
     }
     if (!expect(line, pos, ",\"config\":") || !skipObject(line, pos))
@@ -193,11 +107,11 @@ parseRowLine(std::string_view line, MetricsRow &row)
 {
     std::size_t pos = 0;
     return expect(line, pos, "{\"sample\":") &&
-           parseUint(line, pos, row.sample) &&
+           parseNumber(line, pos, row.sample) &&
            expect(line, pos, ",\"instant\":") &&
-           parseUint(line, pos, row.instant) &&
+           parseNumber(line, pos, row.instant) &&
            expect(line, pos, ",\"cycle\":") &&
-           parseUint(line, pos, row.cycle) &&
+           parseNumber(line, pos, row.cycle) &&
            expect(line, pos, ",\"cum\":") &&
            parseNumberArray(line, pos, row.cum) &&
            expect(line, pos, ",\"delta\":") &&
@@ -230,34 +144,18 @@ MetricsFile
 parseMetricsDocument(const std::string &text)
 {
     MetricsFile file;
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
-    bool have_meta = false;
-    while (line_start < text.size()) {
-        std::size_t line_end = text.find('\n', line_start);
-        if (line_end == std::string::npos)
-            line_end = text.size();
-        const std::string_view line(text.data() + line_start,
-                                    line_end - line_start);
-        line_start = line_end + 1;
-        ++line_no;
-        if (line.empty())
-            continue;
-        if (!have_meta) {
-            if (!parseMetaLine(line, file))
-                return failParse("line 1: malformed meta line");
-            have_meta = true;
-            continue;
-        }
-        MetricsRow row;
-        if (!parseRowLine(line, row)) {
-            return failParse("line " + std::to_string(line_no) +
-                             ": malformed sample row");
-        }
-        file.rows.push_back(std::move(row));
-    }
-    if (!have_meta)
-        return failParse("empty document");
+    const std::string error = jsonl::scanDocument(
+        text,
+        [&](std::string_view line) { return parseMetaLine(line, file); },
+        [&](std::string_view line) -> const char * {
+            MetricsRow row;
+            if (!parseRowLine(line, row))
+                return "malformed sample row";
+            file.rows.push_back(std::move(row));
+            return nullptr;
+        });
+    if (!error.empty())
+        return failParse(error);
     file.ok = true;
     return file;
 }
@@ -265,15 +163,9 @@ parseMetricsDocument(const std::string &text)
 MetricsFile
 loadMetricsFile(const std::string &path)
 {
-    std::FILE *handle = std::fopen(path.c_str(), "rb");
-    if (handle == nullptr)
-        return failParse("cannot open '" + path + "'");
     std::string text;
-    char buffer[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), handle)) > 0)
-        text.append(buffer, got);
-    std::fclose(handle);
+    if (!jsonl::readFile(path, text))
+        return failParse("cannot open '" + path + "'");
     return parseMetricsDocument(text);
 }
 

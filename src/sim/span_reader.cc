@@ -2,17 +2,15 @@
  * @file
  * Implementation of the `oscar.spans.v1` reader.
  *
- * The scanner is deliberately strict: it accepts exactly the byte
- * layout system/span_capture.cc produces (keys in writer order, no
- * whitespace, no string escapes). Anything else is a parse error —
- * which is what the validation tests and the CI schema check want.
+ * The line grammar is scanned by sim/jsonl_scan.hh, which accepts
+ * exactly the byte layout system/span_capture.cc produces.
  */
 
 #include "sim/span_reader.hh"
 
-#include <charconv>
-#include <cstdio>
 #include <string_view>
+
+#include "sim/jsonl_scan.hh"
 
 namespace oscar
 {
@@ -20,90 +18,10 @@ namespace oscar
 namespace
 {
 
-/** Advance past `token` or fail. */
-bool
-expect(std::string_view text, std::size_t &pos, std::string_view token)
-{
-    if (text.substr(pos, token.size()) != token)
-        return false;
-    pos += token.size();
-    return true;
-}
-
-/** Parse a quoted string (writer strings never contain escapes). */
-bool
-parseString(std::string_view text, std::size_t &pos, std::string &out)
-{
-    if (pos >= text.size() || text[pos] != '"')
-        return false;
-    const std::size_t end = text.find('"', pos + 1);
-    if (end == std::string_view::npos)
-        return false;
-    out.assign(text.substr(pos + 1, end - pos - 1));
-    pos = end + 1;
-    return true;
-}
-
-bool
-parseUint(std::string_view text, std::size_t &pos, std::uint64_t &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-bool
-parseUint32(std::string_view text, std::size_t &pos, std::uint32_t &out)
-{
-    std::uint64_t wide = 0;
-    if (!parseUint(text, pos, wide) || wide > 0xFFFFFFFFull)
-        return false;
-    out = static_cast<std::uint32_t>(wide);
-    return true;
-}
-
-bool
-parseDouble(std::string_view text, std::size_t &pos, double &out)
-{
-    const char *begin = text.data() + pos;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(begin, end, out);
-    if (res.ec != std::errc{} || res.ptr == begin)
-        return false;
-    pos += static_cast<std::size_t>(res.ptr - begin);
-    return true;
-}
-
-/** Skip a balanced `{...}` object (string-aware, escape-free). */
-bool
-skipObject(std::string_view text, std::size_t &pos)
-{
-    if (pos >= text.size() || text[pos] != '{')
-        return false;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < text.size(); ++pos) {
-        const char c = text[pos];
-        if (in_string) {
-            if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == '{') {
-            ++depth;
-        } else if (c == '}') {
-            if (--depth == 0) {
-                ++pos;
-                return true;
-            }
-        }
-    }
-    return false;
-}
+using jsonl::expect;
+using jsonl::parseNumber;
+using jsonl::parseString;
+using jsonl::skipObject;
 
 bool
 parseMetaLine(std::string_view line, SpansFile &file)
@@ -114,11 +32,11 @@ parseMetaLine(std::string_view line, SpansFile &file)
         return false;
     }
     if (!expect(line, pos, ",\"spans\":") ||
-        !parseUint(line, pos, file.spans)) {
+        !parseNumber(line, pos, file.spans)) {
         return false;
     }
     if (!expect(line, pos, ",\"exemplar_capacity\":") ||
-        !parseUint(line, pos, file.exemplarCapacity)) {
+        !parseNumber(line, pos, file.exemplarCapacity)) {
         return false;
     }
     if (!expect(line, pos, ",\"config\":") || !skipObject(line, pos))
@@ -147,23 +65,23 @@ parsePhaseLine(std::string_view line, SpanPhaseRow &row)
     return expect(line, pos, "{\"phase\":") &&
            parseString(line, pos, row.name) &&
            expect(line, pos, ",\"count\":") &&
-           parseUint(line, pos, row.count) &&
+           parseNumber(line, pos, row.count) &&
            expect(line, pos, ",\"sum\":") &&
-           parseUint(line, pos, row.sum) &&
+           parseNumber(line, pos, row.sum) &&
            expect(line, pos, ",\"mean\":") &&
-           parseDouble(line, pos, row.mean) &&
+           parseNumber(line, pos, row.mean) &&
            expect(line, pos, ",\"min\":") &&
-           parseUint(line, pos, row.min) &&
+           parseNumber(line, pos, row.min) &&
            expect(line, pos, ",\"max\":") &&
-           parseUint(line, pos, row.max) &&
+           parseNumber(line, pos, row.max) &&
            expect(line, pos, ",\"p50\":") &&
-           parseUint(line, pos, row.p50) &&
+           parseNumber(line, pos, row.p50) &&
            expect(line, pos, ",\"p95\":") &&
-           parseUint(line, pos, row.p95) &&
+           parseNumber(line, pos, row.p95) &&
            expect(line, pos, ",\"p99\":") &&
-           parseUint(line, pos, row.p99) &&
+           parseNumber(line, pos, row.p99) &&
            expect(line, pos, ",\"p999\":") &&
-           parseUint(line, pos, row.p999) &&
+           parseNumber(line, pos, row.p999) &&
            expect(line, pos, "}") && pos == line.size();
 }
 
@@ -173,20 +91,20 @@ parseSegObject(std::string_view line, std::size_t &pos, SpanSegRow &seg)
     if (!expect(line, pos, "{\"ph\":") ||
         !parseString(line, pos, seg.phase) ||
         !expect(line, pos, ",\"start\":") ||
-        !parseUint(line, pos, seg.start) ||
+        !parseNumber(line, pos, seg.start) ||
         !expect(line, pos, ",\"cy\":") ||
-        !parseUint(line, pos, seg.cycles)) {
+        !parseNumber(line, pos, seg.cycles)) {
         return false;
     }
     if (expect(line, pos, ",\"sv\":")) {
         std::uint64_t value = 0;
-        if (!parseUint(line, pos, value))
+        if (!parseNumber(line, pos, value))
             return false;
         seg.service = static_cast<std::int64_t>(value);
     }
     if (expect(line, pos, ",\"q\":")) {
         std::uint64_t value = 0;
-        if (!parseUint(line, pos, value))
+        if (!parseNumber(line, pos, value))
             return false;
         seg.queue = static_cast<std::int64_t>(value);
     }
@@ -198,23 +116,23 @@ parseSpanLine(std::string_view line, SpanRow &row)
 {
     std::size_t pos = 0;
     if (!expect(line, pos, "{\"span\":") ||
-        !parseUint(line, pos, row.id) ||
+        !parseNumber(line, pos, row.id) ||
         !expect(line, pos, ",\"tn\":") ||
-        !parseUint32(line, pos, row.tenant) ||
+        !parseNumber(line, pos, row.tenant) ||
         !expect(line, pos, ",\"t\":") ||
-        !parseUint32(line, pos, row.thread) ||
+        !parseNumber(line, pos, row.thread) ||
         !expect(line, pos, ",\"segs_n\":") ||
-        !parseUint32(line, pos, row.segments) ||
+        !parseNumber(line, pos, row.segments) ||
         !expect(line, pos, ",\"seed\":") ||
-        !parseUint(line, pos, row.seed) ||
+        !parseNumber(line, pos, row.seed) ||
         !expect(line, pos, ",\"issued\":") ||
-        !parseUint(line, pos, row.issued) ||
+        !parseNumber(line, pos, row.issued) ||
         !expect(line, pos, ",\"started\":") ||
-        !parseUint(line, pos, row.started) ||
+        !parseNumber(line, pos, row.started) ||
         !expect(line, pos, ",\"completed\":") ||
-        !parseUint(line, pos, row.completed) ||
+        !parseNumber(line, pos, row.completed) ||
         !expect(line, pos, ",\"lat\":") ||
-        !parseUint(line, pos, row.latency) ||
+        !parseNumber(line, pos, row.latency) ||
         !expect(line, pos, ",\"segs\":[")) {
         return false;
     }
@@ -258,48 +176,28 @@ SpansFile
 parseSpansDocument(const std::string &text)
 {
     SpansFile file;
-    std::size_t line_start = 0;
-    std::size_t line_no = 0;
-    bool have_meta = false;
-    while (line_start < text.size()) {
-        std::size_t line_end = text.find('\n', line_start);
-        if (line_end == std::string::npos)
-            line_end = text.size();
-        const std::string_view line(text.data() + line_start,
-                                    line_end - line_start);
-        line_start = line_end + 1;
-        ++line_no;
-        if (line.empty())
-            continue;
-        if (!have_meta) {
-            if (!parseMetaLine(line, file))
-                return failParse("line 1: malformed meta line");
-            have_meta = true;
-            continue;
-        }
-        if (line.substr(0, 9) == "{\"phase\":") {
-            SpanPhaseRow row;
-            if (!parsePhaseLine(line, row)) {
-                return failParse("line " + std::to_string(line_no) +
-                                 ": malformed phase row");
+    const std::string error = jsonl::scanDocument(
+        text,
+        [&](std::string_view line) { return parseMetaLine(line, file); },
+        [&](std::string_view line) -> const char * {
+            if (line.substr(0, 9) == "{\"phase\":") {
+                SpanPhaseRow row;
+                if (!parsePhaseLine(line, row))
+                    return "malformed phase row";
+                // Phase rows precede exemplars in the writer's layout.
+                if (!file.exemplars.empty())
+                    return "phase row after exemplar rows";
+                file.phases.push_back(std::move(row));
+                return nullptr;
             }
-            // Phase rows precede exemplars in the writer's layout.
-            if (!file.exemplars.empty()) {
-                return failParse("line " + std::to_string(line_no) +
-                                 ": phase row after exemplar rows");
-            }
-            file.phases.push_back(std::move(row));
-            continue;
-        }
-        SpanRow row;
-        if (!parseSpanLine(line, row)) {
-            return failParse("line " + std::to_string(line_no) +
-                             ": malformed span row");
-        }
-        file.exemplars.push_back(std::move(row));
-    }
-    if (!have_meta)
-        return failParse("empty document");
+            SpanRow row;
+            if (!parseSpanLine(line, row))
+                return "malformed span row";
+            file.exemplars.push_back(std::move(row));
+            return nullptr;
+        });
+    if (!error.empty())
+        return failParse(error);
     file.ok = true;
     return file;
 }
@@ -307,15 +205,9 @@ parseSpansDocument(const std::string &text)
 SpansFile
 loadSpansFile(const std::string &path)
 {
-    std::FILE *handle = std::fopen(path.c_str(), "rb");
-    if (handle == nullptr)
-        return failParse("cannot open '" + path + "'");
     std::string text;
-    char buffer[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), handle)) > 0)
-        text.append(buffer, got);
-    std::fclose(handle);
+    if (!jsonl::readFile(path, text))
+        return failParse("cannot open '" + path + "'");
     return parseSpansDocument(text);
 }
 

@@ -19,17 +19,6 @@ namespace oscar
 namespace
 {
 
-const char *
-predictorShortName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
-
 /** Counter columns carry exact uint64 values; emit them as integers. */
 void
 writeValue(JsonWriter &w, MetricKind kind, double value)

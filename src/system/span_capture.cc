@@ -16,22 +16,6 @@
 namespace oscar
 {
 
-namespace
-{
-
-const char *
-predictorShortName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
-
-} // namespace
-
 std::string
 spansMetaJson(const SpanResults &results, const SystemConfig &config)
 {

@@ -31,25 +31,13 @@ namespace oscar
 namespace
 {
 
-/** Name of the predictor organization for reports. */
-const char *
-predictorName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::Cam: return "cam";
-      case PredictorKind::DirectMapped: return "direct-mapped";
-      case PredictorKind::Infinite: return "infinite";
-    }
-    return "?";
-}
-
 void
 writeConfigJson(JsonWriter &w, const SystemConfig &config)
 {
     w.beginObject();
     w.field("workload", workloadName(config.workload));
     w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorName(config.predictor));
+    w.field("predictor", predictorShortName(config.predictor));
     w.field("user_cores", config.userCores);
     w.field("offload_enabled", config.offloadEnabled);
     w.field("dynamic_threshold", config.dynamicThreshold);
@@ -876,30 +864,34 @@ sweepPointResultsJson(const SweepPointResult &result)
     return w.str();
 }
 
+namespace
+{
+
+/** `base` with `tag` inserted before its ".jsonl" (appended if none). */
 std::string
-sweepReplicaPath(const std::string &base, std::size_t replica)
+jsonlPathWithTag(const std::string &base, const std::string &tag)
 {
     static const std::string kExt = ".jsonl";
-    const std::string suffix = ".r" + std::to_string(replica) + kExt;
     if (base.size() > kExt.size() &&
         base.compare(base.size() - kExt.size(), kExt.size(), kExt) ==
             0) {
-        return base.substr(0, base.size() - kExt.size()) + suffix;
+        return base.substr(0, base.size() - kExt.size()) + tag + kExt;
     }
-    return base + suffix;
+    return base + tag + kExt;
+}
+
+} // namespace
+
+std::string
+sweepReplicaPath(const std::string &base, std::size_t replica)
+{
+    return jsonlPathWithTag(base, ".r" + std::to_string(replica));
 }
 
 std::string
 sweepTracePath(const std::string &base, std::size_t index)
 {
-    static const std::string kExt = ".jsonl";
-    const std::string suffix = "." + std::to_string(index) + kExt;
-    if (base.size() > kExt.size() &&
-        base.compare(base.size() - kExt.size(), kExt.size(), kExt) ==
-            0) {
-        return base.substr(0, base.size() - kExt.size()) + suffix;
-    }
-    return base + suffix;
+    return jsonlPathWithTag(base, "." + std::to_string(index));
 }
 
 void

@@ -222,14 +222,8 @@ System::reconfigureForMeasurement(const SystemConfig &config)
         buildPolicy(thread);
     }
 
-    // Re-enter the measured region at the current cycle: same resets
-    // enterMeasurement() performs, so the forked run's measured
-    // region starts clean under the new policy.
-    measureStart = events.now();
-    mem->resetStats();
-    for (Core &core : cores)
-        core.resetStats();
-    queues.resetStats();
+    // Re-enter the measured region at the current cycle, so the forked
+    // run's measured region starts clean under the new policy.
     measuredRetiredAll = 0;
     measuredOsRetired = 0;
     finishedThreads = 0;
@@ -238,26 +232,8 @@ System::reconfigureForMeasurement(const SystemConfig &config)
         thread.quotaReached = false;
         thread.finishCycle = 0;
     }
-    invocationsMeasured = 0;
-    offloadedMeasured = 0;
-    migIntraMeasured = 0;
-    migInterMeasured = 0;
-    invocationLength.reset();
-    invocationLengthHist.reset();
-    for (InstCount &tail : osInstrAboveTail)
-        tail = 0;
-    invocationsByService.fill(0);
-    offloadsByService.fill(0);
     thresholdTrajectory.clear();
-    if (cfg.dynamicThreshold) {
-        controller.begin(warmupPrivFraction);
-        thresholdTrajectory.push_back(
-            {measuredRetiredAll, controller.currentThreshold()});
-        nextEpochBoundary = measuredRetiredAll + controller.epochLength();
-        mem->resetWindow();
-        windowStartInstr = measuredRetiredAll;
-        windowStartCycle = events.now();
-    }
+    resetMeasuredRegion();
     requestsCompletedMeasured = 0;
     requestsOfferedMeasured = 0;
     requestLatency = LatencyHistogram{};
@@ -556,13 +532,38 @@ void
 System::enterMeasurement()
 {
     measuring = true;
-    measureStart = events.now();
     warmupPrivFraction =
         warmupRetired
             ? static_cast<double>(warmupOsRetired) /
                   static_cast<double>(warmupRetired)
             : 0.0;
 
+    if (trace != nullptr) {
+        TraceEvent event;
+        event.kind = TraceEventKind::MeasurementStart;
+        event.instruction = warmupRetired;
+        event.feedback = warmupPrivFraction;
+        trace->emit(event);
+    }
+
+    resetMeasuredRegion();
+
+    // Mark sample: taken after every Stats reset above, so registry
+    // counters (which never reset) satisfy "final minus this row ==
+    // measured-region Stats aggregates" exactly.
+    if (metrics != nullptr) {
+        const std::size_t row = metrics->takeSample(
+            warmupRetired + measuredRetiredAll, events.now());
+        metrics->setMeasurementStartSample(row);
+    }
+}
+
+void
+System::resetMeasuredRegion()
+{
+    measureStart = events.now();
+    // MemorySystem::resetStats also clears the dynamic-N feedback
+    // window.
     mem->resetStats();
     for (Core &core : cores)
         core.resetStats();
@@ -582,14 +583,6 @@ System::enterMeasurement()
     invocationsByService.fill(0);
     offloadsByService.fill(0);
 
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::MeasurementStart;
-        event.instruction = warmupRetired;
-        event.feedback = warmupPrivFraction;
-        trace->emit(event);
-    }
-
     if (cfg.dynamicThreshold) {
         controller.begin(warmupPrivFraction);
         thresholdTrajectory.push_back(
@@ -597,15 +590,6 @@ System::enterMeasurement()
         nextEpochBoundary = measuredRetiredAll + controller.epochLength();
         windowStartInstr = measuredRetiredAll;
         windowStartCycle = events.now();
-    }
-
-    // Mark sample: taken after every Stats reset above, so registry
-    // counters (which never reset) satisfy "final minus this row ==
-    // measured-region Stats aggregates" exactly.
-    if (metrics != nullptr) {
-        const std::size_t row = metrics->takeSample(
-            warmupRetired + measuredRetiredAll, events.now());
-        metrics->setMeasurementStartSample(row);
     }
 }
 

@@ -434,6 +434,14 @@ class System
     /** Switch from warmup to the measured region. */
     void enterMeasurement();
 
+    /**
+     * Start the measured region at the current cycle: clear every
+     * measured-region statistic and, under dynamic N, begin the
+     * threshold controller. Shared by enterMeasurement() and
+     * reconfigureForMeasurement().
+     */
+    void resetMeasuredRegion();
+
     /** Schedule the next threadStep. */
     void scheduleThread(std::uint32_t tid, Cycle when);
 
