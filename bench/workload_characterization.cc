@@ -35,7 +35,7 @@ main()
         SystemConfig config = ExperimentRunner::baselineConfig(kind);
         System system(config);
         const SimResults results = system.run();
-        const CoreMemStats &memstats = system.memory().stats(0);
+        const CoreMemStats memstats = system.measuredMemStats(0);
 
         table.addRow({
             results.workload,

@@ -3,6 +3,8 @@
  * Per-core bookkeeping: role, cycle breakdown, and retired-instruction
  * attribution. Cores in this model are passive records — the System
  * drives execution through the event queue and charges time here.
+ * Every count is lifetime (never reset); the System reads a measured
+ * region as the difference from a copy taken at its start.
  */
 
 #ifndef OSCAR_CPU_CORE_HH_
@@ -42,6 +44,27 @@ struct CycleBreakdown
     {
         return user + os + decision + migration + queueWait;
     }
+
+    /**
+     * Fraction of `elapsed` cycles the core was busy; 0 when no time
+     * elapsed.
+     */
+    double
+    utilization(Cycle elapsed) const
+    {
+        if (elapsed == 0)
+            return 0.0;
+        return static_cast<double>(total()) /
+               static_cast<double>(elapsed);
+    }
+
+    /** Cycles charged since `mark`, an earlier copy of this breakdown. */
+    CycleBreakdown
+    operator-(const CycleBreakdown &mark) const
+    {
+        return {user - mark.user, os - mark.os, decision - mark.decision,
+                migration - mark.migration, queueWait - mark.queueWait};
+    }
 };
 
 /**
@@ -80,29 +103,6 @@ class Core
 
     /** All instructions retired on this core. */
     InstCount totalInstructions() const { return userInstrs + osInstrs; }
-
-    /**
-     * Fraction of wall-clock the core was busy.
-     *
-     * @param elapsed Total simulated cycles of the run.
-     */
-    double
-    utilization(Cycle elapsed) const
-    {
-        if (elapsed == 0)
-            return 0.0;
-        return static_cast<double>(breakdown.total()) /
-               static_cast<double>(elapsed);
-    }
-
-    /** Reset all accounting (between warmup and measurement). */
-    void
-    resetStats()
-    {
-        breakdown = CycleBreakdown{};
-        userInstrs = 0;
-        osInstrs = 0;
-    }
 
   private:
     CoreId coreId;

@@ -22,6 +22,23 @@ CoreMemStats::l2HitRate() const
     return static_cast<double>(hits) / static_cast<double>(total);
 }
 
+CoreMemStats
+CoreMemStats::operator-(const CoreMemStats &mark) const
+{
+    CoreMemStats since;
+    since.l1i = l1i - mark.l1i;
+    since.l1d = l1d - mark.l1d;
+    since.l2User = l2User - mark.l2User;
+    since.l2Os = l2Os - mark.l2Os;
+    since.c2cTransfers = c2cTransfers - mark.c2cTransfers;
+    since.invalidationsSent = invalidationsSent - mark.invalidationsSent;
+    since.invalidationsReceived =
+        invalidationsReceived - mark.invalidationsReceived;
+    since.upgrades = upgrades - mark.upgrades;
+    since.memoryFetches = memoryFetches - mark.memoryFetches;
+    return since;
+}
+
 MemorySystem::MemorySystem(unsigned num_cores,
                            const HierarchyGeometry &geometry,
                            const MemTimings &timings)
@@ -45,17 +62,6 @@ MemorySystem::MemorySystem(unsigned num_cores,
             SetAssocCache(prefix + ".l1d", geometry.l1d),
             SetAssocCache(prefix + ".l2", geometry.l2)});
     }
-}
-
-MemorySystem::MemorySystem(const MemorySystem &other)
-    : cores(other.cores), coreStats(other.coreStats), dir(other.dir),
-      fabric(other.fabric), lat(other.lat), lineShift(other.lineShift),
-      flushCount(other.flushCount),
-      windowL2Hits(other.windowL2Hits),
-      windowL2Accesses(other.windowL2Accesses)
-{
-    // metricHandles intentionally left empty: the pointers would alias
-    // the source's registry.
 }
 
 const CoreMemStats &
@@ -101,27 +107,32 @@ MemorySystem::invalidateAll()
 void
 MemorySystem::registerMetrics(MetricRegistry &registry)
 {
-    oscar_assert(metricHandles.empty());
-    metricHandles.resize(cores.size());
+    // `cores` and `coreStats` are sized once in the constructor, so
+    // the element addresses the polls capture stay valid.
     for (unsigned c = 0; c < cores.size(); ++c) {
         const std::string prefix = "mem.core" + std::to_string(c) + ".";
-        CoreMetricHandles &h = metricHandles[c];
-        h.l1i.hits = registry.counter(prefix + "l1i.hits");
-        h.l1i.total = registry.counter(prefix + "l1i.accesses");
-        h.l1d.hits = registry.counter(prefix + "l1d.hits");
-        h.l1d.total = registry.counter(prefix + "l1d.accesses");
-        h.l2User.hits = registry.counter(prefix + "l2.user.hits");
-        h.l2User.total = registry.counter(prefix + "l2.user.accesses");
-        h.l2Os.hits = registry.counter(prefix + "l2.os.hits");
-        h.l2Os.total = registry.counter(prefix + "l2.os.accesses");
-        h.c2cTransfers = registry.counter(prefix + "c2c_transfers");
-        h.invalidationsSent = registry.counter(prefix + "inval.sent");
-        h.invalidationsReceived =
-            registry.counter(prefix + "inval.received");
-        h.upgrades = registry.counter(prefix + "upgrades");
-        h.memoryFetches = registry.counter(prefix + "memory_fetches");
-        // Lifetime tag-store evictions are already counted by the
-        // caches themselves; poll them rather than shadowing.
+        const CoreMemStats *s = &coreStats[c];
+        const auto ratio = [&](const std::string &name,
+                               const RatioStat CoreMemStats::*field) {
+            registry.counterFn(prefix + name + ".hits",
+                               [s, field] { return (s->*field).hits(); });
+            registry.counterFn(prefix + name + ".accesses",
+                               [s, field] { return (s->*field).total(); });
+        };
+        const auto count = [&](const std::string &name,
+                               std::uint64_t CoreMemStats::*field) {
+            registry.counterFn(prefix + name,
+                               [s, field] { return s->*field; });
+        };
+        ratio("l1i", &CoreMemStats::l1i);
+        ratio("l1d", &CoreMemStats::l1d);
+        ratio("l2.user", &CoreMemStats::l2User);
+        ratio("l2.os", &CoreMemStats::l2Os);
+        count("c2c_transfers", &CoreMemStats::c2cTransfers);
+        count("inval.sent", &CoreMemStats::invalidationsSent);
+        count("inval.received", &CoreMemStats::invalidationsReceived);
+        count("upgrades", &CoreMemStats::upgrades);
+        count("memory_fetches", &CoreMemStats::memoryFetches);
         const SetAssocCache *l2c = &cores[c].l2;
         registry.counterFn(prefix + "l2.evictions",
                            [l2c] { return l2c->evictions(); });
@@ -133,14 +144,6 @@ MemorySystem::registerMetrics(MetricRegistry &registry)
     registry.gauge("mem.directory.lines", [this] {
         return static_cast<double>(dir.trackedLines());
     });
-}
-
-void
-MemorySystem::resetStats()
-{
-    for (CoreMemStats &cs : coreStats)
-        cs = CoreMemStats{};
-    resetWindow();
 }
 
 double
@@ -173,8 +176,6 @@ MemorySystem::invalidateSharers(const DirEntry &entry, Addr line_addr,
         cores[c].l1d.invalidate(line_addr);
         cores[c].l1i.invalidate(line_addr);
         ++coreStats[c].invalidationsReceived;
-        if (!metricHandles.empty())
-            ++*metricHandles[c].invalidationsReceived;
         fabric.countMessage();
         ++invalidated;
     }
@@ -233,12 +234,7 @@ MemorySystem::upgradeLine(CoreId core, Addr line_addr)
     cores[core].l2.setState(line_addr, MesiState::Modified);
     cores[core].l1d.setStateIfPresent(line_addr, MesiState::Modified);
     ++coreStats[core].upgrades;
-    if (!metricHandles.empty()) {
-        ++*metricHandles[core].upgrades;
-        *metricHandles[core].invalidationsSent += invalidated;
-    }
-    if (invalidated > 0)
-        coreStats[core].invalidationsSent += invalidated;
+    coreStats[core].invalidationsSent += invalidated;
     return latency;
 }
 
@@ -269,18 +265,12 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
         result.latency += lat.cacheToCache;
         result.source = AccessSource::RemoteCache;
         ++coreStats[core].c2cTransfers;
-        if (!metricHandles.empty())
-            ++*metricHandles[core].c2cTransfers;
         if (is_write) {
             cores[owner].l2.invalidate(line_addr);
             cores[owner].l1d.invalidate(line_addr);
             cores[owner].l1i.invalidate(line_addr);
             ++coreStats[owner].invalidationsReceived;
             ++coreStats[core].invalidationsSent;
-            if (!metricHandles.empty()) {
-                ++*metricHandles[owner].invalidationsReceived;
-                ++*metricHandles[core].invalidationsSent;
-            }
             result.invalidatedRemote = true;
             dir.setExclusiveAt(slot, core);
             result.filled = MesiState::Modified;
@@ -303,18 +293,12 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
             result.invalidatedRemote = invalidated > 0;
             coreStats[core].invalidationsSent += invalidated;
             ++coreStats[core].memoryFetches;
-            if (!metricHandles.empty()) {
-                *metricHandles[core].invalidationsSent += invalidated;
-                ++*metricHandles[core].memoryFetches;
-            }
             dir.setExclusiveAt(slot, core);
             result.filled = MesiState::Modified;
         } else {
             result.latency += lat.memory;
             result.source = AccessSource::Memory;
             ++coreStats[core].memoryFetches;
-            if (!metricHandles.empty())
-                ++*metricHandles[core].memoryFetches;
             dir.addSharerAt(slot, core);
             result.filled = MesiState::Shared;
         }
@@ -323,8 +307,6 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
         result.latency += lat.memory;
         result.source = AccessSource::Memory;
         ++coreStats[core].memoryFetches;
-        if (!metricHandles.empty())
-            ++*metricHandles[core].memoryFetches;
         dir.setExclusiveAt(slot, core);
         result.filled =
             is_write ? MesiState::Modified : MesiState::Exclusive;
@@ -340,8 +322,6 @@ MemorySystem::missPath(CoreId core, Addr line_addr, bool is_instr,
 {
     CoreCaches &cc = cores[core];
     CoreMemStats &cs = coreStats[core];
-    CoreMetricHandles *mh =
-        metricHandles.empty() ? nullptr : &metricHandles[core];
 
     const MesiState l2_state = cc.l2.access(line_addr);
     result.latency += lat.l2Hit;
@@ -350,8 +330,6 @@ MemorySystem::missPath(CoreId core, Addr line_addr, bool is_instr,
 
     if (l2_usable) {
         l2_stat.add(true);
-        if (mh)
-            (ctx == ExecContext::User ? mh->l2User : mh->l2Os).add(true);
         ++windowL2Hits;
         ++windowL2Accesses;
         MesiState final_state = l2_state;
@@ -369,8 +347,6 @@ MemorySystem::missPath(CoreId core, Addr line_addr, bool is_instr,
     }
 
     l2_stat.add(false);
-    if (mh)
-        (ctx == ExecContext::User ? mh->l2User : mh->l2Os).add(false);
     ++windowL2Accesses;
 
     const AccessResult miss = handleL2Miss(core, line_addr, is_write, ctx);
@@ -391,8 +367,6 @@ MemorySystem::access(CoreId core, Addr byte_addr, AccessType type,
     const bool is_write = type == AccessType::Write;
     CoreCaches &cc = cores[core];
     CoreMemStats &cs = coreStats[core];
-    CoreMetricHandles *mh =
-        metricHandles.empty() ? nullptr : &metricHandles[core];
 
     AccessResult result;
     result.latency = lat.l1Hit;
@@ -402,8 +376,6 @@ MemorySystem::access(CoreId core, Addr byte_addr, AccessType type,
     const MesiState l1_state = l1.access(line_addr);
     const bool l1_hit = l1_state != MesiState::Invalid;
     l1_stat.add(l1_hit);
-    if (mh)
-        (is_instr ? mh->l1i : mh->l1d).add(l1_hit);
 
     if (l1_hit) {
         if (is_write) {
@@ -433,8 +405,6 @@ MemorySystem::accessBatch(CoreId core, ExecContext ctx,
     oscar_assert(core < cores.size());
     CoreCaches &cc = cores[core];
     CoreMemStats &cs = coreStats[core];
-    CoreMetricHandles *mh =
-        metricHandles.empty() ? nullptr : &metricHandles[core];
 
     // Batch-local L1 tallies, flushed once below. Everything past an
     // L1 hit is rare enough that it records its stats directly through
@@ -494,10 +464,6 @@ MemorySystem::accessBatch(CoreId core, ExecContext ctx,
     cs.l1d.addMany(l1Hits[0], l1Hits[0] + l1Misses[0]);
     cc.l1i.addLookupStats(l1Hits[1], l1Misses[1]);
     cc.l1d.addLookupStats(l1Hits[0], l1Misses[0]);
-    if (mh) {
-        mh->l1i.addMany(l1Hits[1], l1Hits[1] + l1Misses[1]);
-        mh->l1d.addMany(l1Hits[0], l1Hits[0] + l1Misses[0]);
-    }
     return stall;
 }
 

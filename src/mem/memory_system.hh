@@ -116,7 +116,11 @@ struct HierarchyGeometry
     CacheGeometry l2{1024 * 1024, 16, 64, 12};
 };
 
-/** Per-core, per-context cache statistics. */
+/**
+ * Per-core, per-context cache statistics. Lifetime counts: they are
+ * never reset, and a measured region is the difference of two copies
+ * (operator-).
+ */
 struct CoreMemStats
 {
     RatioStat l1i;
@@ -131,6 +135,9 @@ struct CoreMemStats
 
     /** Combined L2 hit rate across contexts. */
     double l2HitRate() const;
+
+    /** Events counted since `mark`, an earlier copy of these stats. */
+    CoreMemStats operator-(const CoreMemStats &mark) const;
 };
 
 /**
@@ -149,11 +156,10 @@ class MemorySystem
 
     /**
      * Snapshot copy: duplicates every tag store, the directory and all
-     * statistics. Metric-registry handles are deliberately NOT carried
-     * over — they point into the original's registry — so the copy
-     * starts unregistered (registerMetrics() may be called afresh).
+     * statistics. Registry polls stay bound to the original, so the
+     * copy starts unregistered (registerMetrics() may be called on it).
      */
-    MemorySystem(const MemorySystem &other);
+    MemorySystem(const MemorySystem &other) = default;
     MemorySystem &operator=(const MemorySystem &) = delete;
 
     /**
@@ -215,23 +221,14 @@ class MemorySystem
     void invalidateAll();
 
     /**
-     * Register this hierarchy's metrics under `mem.` in the registry.
-     *
-     * Adds per-core hit/access counter pairs shadowing the RatioStats
-     * (names like `mem.core0.l2.user.hits`), coherence-event counters,
-     * polled lifetime eviction counters, a `mem.flushes` counter for
-     * full-hierarchy invalidations, and a `mem.directory.lines` gauge.
-     * Unlike CoreMemStats, registry counters are never reset, so the
-     * measured region is read as a difference of samples. At most one
-     * registry may ever be attached; it must outlive this object.
+     * Register this hierarchy's metrics under `mem.` in the registry:
+     * polls of every CoreMemStats counter (names like
+     * `mem.core0.l2.user.hits`), the caches' lifetime eviction
+     * counts, a `mem.flushes` counter for full-hierarchy
+     * invalidations, and a `mem.directory.lines` gauge. The registry
+     * must not sample after this object is destroyed.
      */
     void registerMetrics(MetricRegistry &registry);
-
-    /**
-     * Zero all per-core statistics and the measurement window without
-     * touching cache contents (warmup-to-measurement transition).
-     */
-    void resetStats();
 
     /** Timings this hierarchy was built with. */
     const MemTimings &timings() const { return lat; }
@@ -249,45 +246,6 @@ class MemorySystem
         SetAssocCache l1i;
         SetAssocCache l1d;
         SetAssocCache l2;
-    };
-
-    /** Registry counters shadowing one RatioStat. */
-    struct CounterPair
-    {
-        std::uint64_t *hits = nullptr;
-        std::uint64_t *total = nullptr;
-
-        void
-        add(bool hit)
-        {
-            *hits += hit ? 1 : 0;
-            ++*total;
-        }
-
-        void
-        addMany(std::uint64_t hits_in, std::uint64_t total_in)
-        {
-            *hits += hits_in;
-            *total += total_in;
-        }
-    };
-
-    /**
-     * Registry handles mirroring one core's CoreMemStats. Populated
-     * only by registerMetrics(); when `metricHandles` is empty every
-     * mirror site reduces to one predicted branch.
-     */
-    struct CoreMetricHandles
-    {
-        CounterPair l1i;
-        CounterPair l1d;
-        CounterPair l2User;
-        CounterPair l2Os;
-        std::uint64_t *c2cTransfers = nullptr;
-        std::uint64_t *invalidationsSent = nullptr;
-        std::uint64_t *invalidationsReceived = nullptr;
-        std::uint64_t *upgrades = nullptr;
-        std::uint64_t *memoryFetches = nullptr;
     };
 
     /** Handle an L2 miss: directory transaction + fill. */
@@ -338,8 +296,6 @@ class MemorySystem
 
     std::vector<CoreCaches> cores;
     std::vector<CoreMemStats> coreStats;
-    /** Empty until registerMetrics(); then one entry per core. */
-    std::vector<CoreMetricHandles> metricHandles;
     Directory dir;
     Interconnect fabric;
     MemTimings lat;

@@ -16,8 +16,8 @@ void
 OsCoreQueue::registerMetrics(MetricRegistry &registry,
                              const std::string &prefix)
 {
-    oscar_assert(mOffers == nullptr);
-    mOffers = registry.counter(prefix + "offers");
+    oscar_assert(mWait == nullptr);
+    registry.counterFn(prefix + "offers", [this] { return counts.offers; });
     mWait = registry.histogram(prefix + "wait");
     registry.gauge(prefix + "depth",
                    [this] { return static_cast<double>(depth()); });
@@ -37,16 +37,14 @@ OsCoreQueue::recordWait(Cycle waited)
     waitHist.add(waited);
     if (mWait != nullptr)
         mWait->add(waited);
-    ++admittedCount;
-    ++admittedEverCount;
+    ++counts.admitted;
 }
 
 bool
 OsCoreQueue::offer(const OffloadRequest &req, Cycle now)
 {
-    oscar_assert(req.arrival <= now || req.arrival == now);
-    if (mOffers != nullptr)
-        ++*mOffers;
+    oscar_assert(req.arrival <= now);
+    ++counts.offers;
     if (!coreBusy) {
         coreBusy = true;
         recordWait(0);
@@ -104,7 +102,7 @@ OsCoreQueue::stealOldest()
     oscar_assert(!waiting.empty());
     const OffloadRequest req = waiting.front();
     waiting.pop_front();
-    ++stealsOutCount;
+    ++counts.stealsOut;
     return req;
 }
 
@@ -114,7 +112,7 @@ OsCoreQueue::adoptStolen(const OffloadRequest &req, Cycle start)
     oscar_assert(!coreBusy);
     oscar_assert(start >= req.arrival);
     coreBusy = true;
-    ++stealsInCount;
+    ++counts.stealsIn;
     recordWait(start - req.arrival);
 }
 
@@ -123,11 +121,6 @@ OsCoreQueue::resetStats()
 {
     delayStat.reset();
     waitHist.reset();
-    admittedCount = 0;
-    stealsInCount = 0;
-    stealsOutCount = 0;
-    spillsInCount = 0;
-    spillsOutCount = 0;
 }
 
 } // namespace oscar

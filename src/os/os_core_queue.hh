@@ -14,6 +14,8 @@
  * moves of the work-stealing dispatch policy: stealOldest() lets an
  * idle peer take this queue's longest-waiting request, and
  * adoptStolen() admits such a request on the stealing core's queue.
+ * Its event counts (OsQueueCounters) are lifetime, never reset; only
+ * the delay distributions are cleared at measurement start.
  */
 
 #ifndef OSCAR_OS_OS_CORE_QUEUE_HH_
@@ -40,6 +42,32 @@ struct OffloadRequest
     std::uint32_t threadId = 0;
     /** Cycle the request arrived at the OS core. */
     Cycle arrival = 0;
+};
+
+/** Lifetime event counts of one OS-core queue (never reset). */
+struct OsQueueCounters
+{
+    /** Arrivals offered to this queue (after any spill). */
+    std::uint64_t offers = 0;
+    /** Requests that started service on this queue's core. */
+    std::uint64_t admitted = 0;
+    /** Requests this queue's core stole from peers. */
+    std::uint64_t stealsIn = 0;
+    /** Requests peers stole out of this queue. */
+    std::uint64_t stealsOut = 0;
+    /** Arrivals that overflowed into this queue. */
+    std::uint64_t spillsIn = 0;
+    /** Arrivals that overflowed away from this queue. */
+    std::uint64_t spillsOut = 0;
+
+    /** Events counted since `mark`, an earlier copy of these counts. */
+    OsQueueCounters
+    operator-(const OsQueueCounters &mark) const
+    {
+        return {offers - mark.offers,     admitted - mark.admitted,
+                stealsIn - mark.stealsIn, stealsOut - mark.stealsOut,
+                spillsIn - mark.spillsIn, spillsOut - mark.spillsOut};
+    }
 };
 
 /**
@@ -101,31 +129,19 @@ class OsCoreQueue
     /** Wait distribution as a mergeable histogram (same samples). */
     const LatencyHistogram &waitHistogram() const { return waitHist; }
 
-    /** Total requests ever admitted (started service). */
-    std::uint64_t admitted() const { return admittedCount; }
-
-    /** Admissions since construction; unlike admitted(), never reset. */
-    std::uint64_t admittedEver() const { return admittedEverCount; }
-
-    /** Requests this queue's core stole from peers. */
-    std::uint64_t stealsIn() const { return stealsInCount; }
-
-    /** Requests peers stole out of this queue. */
-    std::uint64_t stealsOut() const { return stealsOutCount; }
-
-    /** Arrivals that overflowed into this queue. */
-    std::uint64_t spillsIn() const { return spillsInCount; }
-
-    /** Arrivals that overflowed out of this queue. */
-    std::uint64_t spillsOut() const { return spillsOutCount; }
+    /** Lifetime event counts. */
+    const OsQueueCounters &counters() const { return counts; }
 
     /** Record one overflow into this queue (spill bookkeeping). */
-    void countSpillIn() { ++spillsInCount; }
+    void countSpillIn() { ++counts.spillsIn; }
 
     /** Record one overflow away from this queue (spill bookkeeping). */
-    void countSpillOut() { ++spillsOutCount; }
+    void countSpillOut() { ++counts.spillsOut; }
 
-    /** Reset statistics (not occupancy). */
+    /**
+     * Clear the delay distributions (measurement start). Occupancy and
+     * the lifetime counters are untouched.
+     */
     void resetStats();
 
     /**
@@ -147,10 +163,10 @@ class OsCoreQueue
     std::uint32_t queueId() const { return queueIndex; }
 
     /**
-     * Register queue metrics under `<prefix>`: an offers counter, a
-     * depth gauge, and a wait-time histogram recorded at the same two
-     * sites as queueDelay() (but, like all registry metrics, never
-     * reset). Call at most once; the registry must outlive the queue.
+     * Register queue metrics under `<prefix>`: a poll of the offers
+     * counter, a wait-time histogram recorded at the same two sites as
+     * queueDelay() (but never reset), and a depth gauge. Call at most
+     * once; the registry must outlive the queue.
      * The default prefix preserves the legacy single-queue names
      * (`os.queue.offers`, ...); multi-queue systems pass
      * `os.queue.q<k>.`.
@@ -167,7 +183,6 @@ class OsCoreQueue
     dropInstrumentation()
     {
         trace = nullptr;
-        mOffers = nullptr;
         mWait = nullptr;
     }
 
@@ -179,18 +194,12 @@ class OsCoreQueue
     bool coreBusy = false;
     RunningStat delayStat;
     LatencyHistogram waitHist;
-    std::uint64_t admittedCount = 0;
-    std::uint64_t admittedEverCount = 0;
-    std::uint64_t stealsInCount = 0;
-    std::uint64_t stealsOutCount = 0;
-    std::uint64_t spillsInCount = 0;
-    std::uint64_t spillsOutCount = 0;
+    OsQueueCounters counts;
     std::uint32_t queueIndex = 0;
     bool annotate = false;
     TraceSink *trace = nullptr;
 
-    // Registry handles; null until registerMetrics() (metrics off).
-    std::uint64_t *mOffers = nullptr;
+    // Registry histogram; null until registerMetrics() (metrics off).
     LogHistogram *mWait = nullptr;
 };
 

@@ -95,7 +95,7 @@ class OsQueueSet
      */
     unsigned idleThief(unsigned home) const;
 
-    /** Reset every queue's statistics. */
+    /** Clear every queue's delay distributions (see OsCoreQueue). */
     void resetStats();
 
     /** Attach a trace sink to every queue. */

@@ -123,6 +123,14 @@ MetricRegistry::readSeries() const
     return values;
 }
 
+void
+MetricRegistry::freeze()
+{
+    const std::vector<double> values = readSeries();
+    for (std::size_t i = 0; i < readers.size(); ++i)
+        readers[i] = [value = values[i]] { return value; };
+}
+
 double
 MetricRegistry::seriesValue(const std::string &name) const
 {

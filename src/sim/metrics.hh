@@ -12,14 +12,19 @@
  * later exported as an `oscar.metrics.v1` JSONL artifact (see
  * system/metrics_capture.hh).
  *
- * Three metric kinds:
+ * Counters have one store. Each component owns its event counts as
+ * lifetime fields that are never reset (MemorySystem's CoreMemStats,
+ * Core's CycleBreakdown, OsCoreQueue's OsQueueCounters, System's own
+ * counters); the registry polls them at sample time, and SimResults
+ * is the lifetime value minus a mark the System copies at measurement
+ * start. Three metric kinds:
  *
- *  - counter: a monotone uint64 owned by the registry. Registration
- *    returns a bare `std::uint64_t *`, so the hot-path update is a
- *    single pointer increment — no lookup, no allocation, no branch
- *    beyond the emitter's own "is a registry attached" check. A polled
- *    flavour (counterFn) wraps counters that already exist as
- *    component members and are read only at sample time.
+ *  - counter: a monotone uint64. counterFn polls a component's
+ *    lifetime field, so the hot path updates that field and nothing
+ *    else. counter() instead returns a registry-owned
+ *    `std::uint64_t *` for counts no component keeps; its hot-path
+ *    update is a pointer increment behind the emitter's own "is a
+ *    registry attached" check.
  *  - gauge: an instantaneous value polled at sample time (queue
  *    depth, CAM occupancy, the N in force).
  *  - histogram: a LogHistogram owned by the registry; hot paths add
@@ -154,6 +159,13 @@ class MetricRegistry
     /** Current cumulative value of one series; fatal when unknown. */
     double seriesValue(const std::string &name) const;
 
+    /**
+     * Pin every series at its current value. Polled series read their
+     * component's fields, so the owner of those components calls this
+     * before destroying them; the registry stays readable afterwards.
+     */
+    void freeze();
+
     // -- sampling -----------------------------------------------------
 
     /** Periodic sampling interval (instructions); 0 when disabled. */
@@ -182,10 +194,10 @@ class MetricRegistry
 
     /**
      * Mark a sample row as the measurement-start snapshot: the row
-     * taken right after the warmup-to-measurement statistics reset.
-     * Registry counters are never reset, so "final minus this row"
-     * equals the measured-region aggregates — the consistency
-     * cross-check the integration tests assert.
+     * taken at the same instant the System copies its counter mark.
+     * Counters are never reset, so "final minus this row" equals the
+     * measured-region results — the consistency cross-check the
+     * integration tests assert.
      */
     void setMeasurementStartSample(std::size_t index);
 

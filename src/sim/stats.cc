@@ -97,6 +97,15 @@ RatioStat::reset()
     totalCount = 0;
 }
 
+RatioStat
+RatioStat::operator-(const RatioStat &mark) const
+{
+    oscar_assert(mark.hitCount <= hitCount && mark.totalCount <= totalCount);
+    RatioStat since;
+    since.addMany(hitCount - mark.hitCount, totalCount - mark.totalCount);
+    return since;
+}
+
 void
 RatioStat::merge(const RatioStat &other)
 {

@@ -90,6 +90,12 @@ class RatioStat
     void reset();
 
     /**
+     * Events recorded since `mark`, an earlier copy of this counter
+     * (the measured region of a never-reset counter).
+     */
+    RatioStat operator-(const RatioStat &mark) const;
+
+    /**
      * Merge another counter into this one. Pooling counts is exact, so
      * merging per-shard ratios is byte-identical to having recorded
      * every event into a single counter — the property the parallel

@@ -92,25 +92,6 @@ ExperimentRunner::profileServices(WorkloadKind workload,
 }
 
 SimResults
-ExperimentRunner::run(const SystemConfig &config)
-{
-    return run(config, nullptr);
-}
-
-SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace)
-{
-    return run(config, trace, nullptr);
-}
-
-SimResults
-ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
-                      MetricRegistry *metrics)
-{
-    return run(config, trace, metrics, nullptr);
-}
-
-SimResults
 ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
                       MetricRegistry *metrics, SpanRecorder *spans)
 {

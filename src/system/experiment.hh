@@ -64,32 +64,17 @@ class ExperimentRunner
     static std::shared_ptr<const ServiceProfile>
     profileServices(WorkloadKind workload, std::uint64_t seed = 42);
 
-    /** Build and run a system. */
-    static SimResults run(const SystemConfig &config);
-
-    /**
-     * Build and run a system with a trace sink attached (see
-     * sim/trace.hh). A null sink behaves exactly like run(config).
-     */
-    static SimResults run(const SystemConfig &config, TraceSink *trace);
-
-    /**
-     * Build and run a system with a trace sink and/or metric registry
-     * attached (see sim/metrics.hh). Null arguments behave exactly
-     * like run(config); the registry must outlive the call.
-     */
-    static SimResults run(const SystemConfig &config, TraceSink *trace,
-                          MetricRegistry *metrics);
-
     /**
      * Build and run a system with any combination of trace sink,
-     * metric registry, and span recorder attached (see sim/span.hh).
-     * Null arguments behave exactly like run(config); a non-null
-     * recorder requires a serving configuration.
+     * metric registry, and span recorder attached (see sim/trace.hh,
+     * sim/metrics.hh, sim/span.hh). Null arguments attach nothing; a
+     * non-null recorder requires a serving configuration, and the
+     * registry must outlive the call.
      */
-    static SimResults run(const SystemConfig &config, TraceSink *trace,
-                          MetricRegistry *metrics,
-                          SpanRecorder *spans);
+    static SimResults run(const SystemConfig &config,
+                          TraceSink *trace = nullptr,
+                          MetricRegistry *metrics = nullptr,
+                          SpanRecorder *spans = nullptr);
 
     /**
      * Run a configuration and its uni-processor baseline with the same

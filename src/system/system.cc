@@ -76,6 +76,11 @@ System::System(const SystemConfig &config)
             spec, *services, space, pools, cfg.geometry.l2.lineBytes);
         buildPolicy(thread);
     }
+    // The all-zero mark: until measurement starts, "measured" views
+    // cover the whole run.
+    mark.mem.resize(cfg.totalCores());
+    mark.cycles.resize(cores.size());
+    mark.queues.resize(queues.size());
 }
 
 System::System(const System &other)
@@ -130,13 +135,11 @@ System::System(const System &other)
         thread.idle = theirs.idle;
     }
 
-    // Phase machinery and measured-region statistics.
+    // Phase machinery, lifetime counters and the measurement mark.
+    counts = other.counts;
+    mark = other.mark;
     started = other.started;
     measuring = other.measuring;
-    warmupRetired = other.warmupRetired;
-    warmupOsRetired = other.warmupOsRetired;
-    measuredRetiredAll = other.measuredRetiredAll;
-    measuredOsRetired = other.measuredOsRetired;
     warmupPrivFraction = other.warmupPrivFraction;
     measureStart = other.measureStart;
     finishedThreads = other.finishedThreads;
@@ -144,31 +147,22 @@ System::System(const System &other)
     windowStartInstr = other.windowStartInstr;
     windowStartCycle = other.windowStartCycle;
     thresholdTrajectory = other.thresholdTrajectory;
-    invocationsMeasured = other.invocationsMeasured;
-    offloadedMeasured = other.offloadedMeasured;
-    migIntraMeasured = other.migIntraMeasured;
-    migInterMeasured = other.migInterMeasured;
     invocationLength = other.invocationLength;
     invocationLengthHist = other.invocationLengthHist;
     for (std::size_t i = 0; i < 4; ++i)
         osInstrAboveTail[i] = other.osInstrAboveTail[i];
-    invocationsByService = other.invocationsByService;
-    offloadsByService = other.offloadsByService;
 
     // Serving-mode state.
     if (other.requests != nullptr)
         requests = std::make_unique<RequestStream>(*other.requests);
     requestQueues = other.requestQueues;
     pendingArrival = other.pendingArrival;
-    requestsCompletedTotal = other.requestsCompletedTotal;
-    requestsCompletedMeasured = other.requestsCompletedMeasured;
-    requestsOfferedMeasured = other.requestsOfferedMeasured;
     requestLatency = other.requestLatency;
     requestDispatchWait = other.requestDispatchWait;
     servingDone = other.servingDone;
     servingEndCycle = other.servingEndCycle;
 
-    // trace/metrics/m* pointers keep their null defaults: the clone
+    // trace/metrics/spans pointers keep their null defaults: the clone
     // starts uninstrumented by contract.
 }
 
@@ -224,8 +218,6 @@ System::reconfigureForMeasurement(const SystemConfig &config)
 
     // Re-enter the measured region at the current cycle, so the forked
     // run's measured region starts clean under the new policy.
-    measuredRetiredAll = 0;
-    measuredOsRetired = 0;
     finishedThreads = 0;
     for (Thread &thread : threads) {
         thread.measuredRetired = 0;
@@ -234,15 +226,16 @@ System::reconfigureForMeasurement(const SystemConfig &config)
     }
     thresholdTrajectory.clear();
     resetMeasuredRegion();
-    requestsCompletedMeasured = 0;
-    requestsOfferedMeasured = 0;
-    requestLatency = LatencyHistogram{};
-    requestDispatchWait.reset();
     if (spans != nullptr)
         spans->reset();
 }
 
-System::~System() = default;
+System::~System()
+{
+    // The registry polls this system's counters; keep it readable.
+    if (metrics != nullptr)
+        metrics->freeze();
+}
 
 void
 System::setTraceSink(TraceSink *sink)
@@ -271,21 +264,40 @@ void
 System::setMetricRegistry(MetricRegistry *registry)
 {
     oscar_assert(registry != nullptr && metrics == nullptr);
+    // Counters are polled from their lifetime stores, so attaching
+    // before the run keeps every series starting at zero.
+    oscar_assert(!started && "attach the metric registry before run()");
     metrics = registry;
 
-    mRetiredUser = registry->counter("sys.retired.user");
-    mRetiredOs = registry->counter("sys.retired.os");
-    mInvocations = registry->counter("sys.invocations");
-    mOffloads = registry->counter("sys.offloads");
+    registry->counterFn("sys.retired.user",
+                        [this] { return counts.retiredUser; });
+    registry->counterFn("sys.retired.os",
+                        [this] { return counts.retiredOs; });
+    registry->counterFn("sys.invocations",
+                        [this] { return counts.invocations; });
+    registry->counterFn("sys.offloads", [this] { return counts.offloads; });
 
     mem->registerMetrics(*registry);
     if (cfg.offloadEnabled) {
         queues.registerMetrics(*registry);
-        mMigIntra = registry->counter("numa.migrations.intra");
-        mMigInter = registry->counter("numa.migrations.inter");
+        registry->counterFn("numa.migrations.intra",
+                            [this] { return counts.migIntra; });
+        registry->counterFn("numa.migrations.inter",
+                            [this] { return counts.migInter; });
         if (topo.config().dispatch == OsDispatchPolicy::WorkStealing) {
-            mSteals = registry->counter("numa.steals");
-            mSpills = registry->counter("numa.spills");
+            // Each steal or spill lands on exactly one queue.
+            registry->counterFn("numa.steals", [this] {
+                std::uint64_t steals = 0;
+                for (unsigned k = 0; k < queues.size(); ++k)
+                    steals += queues.queue(k).counters().stealsIn;
+                return steals;
+            });
+            registry->counterFn("numa.spills", [this] {
+                std::uint64_t spills = 0;
+                for (unsigned k = 0; k < queues.size(); ++k)
+                    spills += queues.queue(k).counters().spillsIn;
+                return spills;
+            });
         }
     }
     if (cfg.dynamicThreshold)
@@ -298,8 +310,10 @@ System::setMetricRegistry(MetricRegistry *registry)
     }
 
     if (cfg.serving) {
-        mRequestsOffered = registry->counter("serving.offered");
-        mRequestsCompleted = registry->counter("serving.completed");
+        registry->counterFn("serving.offered",
+                            [this] { return counts.requestsOffered; });
+        registry->counterFn("serving.completed",
+                            [this] { return counts.requestsCompleted; });
         mRequestLatency = registry->histogram("serving.latency", 48);
         registry->gauge("serving.inflight", [this] {
             std::uint64_t inflight = 0;
@@ -468,36 +482,31 @@ System::recordInvocationLength(InstCount length)
 void
 System::retire(Thread &thread, InstCount count, bool privileged)
 {
-    // Before the phase machinery, so a measurement-start mark sample
-    // taken below already includes this retirement.
-    if (metrics != nullptr)
-        *(privileged ? mRetiredOs : mRetiredUser) += count;
+    // Before the phase machinery, so a measurement mark taken below
+    // already includes this retirement.
+    (privileged ? counts.retiredOs : counts.retiredUser) += count;
 
     if (measuring) {
         thread.measuredRetired += count;
-        measuredRetiredAll += count;
-        if (privileged)
-            measuredOsRetired += count;
+        const InstCount measured = measuredRetired();
 
-        if (cfg.dynamicThreshold &&
-            measuredRetiredAll >= nextEpochBoundary) {
+        if (cfg.dynamicThreshold && measured >= nextEpochBoundary) {
             const double feedback = epochFeedback();
             controller.onEpochEnd(feedback);
             if (trace != nullptr) {
                 TraceEvent event;
                 event.kind = TraceEventKind::EpochEnd;
-                event.instruction = measuredRetiredAll;
+                event.instruction = measured;
                 event.threshold = controller.currentThreshold();
                 event.feedback = feedback;
                 trace->emit(event);
             }
             thresholdTrajectory.push_back(
-                {measuredRetiredAll, controller.currentThreshold()});
+                {measured, controller.currentThreshold()});
             mem->resetWindow();
-            windowStartInstr = measuredRetiredAll;
+            windowStartInstr = measured;
             windowStartCycle = events.now();
-            nextEpochBoundary =
-                measuredRetiredAll + controller.epochLength();
+            nextEpochBoundary = measured + controller.epochLength();
         }
 
         // Serving mode's horizon is completed requests, not a
@@ -509,17 +518,14 @@ System::retire(Thread &thread, InstCount count, bool privileged)
             ++finishedThreads;
         }
     } else {
-        warmupRetired += count;
-        if (privileged)
-            warmupOsRetired += count;
         const InstCount target =
             cfg.warmupInstructions * threads.size();
-        if (!servingMode() && warmupRetired >= target)
+        if (!servingMode() && retiredTotal() >= target)
             enterMeasurement();
     }
 
     if (metrics != nullptr && metricsInterval != 0) {
-        const InstCount total = warmupRetired + measuredRetiredAll;
+        const InstCount total = retiredTotal();
         if (total >= nextMetricsSample) {
             metrics->takeSample(total, events.now());
             nextMetricsSample =
@@ -532,28 +538,30 @@ void
 System::enterMeasurement()
 {
     measuring = true;
+    // Everything retired so far was warmup.
+    const InstCount warmup_retired = retiredTotal();
     warmupPrivFraction =
-        warmupRetired
-            ? static_cast<double>(warmupOsRetired) /
-                  static_cast<double>(warmupRetired)
+        warmup_retired
+            ? static_cast<double>(counts.retiredOs) /
+                  static_cast<double>(warmup_retired)
             : 0.0;
 
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::MeasurementStart;
-        event.instruction = warmupRetired;
+        event.instruction = warmup_retired;
         event.feedback = warmupPrivFraction;
         trace->emit(event);
     }
 
     resetMeasuredRegion();
 
-    // Mark sample: taken after every Stats reset above, so registry
-    // counters (which never reset) satisfy "final minus this row ==
-    // measured-region Stats aggregates" exactly.
+    // Registry mark row: polled at the same instant as the counter
+    // mark above, so "final minus this row" equals the measured
+    // region SimResults reports.
     if (metrics != nullptr) {
-        const std::size_t row = metrics->takeSample(
-            warmupRetired + measuredRetiredAll, events.now());
+        const std::size_t row =
+            metrics->takeSample(warmup_retired, events.now());
         metrics->setMeasurementStartSample(row);
     }
 }
@@ -562,33 +570,33 @@ void
 System::resetMeasuredRegion()
 {
     measureStart = events.now();
-    // MemorySystem::resetStats also clears the dynamic-N feedback
-    // window.
-    mem->resetStats();
-    for (Core &core : cores)
-        core.resetStats();
+    mark.system = counts;
+    for (CoreId c = 0; c < mark.mem.size(); ++c)
+        mark.mem[c] = mem->stats(c);
+    for (std::size_t c = 0; c < cores.size(); ++c)
+        mark.cycles[c] = cores[c].cycles();
+    for (unsigned k = 0; k < queues.size(); ++k)
+        mark.queues[k] = queues.queue(k).counters();
+
+    // What cannot be subtracted is cleared instead.
+    mem->resetWindow();
     queues.resetStats();
     for (Thread &thread : threads) {
         if (thread.predictive != nullptr)
             thread.predictive->stats().reset();
     }
-    invocationsMeasured = 0;
-    offloadedMeasured = 0;
-    migIntraMeasured = 0;
-    migInterMeasured = 0;
     invocationLength.reset();
     invocationLengthHist.reset();
     for (InstCount &tail : osInstrAboveTail)
         tail = 0;
-    invocationsByService.fill(0);
-    offloadsByService.fill(0);
+    requestLatency = LatencyHistogram{};
+    requestDispatchWait.reset();
 
     if (cfg.dynamicThreshold) {
         controller.begin(warmupPrivFraction);
-        thresholdTrajectory.push_back(
-            {measuredRetiredAll, controller.currentThreshold()});
-        nextEpochBoundary = measuredRetiredAll + controller.epochLength();
-        windowStartInstr = measuredRetiredAll;
+        thresholdTrajectory.push_back({0, controller.currentThreshold()});
+        nextEpochBoundary = controller.epochLength();
+        windowStartInstr = 0;
         windowStartCycle = events.now();
     }
 }
@@ -603,7 +611,7 @@ System::epochFeedback()
     const Cycle cycles = events.now() - windowStartCycle;
     if (cycles == 0)
         return 0.0;
-    return static_cast<double>(measuredRetiredAll - windowStartInstr) /
+    return static_cast<double>(measuredRetired() - windowStartInstr) /
            static_cast<double>(cycles);
 }
 
@@ -684,13 +692,9 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.predictorUsed = decision.predictorUsed;
         trace->emit(event);
     }
-    if (measuring) {
-        ++invocationsMeasured;
-        ++invocationsByService[static_cast<std::size_t>(
-            inv.service->id)];
-    }
-    if (mInvocations != nullptr)
-        ++*mInvocations;
+    ++counts.invocations;
+    ++counts.invocationsByService[static_cast<std::size_t>(
+        inv.service->id)];
 
     if (!cfg.offloadEnabled || !decision.offload) {
         // Execute inline on the invoking core.
@@ -729,12 +733,8 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     }
 
     // Off-load: migrate to the dispatched OS core.
-    if (measuring) {
-        ++offloadedMeasured;
-        ++offloadsByService[static_cast<std::size_t>(inv.service->id)];
-    }
-    if (mOffloads != nullptr)
-        ++*mOffloads;
+    ++counts.offloads;
+    ++counts.offloadsByService[static_cast<std::size_t>(inv.service->id)];
     const unsigned target = queues.dispatchQueue(thread.core);
     const CoreId os_core = topo.osCoreId(target);
     const Cycle one_way = topo.migrationOneWay(thread.core, os_core);
@@ -789,8 +789,6 @@ System::osCoreArrival(std::uint32_t tid)
             countMigration(from_core, to_core);
             queues.queue(home).countSpillOut();
             queues.queue(spill).countSpillIn();
-            if (mSpills != nullptr)
-                ++*mSpills;
             if (trace != nullptr) {
                 TraceEvent event;
                 event.kind = TraceEventKind::Spill;
@@ -937,8 +935,6 @@ System::maybeSteal(unsigned thief, Cycle now)
     const Cycle transfer = topo.migrationOneWay(from_core, to_core);
     cores[thread.core].cycles().migration += transfer;
     countMigration(from_core, to_core);
-    if (mSteals != nullptr)
-        ++*mSteals;
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::Steal;
@@ -965,17 +961,8 @@ System::maybeSteal(unsigned thief, Cycle now)
 void
 System::countMigration(CoreId from, CoreId to)
 {
-    if (topo.nodeOf(from) == topo.nodeOf(to)) {
-        if (mMigIntra != nullptr)
-            ++*mMigIntra;
-        if (measuring)
-            ++migIntraMeasured;
-    } else {
-        if (mMigInter != nullptr)
-            ++*mMigInter;
-        if (measuring)
-            ++migInterMeasured;
-    }
+    ++(topo.nodeOf(from) == topo.nodeOf(to) ? counts.migIntra
+                                             : counts.migInter);
 }
 
 // ---------------------------------------------------------------------
@@ -1024,10 +1011,7 @@ System::dispatchRequest(std::uint32_t tid, const Request &request)
 {
     if (servingDone)
         return;
-    if (mRequestsOffered != nullptr)
-        ++*mRequestsOffered;
-    if (measuring)
-        ++requestsOfferedMeasured;
+    ++counts.requestsOffered;
     requestQueues[tid].push_back(request);
     Thread &thread = threads[tid];
     if (thread.idle) {
@@ -1082,9 +1066,7 @@ System::completeRequest(std::uint32_t tid, Cycle now)
     thread.servingRequest = false;
     const Cycle latency = now - thread.currentRequest.issued;
 
-    ++requestsCompletedTotal;
-    if (mRequestsCompleted != nullptr)
-        ++*mRequestsCompleted;
+    ++counts.requestsCompleted;
     if (mRequestLatency != nullptr)
         mRequestLatency->add(latency);
     if (trace != nullptr) {
@@ -1105,12 +1087,11 @@ System::completeRequest(std::uint32_t tid, Cycle now)
 
     if (measuring) {
         requestLatency.add(latency);
-        ++requestsCompletedMeasured;
-        if (requestsCompletedMeasured >= cfg.serving->measureRequests) {
+        if (measuredRequestsCompleted() >= cfg.serving->measureRequests) {
             servingDone = true;
             servingEndCycle = now;
         }
-    } else if (requestsCompletedTotal >= cfg.serving->warmupRequests) {
+    } else if (counts.requestsCompleted >= cfg.serving->warmupRequests) {
         enterMeasurement();
     }
 
@@ -1164,7 +1145,7 @@ System::runLoop(bool stop_at_measurement_start)
                 oscar_panic("event queue drained before the serving "
                             "horizon (%llu of %llu measured requests)",
                             static_cast<unsigned long long>(
-                                requestsCompletedMeasured),
+                                measuredRequestsCompleted()),
                             static_cast<unsigned long long>(
                                 cfg.serving->measureRequests));
             events.runOne();
@@ -1187,8 +1168,8 @@ System::finishRun()
     // Forced final sample so the exported series always ends at the
     // run's true end state (refreshing an equal-instant periodic row).
     if (metrics != nullptr) {
-        metrics->takeSample(warmupRetired + measuredRetiredAll,
-                            events.now(), /*refresh_equal=*/true);
+        metrics->takeSample(retiredTotal(), events.now(),
+                            /*refresh_equal=*/true);
     }
     return collectResults();
 }
@@ -1218,6 +1199,34 @@ System::resumeRun()
     return finishRun();
 }
 
+System::Counters
+System::Counters::operator-(const Counters &m) const
+{
+    Counters since;
+    since.retiredUser = retiredUser - m.retiredUser;
+    since.retiredOs = retiredOs - m.retiredOs;
+    since.invocations = invocations - m.invocations;
+    since.offloads = offloads - m.offloads;
+    for (std::size_t i = 0; i < kNumServices; ++i) {
+        since.invocationsByService[i] =
+            invocationsByService[i] - m.invocationsByService[i];
+        since.offloadsByService[i] =
+            offloadsByService[i] - m.offloadsByService[i];
+    }
+    since.migIntra = migIntra - m.migIntra;
+    since.migInter = migInter - m.migInter;
+    since.requestsOffered = requestsOffered - m.requestsOffered;
+    since.requestsCompleted = requestsCompleted - m.requestsCompleted;
+    return since;
+}
+
+CoreMemStats
+System::measuredMemStats(CoreId core) const
+{
+    oscar_assert(core < mark.mem.size());
+    return mem->stats(core) - mark.mem[core];
+}
+
 SimResults
 System::collectResults() const
 {
@@ -1234,33 +1243,36 @@ System::collectResults() const
         for (const Thread &thread : threads)
             last_finish = std::max(last_finish, thread.finishCycle);
     }
+    const Counters measured = counts - mark.system;
+    const InstCount retired = measured.retiredUser + measured.retiredOs;
     results.makespan = last_finish - measureStart;
-    results.retired = measuredRetiredAll;
+    results.retired = retired;
     results.throughput =
         results.makespan
             ? static_cast<double>(results.retired) /
                   static_cast<double>(results.makespan)
             : 0.0;
     results.privFraction =
-        measuredRetiredAll
-            ? static_cast<double>(measuredOsRetired) /
-                  static_cast<double>(measuredRetiredAll)
-            : 0.0;
+        retired ? static_cast<double>(measured.retiredOs) /
+                      static_cast<double>(retired)
+                : 0.0;
 
     double user_l2 = 0.0;
     std::uint64_t c2c = 0;
     std::uint64_t invalidations = 0;
     for (unsigned c = 0; c < cfg.userCores; ++c) {
-        user_l2 += mem->stats(c).l2HitRate();
-        c2c += mem->stats(c).c2cTransfers;
-        invalidations += mem->stats(c).invalidationsReceived;
+        const CoreMemStats user_stats = measuredMemStats(c);
+        user_l2 += user_stats.l2HitRate();
+        c2c += user_stats.c2cTransfers;
+        invalidations += user_stats.invalidationsReceived;
     }
     results.userL2HitRate = user_l2 / cfg.userCores;
     double combined = user_l2;
     if (cfg.offloadEnabled) {
         double os_l2 = 0.0;
         for (unsigned k = 0; k < topo.osCoreCount(); ++k) {
-            const CoreMemStats &os_stats = mem->stats(topo.osCoreId(k));
+            const CoreMemStats os_stats =
+                measuredMemStats(topo.osCoreId(k));
             os_l2 += os_stats.l2HitRate();
             c2c += os_stats.c2cTransfers;
             invalidations += os_stats.invalidationsReceived;
@@ -1272,23 +1284,23 @@ System::collectResults() const
     results.c2cTransfers = c2c;
     results.invalidations = invalidations;
 
-    results.invocations = invocationsMeasured;
-    results.offloaded = offloadedMeasured;
+    results.invocations = measured.invocations;
+    results.offloaded = measured.offloads;
     results.offloadFraction =
-        invocationsMeasured
-            ? static_cast<double>(offloadedMeasured) / invocationsMeasured
+        measured.invocations
+            ? static_cast<double>(measured.offloads) / measured.invocations
             : 0.0;
     results.meanInvocationLength = invocationLength.mean();
-    results.offloadRatio.addMany(offloadedMeasured, invocationsMeasured);
+    results.offloadRatio.addMany(measured.offloads, measured.invocations);
     results.invocationLengths = invocationLengthHist;
 
     if (servingMode()) {
         results.servingEnabled = true;
-        results.requestsCompleted = requestsCompletedMeasured;
-        results.requestsOffered = requestsOfferedMeasured;
+        results.requestsCompleted = measured.requestsCompleted;
+        results.requestsOffered = measured.requestsOffered;
         results.requestThroughput =
             results.makespan
-                ? static_cast<double>(requestsCompletedMeasured) *
+                ? static_cast<double>(measured.requestsCompleted) *
                       1000.0 / static_cast<double>(results.makespan)
                 : 0.0;
         results.requestLatency = requestLatency;
@@ -1305,18 +1317,20 @@ System::collectResults() const
         results.osQueues.reserve(K);
         for (unsigned k = 0; k < K; ++k) {
             const OsCoreQueue &q = queues.queue(k);
+            const OsQueueCounters counted = q.counters() - mark.queues[k];
             const CoreId core_id = topo.osCoreId(k);
             OsQueueResult entry;
             entry.queue = k;
             entry.core = core_id;
             entry.node = topo.nodeOf(core_id);
-            entry.admitted = q.admitted();
-            entry.stealsIn = q.stealsIn();
-            entry.stealsOut = q.stealsOut();
-            entry.spillsIn = q.spillsIn();
-            entry.spillsOut = q.spillsOut();
+            entry.admitted = counted.admitted;
+            entry.stealsIn = counted.stealsIn;
+            entry.stealsOut = counted.stealsOut;
+            entry.spillsIn = counted.spillsIn;
+            entry.spillsOut = counted.spillsOut;
             entry.utilization =
-                cores[core_id].utilization(results.makespan);
+                (cores[core_id].cycles() - mark.cycles[core_id])
+                    .utilization(results.makespan);
             entry.queueDelay = q.queueDelay();
             entry.wait = q.waitHistogram();
             total_util += entry.utilization;
@@ -1326,8 +1340,8 @@ System::collectResults() const
         }
         results.steals = steals;
         results.spills = spills;
-        results.numaMigrationsIntra = migIntraMeasured;
-        results.numaMigrationsInter = migInterMeasured;
+        results.numaMigrationsIntra = measured.migIntra;
+        results.numaMigrationsInter = measured.migInter;
         results.osCoreUtilization = total_util / K;
         if (K == 1) {
             // Bit-exact legacy path: no merge round-off for the
@@ -1343,10 +1357,11 @@ System::collectResults() const
         }
     }
 
-    for (const Core &core : cores) {
-        results.decisionCycles += core.cycles().decision;
-        results.migrationCycles += core.cycles().migration;
-        results.queueWaitCycles += core.cycles().queueWait;
+    for (std::size_t c = 0; c < cores.size(); ++c) {
+        const CycleBreakdown spent = cores[c].cycles() - mark.cycles[c];
+        results.decisionCycles += spent.decision;
+        results.migrationCycles += spent.migration;
+        results.queueWaitCycles += spent.queueWait;
     }
 
     for (const Thread &thread : threads) {
@@ -1356,14 +1371,13 @@ System::collectResults() const
 
     for (std::size_t i = 0; i < 4; ++i) {
         results.osShareAbove[i] =
-            measuredRetiredAll
-                ? static_cast<double>(osInstrAboveTail[i]) /
-                      static_cast<double>(measuredRetiredAll)
-                : 0.0;
+            retired ? static_cast<double>(osInstrAboveTail[i]) /
+                          static_cast<double>(retired)
+                    : 0.0;
     }
 
-    results.invocationsByService = invocationsByService;
-    results.offloadsByService = offloadsByService;
+    results.invocationsByService = measured.invocationsByService;
+    results.offloadsByService = measured.offloadsByService;
 
     results.finalThreshold = cfg.dynamicThreshold
                                  ? controller.currentThreshold()

@@ -292,7 +292,8 @@ class System
      * controller, OS-core queue, event queue, system-level counters,
      * process-wide log counts — and drives the registry's periodic
      * sampler from instruction retirement. The registry must outlive
-     * this system. Metrics never feed back into simulation, so
+     * this system, whose destructor freezes every series at its final
+     * value. Metrics never feed back into simulation, so
      * attaching one leaves traces and results byte-identical.
      */
     void setMetricRegistry(MetricRegistry *registry);
@@ -316,6 +317,14 @@ class System
 
     /** Memory hierarchy (inspection). */
     const MemorySystem &memory() const { return *mem; }
+
+    /**
+     * One core's cache statistics over the measured region: its
+     * lifetime MemorySystem::stats() minus the copy taken at
+     * measurement start — the view SimResults' hit rates are built
+     * from. Before measurement starts it covers the whole run so far.
+     */
+    CoreMemStats measuredMemStats(CoreId core) const;
 
     /** Dynamic-N controller (inspection). */
     const ThresholdController &thresholdController() const
@@ -341,6 +350,40 @@ class System
   private:
     /** Snapshot copy backing clone(); see clone() for the contract. */
     System(const System &other);
+
+    /** Lifetime event counters owned by the System (never reset). */
+    struct Counters
+    {
+        InstCount retiredUser = 0;
+        InstCount retiredOs = 0;
+        std::uint64_t invocations = 0;
+        std::uint64_t offloads = 0;
+        std::array<std::uint64_t, kNumServices> invocationsByService{};
+        std::array<std::uint64_t, kNumServices> offloadsByService{};
+        /** Migrations (incl. steal/spill transfers) within a node. */
+        std::uint64_t migIntra = 0;
+        /** Migrations that crossed nodes. */
+        std::uint64_t migInter = 0;
+        std::uint64_t requestsOffered = 0;
+        std::uint64_t requestsCompleted = 0;
+
+        /** Events counted since `mark`, an earlier copy. */
+        Counters operator-(const Counters &mark) const;
+    };
+
+    /**
+     * Copy of every lifetime counter — the System's own, each core's
+     * cache statistics and cycle breakdown, each OS-core queue's
+     * counts — taken when the measured region starts. Results are
+     * lifetime minus this mark.
+     */
+    struct Mark
+    {
+        Counters system;
+        std::vector<CoreMemStats> mem;
+        std::vector<CycleBreakdown> cycles;
+        std::vector<OsQueueCounters> queues;
+    };
 
     struct Thread
     {
@@ -435,12 +478,32 @@ class System
     void enterMeasurement();
 
     /**
-     * Start the measured region at the current cycle: clear every
-     * measured-region statistic and, under dynamic N, begin the
-     * threshold controller. Shared by enterMeasurement() and
+     * Start the measured region at the current cycle: record the mark,
+     * clear the distributions and predictor stats that cannot be
+     * subtracted, and, under dynamic N, begin the threshold
+     * controller. Shared by enterMeasurement() and
      * reconfigureForMeasurement().
      */
     void resetMeasuredRegion();
+
+    /** Instructions (user + OS) retired over the whole run. */
+    InstCount retiredTotal() const
+    {
+        return counts.retiredUser + counts.retiredOs;
+    }
+
+    /** Instructions (user + OS) retired since the mark. */
+    InstCount measuredRetired() const
+    {
+        return retiredTotal() - mark.system.retiredUser -
+               mark.system.retiredOs;
+    }
+
+    /** Requests completed since the mark. */
+    std::uint64_t measuredRequestsCompleted() const
+    {
+        return counts.requestsCompleted - mark.system.requestsCompleted;
+    }
 
     /** Schedule the next threadStep. */
     void scheduleThread(std::uint32_t tid, Cycle when);
@@ -517,25 +580,16 @@ class System
     InstCount metricsInterval = 0;
     /** Next total-retired instant to sample at. */
     InstCount nextMetricsSample = 0;
-    /** Registry-owned system-level counters (null when metrics off). */
-    std::uint64_t *mRetiredUser = nullptr;
-    std::uint64_t *mRetiredOs = nullptr;
-    std::uint64_t *mInvocations = nullptr;
-    std::uint64_t *mOffloads = nullptr;
-    /** Registry-owned NUMA counters (null when metrics off). */
-    std::uint64_t *mMigIntra = nullptr;
-    std::uint64_t *mMigInter = nullptr;
-    std::uint64_t *mSteals = nullptr;
-    std::uint64_t *mSpills = nullptr;
+
+    /** Lifetime counters; the registry polls these. */
+    Counters counts;
+    /** counts (and the components' counters) at measurement start. */
+    Mark mark;
 
     // Phase machinery.
     /** beginRun() has seeded the event queue. */
     bool started = false;
     bool measuring = false;
-    InstCount warmupRetired = 0;
-    InstCount warmupOsRetired = 0;
-    InstCount measuredRetiredAll = 0;
-    InstCount measuredOsRetired = 0;
     double warmupPrivFraction = 0.0;
     Cycle measureStart = 0;
     unsigned finishedThreads = 0;
@@ -547,16 +601,10 @@ class System
     /** The configured dynamic-N feedback value for the ending epoch. */
     double epochFeedback();
 
-    // Measured-region invocation stats.
-    std::uint64_t invocationsMeasured = 0;
-    std::uint64_t offloadedMeasured = 0;
-    std::uint64_t migIntraMeasured = 0;
-    std::uint64_t migInterMeasured = 0;
+    // Measured-region invocation-length distribution.
     RunningStat invocationLength;
     LogHistogram invocationLengthHist{32};
     InstCount osInstrAboveTail[4] = {0, 0, 0, 0};
-    std::array<std::uint64_t, kNumServices> invocationsByService{};
-    std::array<std::uint64_t, kNumServices> offloadsByService{};
 
     // Serving-mode state (null / unused in classic segment mode).
     std::unique_ptr<RequestStream> requests;
@@ -564,16 +612,11 @@ class System
     std::vector<std::deque<Request>> requestQueues;
     /** Open loop: the committed arrival the next event delivers. */
     Request pendingArrival;
-    std::uint64_t requestsCompletedTotal = 0;
-    std::uint64_t requestsCompletedMeasured = 0;
-    std::uint64_t requestsOfferedMeasured = 0;
     LatencyHistogram requestLatency;
     RunningStat requestDispatchWait;
     bool servingDone = false;
     Cycle servingEndCycle = 0;
-    // Registry-owned serving counters (null when metrics off).
-    std::uint64_t *mRequestsOffered = nullptr;
-    std::uint64_t *mRequestsCompleted = nullptr;
+    /** Registry-owned latency histogram (null when metrics off). */
     LogHistogram *mRequestLatency = nullptr;
 
     /** Tail accounting for one completed invocation. */

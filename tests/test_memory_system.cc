@@ -180,18 +180,6 @@ TEST(MemorySystem, WindowHitRateResets)
     EXPECT_DOUBLE_EQ(mem.windowL2HitRate(), 0.0);
 }
 
-TEST(MemorySystem, ResetStatsClearsCounters)
-{
-    MemorySystem mem(2, HierarchyGeometry{}, timings());
-    mem.access(0, 0x1000, AccessType::Write, ExecContext::User);
-    mem.access(1, 0x1000, AccessType::Write, ExecContext::User);
-    mem.resetStats();
-    EXPECT_EQ(mem.stats(0).invalidationsReceived, 0u);
-    EXPECT_EQ(mem.stats(1).c2cTransfers, 0u);
-    // Cache contents survive a stats reset.
-    EXPECT_NE(mem.l2(1).probe(0x1000 >> 6), MesiState::Invalid);
-}
-
 TEST(MemorySystem, InvalidateAllEmptiesEverything)
 {
     MemorySystem mem(2, HierarchyGeometry{}, timings());

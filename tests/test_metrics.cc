@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -296,68 +297,117 @@ TEST(MetricsValidator, FlagsBrokenInvariants)
 // ---------------------------------------------------------------------
 // System instrumentation
 
+/** A K=2 work-stealing serving point: every polled counter is live. */
+SystemConfig
+stealingServingConfig()
+{
+    SystemConfig config = ExperimentRunner::hardwareConfig(
+        WorkloadKind::Apache, /*static_n=*/0, /*migration_one_way=*/100);
+    config.userCores = 4;
+    config.topology.osCores = 2;
+    config.topology.numaNodes = 2;
+    config.topology.placement = OsPlacement::Spread;
+    config.topology.dispatch = OsDispatchPolicy::WorkStealing;
+    config.topology.spillDepth = 1;
+    auto serving = std::make_shared<ServingConfig>();
+    serving->arrival = ArrivalModel::OpenLoop;
+    serving->meanInterarrivalCycles = 20'000.0;
+    serving->warmupRequests = 20;
+    serving->measureRequests = 80;
+    config.serving = serving;
+    return config;
+}
+
 TEST(MetricsSystem, RegistryTotalsMatchStatsAggregates)
 {
-    // The consistency cross-check: registry counters are never reset,
-    // so "live value minus the measurement-start row" must equal the
-    // measured-region Stats aggregates exactly.
-    const SystemConfig config = smallConfig();
-    MetricRegistry registry(/*sample_every=*/10'000);
-    System system(config);
-    system.setMetricRegistry(&registry);
-    const SimResults results = system.run();
+    // The registry polls the components' lifetime counters and
+    // SimResults is lifetime minus the measurement mark, so "live
+    // value minus the measurement-start row" must equal the results
+    // exactly.
+    for (const SystemConfig &config :
+         {smallConfig(), stealingServingConfig()}) {
+        const bool serving = config.serving != nullptr;
+        SCOPED_TRACE(serving ? "k2-stealing-serving" : "k1-segments");
+        MetricRegistry registry(/*sample_every=*/10'000);
+        System system(config);
+        system.setMetricRegistry(&registry);
+        const SimResults results = system.run();
 
-    ASSERT_NE(registry.measurementStartSample(),
-              MetricRegistry::kNoSample);
-    const MetricRegistry::Sample &mark =
-        registry.samples()[registry.measurementStartSample()];
-    auto measured = [&](const std::string &name) {
-        const std::ptrdiff_t idx = registry.seriesIndex(name);
-        EXPECT_GE(idx, 0) << name;
-        return registry.seriesValue(name) -
-               mark.values[static_cast<std::size_t>(idx)];
-    };
+        ASSERT_NE(registry.measurementStartSample(),
+                  MetricRegistry::kNoSample);
+        const MetricRegistry::Sample &mark =
+            registry.samples()[registry.measurementStartSample()];
+        auto measured = [&](const std::string &name) {
+            const std::ptrdiff_t idx = registry.seriesIndex(name);
+            EXPECT_GE(idx, 0) << name;
+            return registry.seriesValue(name) -
+                   mark.values[static_cast<std::size_t>(idx)];
+        };
 
-    const MemorySystem &memory = system.memory();
-    for (unsigned c = 0; c < memory.numCores(); ++c) {
-        const CoreMemStats &stats = memory.stats(c);
-        const std::string p = "mem.core" + std::to_string(c) + ".";
-        EXPECT_EQ(measured(p + "l1i.hits"),
-                  static_cast<double>(stats.l1i.hits()));
-        EXPECT_EQ(measured(p + "l1i.accesses"),
-                  static_cast<double>(stats.l1i.total()));
-        EXPECT_EQ(measured(p + "l1d.hits"),
-                  static_cast<double>(stats.l1d.hits()));
-        EXPECT_EQ(measured(p + "l1d.accesses"),
-                  static_cast<double>(stats.l1d.total()));
-        EXPECT_EQ(measured(p + "l2.user.hits"),
-                  static_cast<double>(stats.l2User.hits()));
-        EXPECT_EQ(measured(p + "l2.user.accesses"),
-                  static_cast<double>(stats.l2User.total()));
-        EXPECT_EQ(measured(p + "l2.os.hits"),
-                  static_cast<double>(stats.l2Os.hits()));
-        EXPECT_EQ(measured(p + "l2.os.accesses"),
-                  static_cast<double>(stats.l2Os.total()));
-        EXPECT_EQ(measured(p + "c2c_transfers"),
-                  static_cast<double>(stats.c2cTransfers));
-        EXPECT_EQ(measured(p + "inval.sent"),
-                  static_cast<double>(stats.invalidationsSent));
-        EXPECT_EQ(measured(p + "inval.received"),
-                  static_cast<double>(stats.invalidationsReceived));
-        EXPECT_EQ(measured(p + "upgrades"),
-                  static_cast<double>(stats.upgrades));
-        EXPECT_EQ(measured(p + "memory_fetches"),
-                  static_cast<double>(stats.memoryFetches));
+        for (unsigned c = 0; c < system.memory().numCores(); ++c) {
+            const CoreMemStats stats = system.measuredMemStats(c);
+            const std::string p = "mem.core" + std::to_string(c) + ".";
+            EXPECT_EQ(measured(p + "l1i.hits"),
+                      static_cast<double>(stats.l1i.hits()));
+            EXPECT_EQ(measured(p + "l1i.accesses"),
+                      static_cast<double>(stats.l1i.total()));
+            EXPECT_EQ(measured(p + "l1d.hits"),
+                      static_cast<double>(stats.l1d.hits()));
+            EXPECT_EQ(measured(p + "l1d.accesses"),
+                      static_cast<double>(stats.l1d.total()));
+            EXPECT_EQ(measured(p + "l2.user.hits"),
+                      static_cast<double>(stats.l2User.hits()));
+            EXPECT_EQ(measured(p + "l2.user.accesses"),
+                      static_cast<double>(stats.l2User.total()));
+            EXPECT_EQ(measured(p + "l2.os.hits"),
+                      static_cast<double>(stats.l2Os.hits()));
+            EXPECT_EQ(measured(p + "l2.os.accesses"),
+                      static_cast<double>(stats.l2Os.total()));
+            EXPECT_EQ(measured(p + "c2c_transfers"),
+                      static_cast<double>(stats.c2cTransfers));
+            EXPECT_EQ(measured(p + "inval.sent"),
+                      static_cast<double>(stats.invalidationsSent));
+            EXPECT_EQ(measured(p + "inval.received"),
+                      static_cast<double>(stats.invalidationsReceived));
+            EXPECT_EQ(measured(p + "upgrades"),
+                      static_cast<double>(stats.upgrades));
+            EXPECT_EQ(measured(p + "memory_fetches"),
+                      static_cast<double>(stats.memoryFetches));
+        }
+
+        EXPECT_EQ(measured("sys.retired.user") +
+                      measured("sys.retired.os"),
+                  static_cast<double>(results.retired));
+        EXPECT_EQ(measured("sys.invocations"),
+                  static_cast<double>(results.invocations));
+        EXPECT_EQ(measured("sys.offloads"),
+                  static_cast<double>(results.offloaded));
+        double observations = 0.0;
+        for (unsigned t = 0; t < config.userCores; ++t)
+            observations +=
+                measured("pred.t" + std::to_string(t) + ".observations");
+        EXPECT_EQ(observations,
+                  static_cast<double>(results.accuracy.samples()));
+        EXPECT_EQ(measured("numa.migrations.intra"),
+                  static_cast<double>(results.numaMigrationsIntra));
+        EXPECT_EQ(measured("numa.migrations.inter"),
+                  static_cast<double>(results.numaMigrationsInter));
+        if (!serving)
+            continue;
+
+        EXPECT_EQ(measured("serving.offered"),
+                  static_cast<double>(results.requestsOffered));
+        EXPECT_EQ(measured("serving.completed"),
+                  static_cast<double>(results.requestsCompleted));
+        EXPECT_EQ(measured("numa.steals"),
+                  static_cast<double>(results.steals));
+        EXPECT_EQ(measured("numa.spills"),
+                  static_cast<double>(results.spills));
+        // The point must exercise every family it checks.
+        EXPECT_GT(results.numaMigrationsInter, 0u);
+        EXPECT_GT(results.steals, 0u);
+        EXPECT_GT(results.spills, 0u);
     }
-
-    EXPECT_EQ(measured("sys.retired.user") + measured("sys.retired.os"),
-              static_cast<double>(results.retired));
-    EXPECT_EQ(measured("sys.invocations"),
-              static_cast<double>(results.invocations));
-    EXPECT_EQ(measured("sys.offloads"),
-              static_cast<double>(results.offloaded));
-    EXPECT_EQ(measured("pred.t0.observations"),
-              static_cast<double>(results.accuracy.samples()));
 }
 
 TEST(MetricsSystem, DynamicControllerSeriesMatchResults)

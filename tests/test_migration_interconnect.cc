@@ -148,8 +148,8 @@ TEST(Core, UtilizationFraction)
 {
     Core core(0, CoreRole::Os);
     core.cycles().os = 250;
-    EXPECT_DOUBLE_EQ(core.utilization(1000), 0.25);
-    EXPECT_DOUBLE_EQ(core.utilization(0), 0.0);
+    EXPECT_DOUBLE_EQ(core.cycles().utilization(1000), 0.25);
+    EXPECT_DOUBLE_EQ(core.cycles().utilization(0), 0.0);
 }
 
 TEST(Core, RetirementAttribution)
@@ -160,16 +160,6 @@ TEST(Core, RetirementAttribution)
     EXPECT_EQ(core.userInstructions(), 100u);
     EXPECT_EQ(core.osInstructions(), 30u);
     EXPECT_EQ(core.totalInstructions(), 130u);
-}
-
-TEST(Core, ResetClearsEverything)
-{
-    Core core(0, CoreRole::User);
-    core.retireUser(10);
-    core.cycles().user = 99;
-    core.resetStats();
-    EXPECT_EQ(core.totalInstructions(), 0u);
-    EXPECT_EQ(core.cycles().total(), 0u);
 }
 
 } // namespace
