@@ -71,9 +71,9 @@ namespace
 constexpr std::size_t kBatchRefs = 4096;
 
 /**
- * Per-thread block buffer. execute() is a leaf — nothing below it
- * re-enters the engine — so one buffer per thread suffices, and
- * parallel sweep workers never share it.
+ * Per-thread block buffer. generate() is a leaf — no sink re-enters
+ * the engine — so one buffer per thread suffices, and parallel sweep
+ * workers never share it.
  */
 std::vector<std::uint64_t> &
 batchBuffer()
@@ -99,14 +99,9 @@ ExecEngine::referenceMode()
 }
 
 ExecResult
-ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
-                    InstCount instructions, const SegmentProfile &profile,
-                    Rng &rng)
+ExecEngine::generate(InstCount instructions, const SegmentProfile &profile,
+                     Rng &rng, RefBlockSink &sink)
 {
-    if (referenceModeFlag) {
-        return executeReference(mem, core, ctx, instructions, profile,
-                                rng);
-    }
     oscar_assert(profile.finalized());
     ExecResult result;
     if (instructions == 0)
@@ -124,8 +119,7 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
     std::uint64_t *out = block;
 
     const auto flush = [&] {
-        result.cycles += mem.accessBatch(
-            core, ctx, block, static_cast<std::size_t>(out - block));
+        sink.consume(block, static_cast<std::size_t>(out - block));
         out = block;
     };
 
@@ -166,6 +160,38 @@ ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
     }
     if (out != block)
         flush();
+    return result;
+}
+
+ExecResult
+ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
+                    InstCount instructions, const SegmentProfile &profile,
+                    Rng &rng)
+{
+    if (referenceModeFlag) {
+        return executeReference(mem, core, ctx, instructions, profile,
+                                rng);
+    }
+    struct ProbeSink final : RefBlockSink
+    {
+        MemorySystem &mem;
+        CoreId core;
+        ExecContext ctx;
+        Cycle stall = 0;
+
+        ProbeSink(MemorySystem &m, CoreId c, ExecContext x)
+            : mem(m), core(c), ctx(x)
+        {
+        }
+
+        void
+        consume(const std::uint64_t *refs, std::size_t count) override
+        {
+            stall += mem.accessBatch(core, ctx, refs, count);
+        }
+    } sink(mem, core, ctx);
+    ExecResult result = generate(instructions, profile, rng, sink);
+    result.cycles += sink.stall;
     return result;
 }
 

@@ -122,26 +122,57 @@ struct ExecResult
 };
 
 /**
+ * Consumer of the packed-reference blocks ExecEngine::generate()
+ * produces (see PackedRef), handed over in program order.
+ */
+class RefBlockSink
+{
+  public:
+    virtual ~RefBlockSink() = default;
+
+    /** Take one block of `count` packed references. */
+    virtual void consume(const std::uint64_t *refs, std::size_t count) = 0;
+};
+
+/**
  * Stateless executor: charges a segment's instructions and memory
  * references against a core's hierarchy.
  *
- * Two implementations exist. execute() is the production batched
- * kernel: it generates blocks of packed references from the RNG, then
- * runs each block through MemorySystem::accessBatch. executeReference()
- * is the original one-reference-at-a-time loop, kept verbatim as the
- * behavioural reference (the pattern reference_cache.hh /
- * reference_directory.hh established). The two are interchangeable —
- * identical ExecResult, RNG stream position, memory/directory state
- * and statistics — because reference *generation* never depends on
- * access outcomes: every RNG draw in the loop is conditioned only on
- * the profile and the regions' own generator state, so hoisting
- * generation ahead of the probes reorders nothing observable. The
- * randomized differential test in tests/test_exec_batch.cc holds the
- * two paths together.
+ * generate() is the one reference-generation loop. It draws a
+ * segment's references from the RNG into blocks of packed words and
+ * hands each block to a sink. execute(), the production kernel, is
+ * generate() with a sink that runs every block through
+ * MemorySystem::accessBatch; recording a stream tape (see
+ * system/stream_tape.hh) is generate() with a sink that also keeps
+ * the block. executeReference() is the original
+ * one-reference-at-a-time loop, kept verbatim as the behavioural
+ * reference (the pattern reference_cache.hh / reference_directory.hh
+ * established). The two are interchangeable — identical ExecResult,
+ * RNG stream position, memory/directory state and statistics —
+ * because reference *generation* never depends on access outcomes:
+ * every RNG draw in the loop is conditioned only on the profile and
+ * the regions' own generator state, so hoisting generation ahead of
+ * the probes reorders nothing observable. The randomized differential
+ * test in tests/test_exec_batch.cc holds the two paths together.
  */
 class ExecEngine
 {
   public:
+    /**
+     * Generate a segment's references without probing them.
+     *
+     * @param instructions Retired-instruction budget of the segment.
+     * @param profile Memory behaviour description.
+     * @param rng Deterministic stream for reference generation.
+     * @param sink Receives every block, the last one possibly partial.
+     * @return The segment's instruction cycles (one per instruction)
+     *         and reference counts; the caller adds the stall cycles
+     *         its sink's probes cost.
+     */
+    static ExecResult generate(InstCount instructions,
+                               const SegmentProfile &profile, Rng &rng,
+                               RefBlockSink &sink);
+
     /**
      * Execute a segment (batched kernel).
      *

@@ -204,6 +204,31 @@ appendConfigEnvironmentKey(std::string &key, const SystemConfig &c)
     }
 }
 
+std::string
+sweepWarmupKey(const SystemConfig &config)
+{
+    std::string key = "warm";
+    appendConfigEnvironmentKey(key, config);
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), " cores=%u offload=%d",
+                  config.userCores, config.offloadEnabled ? 1 : 0);
+    key += buf;
+    if (config.offloadEnabled) {
+        const TopologyConfig &t = config.topology;
+        std::snprintf(buf, sizeof(buf),
+                      " topo=%u/%u/%d/%d/%llu/%llu/%zu", t.osCores,
+                      t.numaNodes, static_cast<int>(t.placement),
+                      static_cast<int>(t.dispatch),
+                      static_cast<unsigned long long>(
+                          t.intraNodeHopCycles),
+                      static_cast<unsigned long long>(
+                          t.interNodeHopCycles),
+                      t.spillDepth);
+        key += buf;
+    }
+    return key;
+}
+
 namespace
 {
 

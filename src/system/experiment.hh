@@ -146,6 +146,16 @@ std::string formatDouble(double value, int decimals = 3);
 void appendConfigEnvironmentKey(std::string &key,
                                 const SystemConfig &config);
 
+/**
+ * Cache key of a point's fork group: a textual encoding of every
+ * field that shapes the canonical warmer's prefix (environment fields
+ * via appendConfigEnvironmentKey, plus core counts and topology
+ * shape). Policy/threshold/predictor fields and the measured horizon
+ * are deliberately absent — points differing only in those share a
+ * snapshot.
+ */
+std::string sweepWarmupKey(const SystemConfig &config);
+
 } // namespace oscar
 
 #endif // OSCAR_SYSTEM_EXPERIMENT_HH_

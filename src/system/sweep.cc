@@ -5,13 +5,16 @@
 
 #include "system/sweep.hh"
 
-#include <atomic>
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +25,7 @@
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 #include "system/metrics_capture.hh"
+#include "system/stream_tape.hh"
 #include "system/span_capture.hh"
 #include "system/trace_capture.hh"
 
@@ -287,6 +291,14 @@ warmSnapshot(const SystemConfig &point_config)
     return future.get();
 }
 
+/** Forget a fork group's warm snapshot once its last point is done. */
+void
+dropWarmSnapshot(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(snapshotMutex);
+    snapshotCache.erase(key);
+}
+
 /**
  * A point may fork only when nothing observes its warm-up: trace or
  * metrics streams must cover the whole run (golden artifacts stay
@@ -325,31 +337,6 @@ sweepWarmerConfig(const SystemConfig &config)
     warmer.hiDecisionCost = defaults.hiDecisionCost;
     warmer.siProfile.reset();
     return warmer;
-}
-
-std::string
-sweepWarmupKey(const SystemConfig &config)
-{
-    std::string key = "warm";
-    appendConfigEnvironmentKey(key, config);
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), " cores=%u offload=%d",
-                  config.userCores, config.offloadEnabled ? 1 : 0);
-    key += buf;
-    if (config.offloadEnabled) {
-        const TopologyConfig &t = config.topology;
-        std::snprintf(buf, sizeof(buf),
-                      " topo=%u/%u/%d/%d/%llu/%llu/%zu", t.osCores,
-                      t.numaNodes, static_cast<int>(t.placement),
-                      static_cast<int>(t.dispatch),
-                      static_cast<unsigned long long>(
-                          t.intraNodeHopCycles),
-                      static_cast<unsigned long long>(
-                          t.interNodeHopCycles),
-                      t.spillDepth);
-        key += buf;
-    }
-    return key;
 }
 
 // ---------------------------------------------------------------------
@@ -561,15 +548,27 @@ ParallelSweepRunner::effectiveJobs(std::size_t point_count) const
     return jobs == 0 ? 1 : jobs;
 }
 
-SweepPointResult
-ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index)
+namespace
 {
-    return runPoint(point, index, /*allow_fork=*/false);
-}
 
+/** What a forked point does with its group's stream tape. */
+enum class TapeUse
+{
+    None,
+    Record,
+    Replay,
+};
+
+/**
+ * Execute one point with timing and failure capture. It forks from
+ * its group's warm snapshot when `allow_fork` is set and the point is
+ * eligible (see forkEligible and SweepOptions::fork); a forked point
+ * then records its measured region into `tape`, or replays it from
+ * there, as `tape_use` says (see stream_tape.hh).
+ */
 SweepPointResult
-ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
-                              bool allow_fork)
+executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
+             TapeUse tape_use, const std::shared_ptr<StreamTape> &tape)
 {
     SweepPointResult result;
     result.index = index;
@@ -590,6 +589,10 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
                 warmSnapshot(point.config);
             const std::unique_ptr<System> forked = snapshot->clone();
             forked->reconfigureForMeasurement(point.config);
+            if (tape_use == TapeUse::Record)
+                forked->recordStreamTape(tape);
+            else if (tape_use == TapeUse::Replay)
+                forked->replayStreamTape(tape);
             result.results = forked->resumeRun();
         } else {
             std::unique_ptr<JsonlTraceSink> trace;
@@ -636,11 +639,27 @@ ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index,
     return result;
 }
 
+} // namespace
+
+SweepPointResult
+ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index)
+{
+    return executePoint(point, index, /*allow_fork=*/false, TapeUse::None,
+                        nullptr);
+}
+
 void
 ParallelSweepRunner::clearWarmSnapshotCache()
 {
     std::lock_guard<std::mutex> lock(snapshotMutex);
     snapshotCache.clear();
+}
+
+std::size_t
+ParallelSweepRunner::cachedWarmSnapshots()
+{
+    std::lock_guard<std::mutex> lock(snapshotMutex);
+    return snapshotCache.size();
 }
 
 namespace
@@ -716,6 +735,184 @@ mergeReplicaPoint(const SweepPoint &point, std::size_t index,
 
 } // namespace
 
+namespace
+{
+
+/**
+ * Claim order and stream-tape bookkeeping of one run() call.
+ *
+ * Fork-eligible sub-jobs that share a warm-up key form a group. A
+ * group of two or more single-thread, segment-mode sub-jobs is taped:
+ * its sub-job with the longest horizon runs first and records the
+ * measured-region stream, and the others replay it. Taped groups are
+ * claimed as a block at the position of their first sub-job; every
+ * other sub-job keeps its index position. A worker never waits for a
+ * tape: while a group's tape is being recorded it claims later work,
+ * and when nothing else is left it runs the group's next sub-job live.
+ * When a group's last sub-job finishes, its tape and warm snapshot are
+ * dropped. Which worker runs what never changes a result: replay is
+ * byte-identical to live, and results land by index.
+ */
+class SweepSchedule
+{
+  public:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** One claimed sub-job. */
+    struct Claim
+    {
+        std::size_t job = kNone;
+        TapeUse use = TapeUse::None;
+        std::shared_ptr<StreamTape> tape;
+    };
+
+    SweepSchedule(const std::vector<SweepPoint> &subs, bool fork)
+        : subs(subs), groupOf(subs.size(), kNone),
+          claimed(subs.size(), false)
+    {
+        std::map<std::string, std::size_t> index;
+        for (std::size_t j = 0; j < subs.size(); ++j) {
+            if (!fork || !forkEligible(subs[j]))
+                continue;
+            const std::string key = sweepWarmupKey(subs[j].config);
+            auto [it, fresh] = index.emplace(key, groups.size());
+            if (fresh) {
+                groups.emplace_back();
+                groups.back().key = key;
+            }
+            groupOf[j] = it->second;
+            groups[it->second].members.push_back(j);
+        }
+
+        for (Group &group : groups) {
+            group.unfinished = group.members.size();
+            const SystemConfig &first = subs[group.members.front()].config;
+            group.taped = group.members.size() > 1 &&
+                          first.userCores == 1 && first.serving == nullptr;
+            if (!group.taped)
+                continue;
+            // The recorder covers every member's horizon.
+            const auto longest = std::max_element(
+                group.members.begin(), group.members.end(),
+                [&](std::size_t a, std::size_t b) {
+                    return subs[a].config.measureInstructions <
+                           subs[b].config.measureInstructions;
+                });
+            std::rotate(group.members.begin(), longest, longest + 1);
+        }
+
+        std::vector<bool> placed(groups.size(), false);
+        for (std::size_t j = 0; j < subs.size(); ++j) {
+            const std::size_t g = groupOf[j];
+            if (g == kNone || !groups[g].taped) {
+                order.push_back(j);
+            } else if (!placed[g]) {
+                placed[g] = true;
+                order.insert(order.end(), groups[g].members.begin(),
+                             groups[g].members.end());
+            }
+        }
+    }
+
+    /** The next sub-job to run; job == kNone when none is left. */
+    Claim
+    claim()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        std::size_t waiting = kNone;
+        for (const std::size_t j : order) {
+            if (claimed[j])
+                continue;
+            const std::size_t g = groupOf[j];
+            if (g == kNone || !groups[g].taped)
+                return take(j, TapeUse::None, nullptr);
+            Group &group = groups[g];
+            switch (group.state) {
+              case TapeState::Unrecorded:
+                oscar_assert(j == group.members.front());
+                group.state = TapeState::Recording;
+                group.tape = std::make_shared<StreamTape>(subs[j].config);
+                return take(j, TapeUse::Record, group.tape);
+              case TapeState::Ready:
+                return take(j, TapeUse::Replay, group.tape);
+              case TapeState::Failed:
+                return take(j, TapeUse::None, nullptr);
+              case TapeState::Recording:
+                if (waiting == kNone)
+                    waiting = j;
+                continue;
+            }
+        }
+        // Only sub-jobs awaiting a tape remain: run one live rather
+        // than leave this worker idle.
+        if (waiting != kNone)
+            return take(waiting, TapeUse::None, nullptr);
+        return Claim{};
+    }
+
+    /** Report a claimed sub-job finished. */
+    void
+    complete(const Claim &claim)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const std::size_t g = groupOf[claim.job];
+        if (g == kNone)
+            return;
+        Group &group = groups[g];
+        if (claim.use == TapeUse::Record) {
+            // A recorder that failed leaves an unsealed tape behind.
+            if (claim.tape->finished()) {
+                group.state = TapeState::Ready;
+            } else {
+                group.state = TapeState::Failed;
+                group.tape.reset();
+            }
+        }
+        if (--group.unfinished == 0) {
+            group.tape.reset();
+            dropWarmSnapshot(group.key);
+        }
+    }
+
+  private:
+    enum class TapeState
+    {
+        Unrecorded,
+        Recording,
+        Ready,
+        Failed,
+    };
+
+    struct Group
+    {
+        std::string key;
+        /** Sub-jobs of the group; a taped group's recorder first. */
+        std::vector<std::size_t> members;
+        std::size_t unfinished = 0;
+        bool taped = false;
+        TapeState state = TapeState::Unrecorded;
+        std::shared_ptr<StreamTape> tape;
+    };
+
+    Claim
+    take(std::size_t job, TapeUse use, std::shared_ptr<StreamTape> tape)
+    {
+        claimed[job] = true;
+        return Claim{job, use, std::move(tape)};
+    }
+
+    const std::vector<SweepPoint> &subs;
+    std::mutex mutex;
+    std::vector<Group> groups;
+    /** Group of each sub-job; kNone when it does not fork. */
+    std::vector<std::size_t> groupOf;
+    /** Claim order over sub-jobs. */
+    std::vector<std::size_t> order;
+    std::vector<bool> claimed;
+};
+
+} // namespace
+
 std::vector<SweepPointResult>
 ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
 {
@@ -724,9 +921,9 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
         return results;
 
     // Expand sharded points into per-replica sub-jobs. Replicas join
-    // the same dynamic claim pool as whole points, so a single
-    // many-replica point saturates the pool instead of running its
-    // replicas serially on one worker.
+    // the same claim pool as whole points, so a single many-replica
+    // point saturates the pool instead of running its replicas
+    // serially on one worker.
     struct SubJob
     {
         std::size_t point;
@@ -735,6 +932,7 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
     static constexpr std::size_t kWholePoint =
         ~static_cast<std::size_t>(0);
     std::vector<SubJob> sub_jobs;
+    std::vector<SweepPoint> subs;
     std::vector<std::vector<SweepPointResult>> replica_results(
         points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -742,42 +940,41 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
             points[i].replicaSeeds;
         if (seeds.empty()) {
             sub_jobs.push_back({i, kWholePoint});
+            subs.push_back(points[i]);
             continue;
         }
         replica_results[i].resize(seeds.size());
-        for (std::size_t r = 0; r < seeds.size(); ++r)
+        for (std::size_t r = 0; r < seeds.size(); ++r) {
             sub_jobs.push_back({i, r});
+            subs.push_back(replicaSubPoint(points[i], r));
+        }
     }
 
     // Sub-results land at (point, replica) regardless of which worker
     // ran them, and the merge below folds replicas in listed order —
     // the output is independent of the job count and claim order.
-    auto run_sub_job = [&](const SubJob &job) {
-        if (job.replica == kWholePoint) {
-            results[job.point] =
-                runPoint(points[job.point], job.point, opts.fork);
-        } else {
-            replica_results[job.point][job.replica] =
-                runPoint(replicaSubPoint(points[job.point], job.replica),
-                         job.point, opts.fork);
+    SweepSchedule schedule(subs, opts.fork);
+    auto worker = [&]() {
+        for (;;) {
+            const SweepSchedule::Claim claim = schedule.claim();
+            if (claim.job == SweepSchedule::kNone)
+                return;
+            const SubJob &job = sub_jobs[claim.job];
+            SweepPointResult result =
+                executePoint(subs[claim.job], job.point, opts.fork,
+                             claim.use, claim.tape);
+            if (job.replica == kWholePoint)
+                results[job.point] = std::move(result);
+            else
+                replica_results[job.point][job.replica] = std::move(result);
+            schedule.complete(claim);
         }
     };
 
     const unsigned jobs = effectiveJobs(sub_jobs.size());
     if (jobs <= 1) {
-        for (const SubJob &job : sub_jobs)
-            run_sub_job(job);
+        worker();
     } else {
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= sub_jobs.size())
-                    return;
-                run_sub_job(sub_jobs[i]);
-            }
-        };
         std::vector<std::thread> threads;
         threads.reserve(jobs);
         for (unsigned t = 0; t < jobs; ++t)
@@ -930,6 +1127,31 @@ applySweepSpanPaths(std::vector<SweepPoint> &points,
 // ---------------------------------------------------------------------
 // BenchOptions
 
+namespace
+{
+
+/**
+ * A flag's decimal value in [0, max]; fatal otherwise. strtoull alone
+ * would negate a leading '-' into a huge value and saturate on
+ * overflow, so both are rejected explicitly.
+ */
+std::uint64_t
+parseCount(const char *flag, const char *text, std::uint64_t max)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || value > max) {
+        oscar_fatal("%s expects a non-negative integer no larger than "
+                    "%llu, got '%s'",
+                    flag, static_cast<unsigned long long>(max), text);
+    }
+    return value;
+}
+
+} // namespace
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv,
                     const std::string &default_json)
@@ -946,13 +1168,9 @@ BenchOptions::parse(int argc, char **argv,
                             "(try --help)", arg.c_str());
         }
         if (arg == "--jobs") {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            const unsigned long jobs = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0')
-                oscar_fatal("--jobs expects a non-negative integer, "
-                            "got '%s'", text);
-            opts.jobs = static_cast<unsigned>(jobs);
+            opts.jobs = static_cast<unsigned>(parseCount(
+                "--jobs", argv[++i],
+                std::numeric_limits<unsigned>::max()));
         } else if (arg == "--json") {
             opts.jsonPath = argv[++i];
         } else if (arg == "--no-json") {
@@ -966,14 +1184,9 @@ BenchOptions::parse(int argc, char **argv,
         } else if (arg == "--spans") {
             opts.spansPath = argv[++i];
         } else if (arg == "--metrics-every") {
-            const char *text = argv[++i];
-            char *end = nullptr;
-            const unsigned long long every =
-                std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0')
-                oscar_fatal("--metrics-every expects a non-negative "
-                            "integer, got '%s'", text);
-            opts.metricsEvery = every;
+            opts.metricsEvery = parseCount(
+                "--metrics-every", argv[++i],
+                std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--help") {
             std::printf("usage: %s [--jobs N] [--json PATH | --no-json]"
                         " [--no-fork] [--trace PATH] [--metrics PATH]"

@@ -255,9 +255,13 @@ class ParallelSweepRunner
     /**
      * Run every point and return results in point order.
      *
-     * Points are claimed from a shared counter, so scheduling is
-     * dynamic, but the output vector is indexed by point — the result
-     * layout is independent of the job count and of worker timing.
+     * Workers claim points dynamically, in index order except that
+     * the single-thread points of one fork group are claimed as a
+     * block: the group's longest-horizon point records a stream tape
+     * that the others replay (see system/stream_tape.hh). The output
+     * vector is indexed by point, and a replay is byte-identical to a
+     * live run, so the results are independent of the job count and
+     * of worker timing.
      */
     std::vector<SweepPointResult>
     run(const std::vector<SweepPoint> &points) const;
@@ -271,18 +275,13 @@ class ParallelSweepRunner
                                      std::size_t index);
 
     /**
-     * Execute one point, forking from the group's warm snapshot when
-     * `allow_fork` is set and the point is eligible (no trace or
-     * metrics streaming, non-empty warm-up). See SweepOptions::fork.
-     */
-    static SweepPointResult runPoint(const SweepPoint &point,
-                                     std::size_t index, bool allow_fork);
-
-    /**
      * Drop every cached warm snapshot (tests and A/B timing). Do not
      * call concurrently with a running sweep.
      */
     static void clearWarmSnapshotCache();
+
+    /** Warm snapshots currently cached (tests check lifetimes). */
+    static std::size_t cachedWarmSnapshots();
 
     /** The worker count a run() call will actually use. */
     unsigned effectiveJobs(std::size_t point_count) const;
@@ -300,16 +299,6 @@ class ParallelSweepRunner
  * warm-up prefix is well defined and policy-neutral.
  */
 SystemConfig sweepWarmerConfig(const SystemConfig &config);
-
-/**
- * Cache key of a point's fork group: a textual encoding of every
- * field that shapes the canonical warmer's prefix (environment fields
- * via appendConfigEnvironmentKey, plus core counts and topology
- * shape). Policy/threshold/predictor fields and the measured horizon
- * are deliberately absent — points differing only in those share a
- * snapshot.
- */
-std::string sweepWarmupKey(const SystemConfig &config);
 
 /**
  * Machine-readable sweep artifact.

@@ -10,6 +10,7 @@
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
+#include "system/experiment.hh"
 
 namespace oscar
 {
@@ -169,6 +170,10 @@ System::System(const System &other)
 std::unique_ptr<System>
 System::clone() const
 {
+    if (tapeIn != nullptr) {
+        oscar_fatal("cannot clone a system replaying a stream tape: its "
+                    "workload generators have not advanced");
+    }
     return std::unique_ptr<System>(new System(*this));
 }
 
@@ -228,6 +233,49 @@ System::reconfigureForMeasurement(const SystemConfig &config)
     resetMeasuredRegion();
     if (spans != nullptr)
         spans->reset();
+}
+
+void
+System::checkTapeAttach(const StreamTape &tape) const
+{
+    if (cfg.userCores != 1 || cfg.serving != nullptr) {
+        oscar_fatal("stream tapes need a single-thread segment-mode "
+                    "system (this one has %u user cores%s)",
+                    cfg.userCores,
+                    cfg.serving != nullptr ? " and serves requests" : "");
+    }
+    if (!started || !measuring || measuredRetired() != 0) {
+        oscar_fatal("a stream tape attaches only at measurement start");
+    }
+    if (tapeIn != nullptr || tapeOut != nullptr)
+        oscar_fatal("a stream tape is already attached");
+    if (tape.warmupKey() != sweepWarmupKey(cfg)) {
+        oscar_fatal("stream tape of fork group '%s' does not fit this "
+                    "system's group '%s'",
+                    tape.warmupKey().c_str(),
+                    sweepWarmupKey(cfg).c_str());
+    }
+}
+
+void
+System::recordStreamTape(std::shared_ptr<StreamTape> tape)
+{
+    oscar_assert(tape != nullptr);
+    checkTapeAttach(*tape);
+    if (tape->finished() || tape->tokenCount() != 0)
+        oscar_fatal("stream tape recording needs an empty tape");
+    tapeOut = std::move(tape);
+}
+
+void
+System::replayStreamTape(std::shared_ptr<const StreamTape> tape)
+{
+    oscar_assert(tape != nullptr);
+    checkTapeAttach(*tape);
+    if (!tape->finished())
+        oscar_fatal("stream tape replay needs a finished tape");
+    tapeIn = std::move(tape);
+    tapeReader = StreamTape::Reader(*tapeIn);
 }
 
 System::~System()
@@ -443,16 +491,71 @@ System::scheduleThread(std::uint32_t tid, Cycle when)
                   tid, 0});
 }
 
+WorkloadToken
+System::nextToken(Thread &thread)
+{
+    if (tapeIn != nullptr)
+        return tapeReader.nextToken();
+    WorkloadToken token = thread.workload->next(thread.rng, thread.arch);
+    if (tapeOut != nullptr)
+        tapeOut->recordToken(token);
+    return token;
+}
+
 InstCount
 System::extendedLength(const OsInvocation &inv)
 {
+    if (tapeIn != nullptr)
+        return tapeReader.extendedLength();
     InstCount length = inv.trueLength;
     if (inv.service->interruptible && interrupts.enabled()) {
         // Approximate the occupancy window with a CPI of ~1.3.
         const Cycle window = static_cast<Cycle>(length) * 13 / 10;
         length += interrupts.preemptionExtension(window);
     }
+    if (tapeOut != nullptr)
+        tapeOut->recordExtendedLength(length);
     return length;
+}
+
+Cycle
+System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
+                       InstCount instructions,
+                       const SegmentProfile &profile)
+{
+    // A segment costs one cycle per instruction plus its probes'
+    // stalls, so a replay needs only the probes.
+    if (tapeIn != nullptr)
+        return instructions + tapeReader.replaySegment(*mem, core, ctx);
+    if (tapeOut == nullptr) {
+        return ExecEngine::execute(*mem, core, ctx, instructions, profile,
+                                   thread.rng)
+            .cycles;
+    }
+    struct RecordSink final : RefBlockSink
+    {
+        MemorySystem &mem;
+        CoreId core;
+        ExecContext ctx;
+        StreamTape &tape;
+        Cycle stall = 0;
+
+        RecordSink(MemorySystem &m, CoreId c, ExecContext x,
+                   StreamTape &t)
+            : mem(m), core(c), ctx(x), tape(t)
+        {
+        }
+
+        void
+        consume(const std::uint64_t *refs, std::size_t count) override
+        {
+            stall += mem.accessBatch(core, ctx, refs, count);
+            tape.recordRefs(refs, count);
+        }
+    } sink(*mem, core, ctx, *tapeOut);
+    return ExecEngine::generate(instructions, profile, thread.rng, sink)
+               .cycles +
+           sink.stall;
 }
 
 double
@@ -639,20 +742,19 @@ System::threadStep(std::uint32_t tid)
         return;
     }
 
-    const WorkloadToken token = thread.workload->next(thread.rng,
-                                                      thread.arch);
+    const WorkloadToken token = nextToken(thread);
     const Cycle now = events.now();
 
     if (token.kind == TokenKind::UserBurst) {
-        const ExecResult result = ExecEngine::execute(
-            *mem, thread.core, ExecContext::User, token.burstLength,
-            thread.workload->userProfile(), thread.rng);
-        cores[thread.core].cycles().user += result.cycles;
+        const Cycle cycles = executeSegment(
+            thread, thread.core, ExecContext::User, token.burstLength,
+            thread.workload->userProfile());
+        cores[thread.core].cycles().user += cycles;
         cores[thread.core].retireUser(token.burstLength);
         retire(thread, token.burstLength, false);
         if (spans != nullptr)
-            spans->segment(tid, SpanPhase::User, now, result.cycles);
-        scheduleThread(tid, now + result.cycles);
+            spans->segment(tid, SpanPhase::User, now, cycles);
+        scheduleThread(tid, now + cycles);
         return;
     }
 
@@ -699,11 +801,10 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     if (!cfg.offloadEnabled || !decision.offload) {
         // Execute inline on the invoking core.
         const InstCount length = extendedLength(inv);
-        const ExecResult result = ExecEngine::execute(
-            *mem, thread.core, ExecContext::Os, length,
-            thread.workload->serviceProfile(inv.service->id),
-            thread.rng);
-        cores[thread.core].cycles().os += result.cycles;
+        const Cycle cycles = executeSegment(
+            thread, thread.core, ExecContext::Os, length,
+            thread.workload->serviceProfile(inv.service->id));
+        cores[thread.core].cycles().os += cycles;
         cores[thread.core].retireOs(length);
         thread.policy->observe(inv, decision, length);
         profile.observe(inv.service->id, length);
@@ -720,7 +821,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         retire(thread, length, true);
         if (spans != nullptr) {
             spans->segment(tid, SpanPhase::OsInline,
-                           now + decision.cost, result.cycles,
+                           now + decision.cost, cycles,
                            static_cast<std::uint16_t>(inv.service->id));
         }
         if (servingMode()) {
@@ -728,7 +829,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
                          thread.segmentsLeft > 0);
             --thread.segmentsLeft;
         }
-        scheduleThread(tid, now + decision.cost + result.cycles);
+        scheduleThread(tid, now + decision.cost + cycles);
         return;
     }
 
@@ -844,21 +945,20 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
         spans->queueWait(tid, start, waited, target);
 
     const InstCount length = extendedLength(thread.pendingInv);
-    const ExecResult result = ExecEngine::execute(
-        *mem, os_core, ExecContext::Os, length,
-        thread.workload->serviceProfile(thread.pendingInv.service->id),
-        thread.rng);
-    cores[os_core].cycles().os += result.cycles;
+    const Cycle cycles = executeSegment(
+        thread, os_core, ExecContext::Os, length,
+        thread.workload->serviceProfile(thread.pendingInv.service->id));
+    cores[os_core].cycles().os += cycles;
     cores[os_core].retireOs(length);
     if (spans != nullptr) {
-        spans->segment(tid, SpanPhase::OsExec, start, result.cycles,
+        spans->segment(tid, SpanPhase::OsExec, start, cycles,
                        static_cast<std::uint16_t>(
                            thread.pendingInv.service->id),
                        target);
     }
 
     events.schedulePayload(
-        start + result.cycles,
+        start + cycles,
         EventPayload{static_cast<std::uint32_t>(EventKind::OsComplete),
                      tid, static_cast<std::uint64_t>(length)});
 }
@@ -1165,6 +1265,11 @@ System::runLoop(bool stop_at_measurement_start)
 SimResults
 System::finishRun()
 {
+    // The run reached its horizon: the recorded stream is complete.
+    if (tapeOut != nullptr) {
+        tapeOut->finish();
+        tapeOut.reset();
+    }
     // Forced final sample so the exported series always ends at the
     // run's true end state (refreshing an equal-instant periodic row).
     if (metrics != nullptr) {
@@ -1225,6 +1330,13 @@ System::measuredMemStats(CoreId core) const
 {
     oscar_assert(core < mark.mem.size());
     return mem->stats(core) - mark.mem[core];
+}
+
+CycleBreakdown
+System::measuredCycles(CoreId core) const
+{
+    oscar_assert(core < cores.size());
+    return cores[core].cycles() - mark.cycles[core];
 }
 
 SimResults
@@ -1329,8 +1441,7 @@ System::collectResults() const
             entry.spillsIn = counted.spillsIn;
             entry.spillsOut = counted.spillsOut;
             entry.utilization =
-                (cores[core_id].cycles() - mark.cycles[core_id])
-                    .utilization(results.makespan);
+                measuredCycles(core_id).utilization(results.makespan);
             entry.queueDelay = q.queueDelay();
             entry.wait = q.waitHistogram();
             total_util += entry.utilization;
@@ -1358,7 +1469,7 @@ System::collectResults() const
     }
 
     for (std::size_t c = 0; c < cores.size(); ++c) {
-        const CycleBreakdown spent = cores[c].cycles() - mark.cycles[c];
+        const CycleBreakdown spent = measuredCycles(c);
         results.decisionCycles += spent.decision;
         results.migrationCycles += spent.migration;
         results.queueWaitCycles += spent.queueWait;

@@ -34,6 +34,7 @@
 #include "sim/random.hh"
 #include "sim/span.hh"
 #include "sim/stats.hh"
+#include "system/stream_tape.hh"
 #include "system/system_config.hh"
 #include "workload/address_space.hh"
 #include "workload/request_stream.hh"
@@ -275,6 +276,27 @@ class System
     void reconfigureForMeasurement(const SystemConfig &config);
 
     /**
+     * Record the measured-region stream into an empty `tape` while
+     * this system runs live (see system/stream_tape.hh). Call at
+     * measurement start; resumeRun() seals the tape when the run
+     * reaches its horizon. Fatal unless the system has one user
+     * thread, is not serving requests, sits at measurement start and
+     * has the tape's sweepWarmupKey().
+     */
+    void recordStreamTape(std::shared_ptr<StreamTape> tape);
+
+    /**
+     * Replay a sealed tape instead of generating the stream: tokens,
+     * interrupt extensions and references come from the tape, and
+     * only the memory system is probed. Results are byte-identical to
+     * a live run from the same point, provided the run's horizon is
+     * within the recorded one (reading past the end is fatal). Same
+     * preconditions as recordStreamTape(); the system can no longer
+     * be cloned.
+     */
+    void replayStreamTape(std::shared_ptr<const StreamTape> tape);
+
+    /**
      * Attach an invocation-level trace recorder (see sim/trace.hh).
      *
      * Must be called before run(). The sink is wired through to the
@@ -325,6 +347,9 @@ class System
      * from. Before measurement starts it covers the whole run so far.
      */
     CoreMemStats measuredMemStats(CoreId core) const;
+
+    /** One core's cycle breakdown over the measured region. */
+    CycleBreakdown measuredCycles(CoreId core) const;
 
     /** Dynamic-N controller (inspection). */
     const ThresholdController &thresholdController() const
@@ -471,8 +496,26 @@ class System
     /** Charge retired instructions and drive phase/epoch machinery. */
     void retire(Thread &thread, InstCount count, bool privileged);
 
+    /**
+     * The thread's next token: read from the replayed tape, or drawn
+     * from its workload (and appended to the recorded tape).
+     */
+    WorkloadToken nextToken(Thread &thread);
+
     /** True length of an invocation with interrupt extension applied. */
     InstCount extendedLength(const OsInvocation &inv);
+
+    /**
+     * Run one segment of the thread's stream on `core` and return the
+     * cycles it took: the tape's references probed, or generated ones
+     * (and recorded) when live.
+     */
+    Cycle executeSegment(Thread &thread, CoreId core, ExecContext ctx,
+                         InstCount instructions,
+                         const SegmentProfile &profile);
+
+    /** Fatal unless `tape` may be attached to this system now. */
+    void checkTapeAttach(const StreamTape &tape) const;
 
     /** Switch from warmup to the measured region. */
     void enterMeasurement();
@@ -573,6 +616,12 @@ class System
     ServiceProfile profile; ///< filled continuously; used for SI profiling
     TraceSink *trace = nullptr; ///< optional; null = tracing off
     SpanRecorder *spans = nullptr; ///< optional; null = spans off
+
+    /** Tape this live run records into; null when not recording. */
+    std::shared_ptr<StreamTape> tapeOut;
+    /** Tape the run replays; null when the stream is generated. */
+    std::shared_ptr<const StreamTape> tapeIn;
+    StreamTape::Reader tapeReader;
 
     // Metrics (optional; null = metrics off).
     MetricRegistry *metrics = nullptr;

@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "system/stream_tape.hh"
 #include "system/sweep.hh"
 
 namespace oscar
@@ -523,6 +525,105 @@ TEST(SweepReplicas, FailedReplicaFailsThePointAndIsIsolated)
         EXPECT_NE(results[1].error.find("user core"), std::string::npos)
             << results[1].error;
     }
+}
+
+TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
+{
+    // Two taped fork groups (single-thread Apache and SpecJbb points,
+    // interleaved by index, one Apache point with a longer horizon so
+    // the recorder is not the group's first point) run beside points
+    // that never take a tape: two user threads, a sharded serving
+    // point and a traced point. Group-ordered claiming and replay must
+    // leave every result byte-identical at any job count, equal to
+    // each point forked on its own, and leave no tape or snapshot
+    // behind.
+    std::vector<SweepPoint> points = sampleGrid();
+    SweepPoint longer;
+    longer.label = "longer";
+    longer.config = quickConfig(WorkloadKind::Apache, 500, 500);
+    longer.config.measureInstructions = 200'000;
+    points.push_back(longer);
+    SweepPoint dual;
+    dual.label = "dual";
+    dual.config = quickConfig(WorkloadKind::Apache, 1000, 100);
+    dual.config.userCores = 2;
+    points.push_back(dual);
+    points.push_back(shardedServingPoint({42, 7}));
+    SweepPoint traced;
+    traced.label = "traced";
+    traced.config = quickConfig(WorkloadKind::SpecJbb, 100, 100);
+    traced.tracePath = "test_sweep_tapes.trace.jsonl";
+    points.push_back(traced);
+
+    std::vector<std::string> expected;
+    ExperimentRunner::clearBaselineCache();
+    ParallelSweepRunner::clearWarmSnapshotCache();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!points[i].replicaSeeds.empty()) {
+            expected.emplace_back();
+            continue;
+        }
+        // Alone in its sweep, a point forks without a tape.
+        SweepPointResult solo =
+            ParallelSweepRunner({1}).run({points[i]}).front();
+        ASSERT_TRUE(solo.ok) << solo.error;
+        solo.index = i;
+        expected.push_back(sweepPointResultsJson(solo));
+    }
+
+    std::vector<std::string> first;
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        ExperimentRunner::clearBaselineCache();
+        ParallelSweepRunner::clearWarmSnapshotCache();
+        const auto results = ParallelSweepRunner({jobs}).run(points);
+        EXPECT_EQ(StreamTape::live(), 0u) << "jobs " << jobs;
+        EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u)
+            << "jobs " << jobs;
+        ASSERT_EQ(results.size(), points.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            const std::string json = sweepPointResultsJson(results[i]);
+            if (!expected[i].empty()) {
+                EXPECT_EQ(json, expected[i]) << "point " << i;
+            }
+            if (first.size() < results.size()) {
+                first.push_back(json);
+            } else {
+                EXPECT_EQ(json, first[i])
+                    << "point " << i << " jobs " << jobs;
+            }
+        }
+    }
+    ParallelSweepRunner::clearWarmSnapshotCache();
+    EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u);
+    EXPECT_EQ(StreamTape::live(), 0u);
+    std::remove(traced.tracePath.c_str());
+}
+
+TEST(BenchOptions, RejectsNegativeAndOutOfRangeCounts)
+{
+    auto parse = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "bench");
+        std::vector<char *> argv;
+        for (std::string &arg : args)
+            argv.push_back(arg.data());
+        return BenchOptions::parse(static_cast<int>(argv.size()),
+                                   argv.data(), "");
+    };
+    ScopedFatalThrows fatal_throws;
+    EXPECT_THROW(parse({"--jobs", "-1"}), FatalError);
+    EXPECT_THROW(parse({"--jobs", "99999999999"}), FatalError);
+    EXPECT_THROW(parse({"--jobs", "4294967296"}), FatalError);
+    EXPECT_THROW(parse({"--jobs", "+2"}), FatalError);
+    EXPECT_THROW(parse({"--jobs", ""}), FatalError);
+    EXPECT_THROW(parse({"--metrics-every", "-5"}), FatalError);
+    EXPECT_THROW(parse({"--metrics-every", "18446744073709551616"}),
+                 FatalError);
+    EXPECT_EQ(parse({"--jobs", "0"}).jobs, 0u);
+    EXPECT_EQ(parse({"--jobs", "4294967295"}).jobs, 4294967295u);
+    EXPECT_EQ(parse({"--metrics-every", "18446744073709551615"})
+                  .metricsEvery,
+              18446744073709551615ull);
 }
 
 TEST(SweepReplicas, ReplicaPathDerivation)
