@@ -155,15 +155,24 @@ PredictivePolicy::PredictivePolicy(RunLengthPredictor &predictor,
 }
 
 void
+PredictivePolicy::resetStats()
+{
+    accuracy.reset();
+    lookupConfidence.reset();
+}
+
+void
 PredictivePolicy::registerMetrics(MetricRegistry &registry,
                                   const std::string &prefix)
 {
-    oscar_assert(mLookups == nullptr);
-    mLookups = registry.counter(prefix + ".lookups");
-    mGlobalFallbacks = registry.counter(prefix + ".global_fallbacks");
-    mTableHits = registry.counter(prefix + ".table_hits");
-    mObservations = registry.counter(prefix + ".observations");
-    mConfidence = registry.histogram(prefix + ".confidence", 4);
+    registry.counterFn(prefix + ".lookups", [this] { return lookups; });
+    registry.counterFn(prefix + ".global_fallbacks",
+                       [this] { return globalFallbacks; });
+    registry.counterFn(prefix + ".table_hits",
+                       [this] { return tableHits; });
+    registry.counterFn(prefix + ".observations",
+                       [this] { return observations; });
+    registry.histogramFn(prefix + ".confidence", lookupConfidence);
     RunLengthPredictor *p = &pred;
     registry.gauge(prefix + ".occupancy", [p] {
         return static_cast<double>(p->occupancy());
@@ -180,12 +189,10 @@ PredictivePolicy::decide(const OsInvocation &invocation)
     decision.cost = cost;
     const InstCount n = thresh.threshold();
     decision.offload = decision.predictedLength > n;
-    if (mLookups != nullptr) {
-        ++*mLookups;
-        *mGlobalFallbacks += decision.prediction.fromGlobal ? 1 : 0;
-        *mTableHits += decision.prediction.tableHit ? 1 : 0;
-        mConfidence->add(decision.prediction.confidence);
-    }
+    ++lookups;
+    globalFallbacks += decision.prediction.fromGlobal ? 1 : 0;
+    tableHits += decision.prediction.tableHit ? 1 : 0;
+    lookupConfidence.add(decision.prediction.confidence);
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::PredictorLookup;
@@ -212,8 +219,7 @@ PredictivePolicy::observe(const OsInvocation &invocation,
                                              actual_length,
                                              invocation.isWindowTrap());
         // Lockstep with samples(): only count what record() counted.
-        if (counted && mObservations != nullptr)
-            ++*mObservations;
+        observations += counted ? 1 : 0;
     }
 }
 

@@ -260,16 +260,22 @@ class PredictivePolicy : public OffloadPolicy
     /** Accuracy accounting fed by observe(). */
     const PredictorStats &stats() const { return accuracy; }
 
-    /** Mutable accuracy accounting (reset between phases). */
+    /** Mutable accuracy accounting (copied by System snapshots). */
     PredictorStats &stats() { return accuracy; }
 
     /**
+     * Clear the measured-region distributions (measurement start):
+     * accuracy and lookup confidence. Lifetime counts are untouched.
+     */
+    void resetStats();
+
+    /**
      * Register this policy's predictor metrics under `<prefix>.`:
-     * lookup/global-fallback/table-hit counters, an observation
-     * counter in exact lockstep with stats().samples() (same
-     * window-trap exclusion), a lookup-confidence histogram, and a
-     * predictor occupancy gauge. Call at most once, before decisions;
-     * the registry must outlive this policy.
+     * polls of the lifetime lookup/global-fallback/table-hit counts,
+     * of an observation count in exact lockstep with
+     * stats().samples() (same window-trap exclusion), of the
+     * lookup-confidence histogram, and a predictor occupancy gauge.
+     * The registry must outlive this policy or be frozen first.
      */
     void registerMetrics(MetricRegistry &registry,
                          const std::string &prefix);
@@ -281,12 +287,13 @@ class PredictivePolicy : public OffloadPolicy
     PolicyKind policyKind;
     PredictorStats accuracy;
 
-    // Registry handles; null until registerMetrics() (metrics off).
-    std::uint64_t *mLookups = nullptr;
-    std::uint64_t *mGlobalFallbacks = nullptr;
-    std::uint64_t *mTableHits = nullptr;
-    std::uint64_t *mObservations = nullptr;
-    LogHistogram *mConfidence = nullptr;
+    // Lifetime counts, never reset.
+    std::uint64_t lookups = 0;
+    std::uint64_t globalFallbacks = 0;
+    std::uint64_t tableHits = 0;
+    std::uint64_t observations = 0;
+    /** Confidence of every lookup since measurement start. */
+    LatencyHistogram lookupConfidence;
 };
 
 } // namespace oscar

@@ -16,9 +16,8 @@ void
 OsCoreQueue::registerMetrics(MetricRegistry &registry,
                              const std::string &prefix)
 {
-    oscar_assert(mWait == nullptr);
     registry.counterFn(prefix + "offers", [this] { return counts.offers; });
-    mWait = registry.histogram(prefix + "wait");
+    registry.histogramFn(prefix + "wait", waitHist);
     registry.gauge(prefix + "depth",
                    [this] { return static_cast<double>(depth()); });
 }
@@ -35,8 +34,6 @@ OsCoreQueue::recordWait(Cycle waited)
 {
     delayStat.add(static_cast<double>(waited));
     waitHist.add(waited);
-    if (mWait != nullptr)
-        mWait->add(waited);
     ++counts.admitted;
 }
 

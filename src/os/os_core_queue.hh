@@ -31,7 +31,6 @@
 namespace oscar
 {
 
-class LogHistogram;
 class MetricRegistry;
 class TraceSink;
 
@@ -163,10 +162,9 @@ class OsCoreQueue
     std::uint32_t queueId() const { return queueIndex; }
 
     /**
-     * Register queue metrics under `<prefix>`: a poll of the offers
-     * counter, a wait-time histogram recorded at the same two sites as
-     * queueDelay() (but never reset), and a depth gauge. Call at most
-     * once; the registry must outlive the queue.
+     * Register queue metrics under `<prefix>`: polls of the offers
+     * counter and of waitHistogram() (`<prefix>wait.*`), and a depth
+     * gauge. The registry must outlive the queue or be frozen first.
      * The default prefix preserves the legacy single-queue names
      * (`os.queue.offers`, ...); multi-queue systems pass
      * `os.queue.q<k>.`.
@@ -175,16 +173,11 @@ class OsCoreQueue
                          const std::string &prefix = "os.queue.");
 
     /**
-     * Detach trace and registry hooks after a snapshot copy: the
-     * copied pointers alias the original's sinks/registry. The queue
-     * itself (occupancy, stats) is left untouched.
+     * Detach the trace sink after a snapshot copy: the copied pointer
+     * aliases the original's sink. The queue itself (occupancy,
+     * stats) is left untouched.
      */
-    void
-    dropInstrumentation()
-    {
-        trace = nullptr;
-        mWait = nullptr;
-    }
+    void dropInstrumentation() { trace = nullptr; }
 
   private:
     /** Record one admission wait in every delay statistic. */
@@ -198,9 +191,6 @@ class OsCoreQueue
     std::uint32_t queueIndex = 0;
     bool annotate = false;
     TraceSink *trace = nullptr;
-
-    // Registry histogram; null until registerMetrics() (metrics off).
-    LogHistogram *mWait = nullptr;
 };
 
 } // namespace oscar

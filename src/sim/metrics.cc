@@ -1,7 +1,5 @@
 #include "sim/metrics.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace oscar
@@ -15,8 +13,6 @@ metricKindName(MetricKind kind)
         return "counter";
       case MetricKind::Gauge:
         return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
     }
     oscar_panic("unknown MetricKind %d", static_cast<int>(kind));
 }
@@ -27,7 +23,8 @@ MetricRegistry::MetricRegistry(std::uint64_t sample_every)
 }
 
 void
-MetricRegistry::claimName(const std::string &name)
+MetricRegistry::addSeries(std::string name, MetricKind kind,
+                          std::function<double()> reader)
 {
     if (name.empty())
         oscar_fatal("metric name must not be empty");
@@ -39,17 +36,8 @@ MetricRegistry::claimName(const std::string &name)
                         name.c_str(), c);
         }
     }
-    if (std::find(claimedNames.begin(), claimedNames.end(), name) !=
-        claimedNames.end()) {
+    if (seriesIndex(name) >= 0)
         oscar_fatal("duplicate metric name '%s'", name.c_str());
-    }
-    claimedNames.push_back(name);
-}
-
-void
-MetricRegistry::addSeries(std::string name, MetricKind kind,
-                          std::function<double()> reader)
-{
     if (!rows.empty()) {
         oscar_fatal("cannot register metric '%s' after sampling started",
                     name.c_str());
@@ -58,22 +46,10 @@ MetricRegistry::addSeries(std::string name, MetricKind kind,
     readers.push_back(std::move(reader));
 }
 
-std::uint64_t *
-MetricRegistry::counter(const std::string &name)
-{
-    claimName(name);
-    counterPool.push_back(0);
-    std::uint64_t *slot = &counterPool.back();
-    addSeries(name, MetricKind::Counter,
-              [slot] { return static_cast<double>(*slot); });
-    return slot;
-}
-
 void
 MetricRegistry::counterFn(const std::string &name,
                           std::function<std::uint64_t()> poll)
 {
-    claimName(name);
     addSeries(name, MetricKind::Counter,
               [poll = std::move(poll)] {
                   return static_cast<double>(poll());
@@ -83,24 +59,23 @@ MetricRegistry::counterFn(const std::string &name,
 void
 MetricRegistry::gauge(const std::string &name, std::function<double()> poll)
 {
-    claimName(name);
     addSeries(name, MetricKind::Gauge, std::move(poll));
 }
 
-LogHistogram *
-MetricRegistry::histogram(const std::string &name, unsigned buckets)
+void
+MetricRegistry::histogramFn(const std::string &name,
+                            const LatencyHistogram &hist)
 {
-    claimName(name);
-    histogramPool.emplace_back(buckets);
-    LogHistogram *h = &histogramPool.back();
-    addSeries(name + ".count", MetricKind::Counter,
+    // The histogram restarts at measurement start, so its count is a
+    // gauge too.
+    const LatencyHistogram *h = &hist;
+    addSeries(name + ".count", MetricKind::Gauge,
               [h] { return static_cast<double>(h->count()); });
     addSeries(name + ".mean", MetricKind::Gauge, [h] { return h->mean(); });
     addSeries(name + ".p50", MetricKind::Gauge,
               [h] { return static_cast<double>(h->quantile(0.5)); });
     addSeries(name + ".p99", MetricKind::Gauge,
               [h] { return static_cast<double>(h->quantile(0.99)); });
-    return h;
 }
 
 std::ptrdiff_t

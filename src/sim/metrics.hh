@@ -12,24 +12,24 @@
  * later exported as an `oscar.metrics.v1` JSONL artifact (see
  * system/metrics_capture.hh).
  *
- * Counters have one store. Each component owns its event counts as
- * lifetime fields that are never reset (MemorySystem's CoreMemStats,
- * Core's CycleBreakdown, OsCoreQueue's OsQueueCounters, System's own
- * counters); the registry polls them at sample time, and SimResults
- * is the lifetime value minus a mark the System copies at measurement
- * start. Three metric kinds:
+ * The registry owns no storage. Each component owns its values —
+ * lifetime event counts that are never reset (MemorySystem's
+ * CoreMemStats, Core's CycleBreakdown, OsCoreQueue's OsQueueCounters,
+ * PredictivePolicy's lookup counts, System's own counters) and
+ * LatencyHistograms that restart at measurement start (OsCoreQueue's
+ * wait, System's request latency, PredictivePolicy's lookup
+ * confidence) — and the registry polls them at sample time. SimResults
+ * reads the same stores: counters as the lifetime value minus a mark
+ * the System copies at measurement start, the queue-wait and
+ * request-latency histograms as they stand at the end of the run.
+ * Three metric kinds, all polled:
  *
- *  - counter: a monotone uint64. counterFn polls a component's
- *    lifetime field, so the hot path updates that field and nothing
- *    else. counter() instead returns a registry-owned
- *    `std::uint64_t *` for counts no component keeps; its hot-path
- *    update is a pointer increment behind the emitter's own "is a
- *    registry attached" check.
- *  - gauge: an instantaneous value polled at sample time (queue
- *    depth, CAM occupancy, the N in force).
- *  - histogram: a LogHistogram owned by the registry; hot paths add
- *    through the returned pointer, and sampling expands it into
- *    derived series (count, mean, p50, p99).
+ *  - counter: a monotone uint64 (counterFn), so the hot path updates
+ *    the component's field and nothing else.
+ *  - gauge: an instantaneous value (queue depth, CAM occupancy, the N
+ *    in force).
+ *  - histogram: a component's LatencyHistogram (histogramFn), expanded
+ *    into gauge series `.count`, `.mean`, `.p50` and `.p99`.
  *
  * Metrics never feed back into simulation: attaching a registry
  * perturbs no event ordering, RNG draw, or decision, so golden traces
@@ -46,7 +46,6 @@
 #define OSCAR_SIM_METRICS_HH_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -67,8 +66,6 @@ enum class MetricKind : std::uint8_t
     Counter,
     /** Instantaneous value; delta is change since the last sample. */
     Gauge,
-    /** LogHistogram expanded into count/mean/p50/p99 series. */
-    Histogram,
 };
 
 /** Stable serialization name of a metric kind. */
@@ -117,16 +114,11 @@ class MetricRegistry
     // -- registration -------------------------------------------------
 
     /**
-     * Register a registry-owned counter.
-     *
-     * @param name Unique dotted name; fatal on duplicates.
-     * @return Stable pointer the caller increments directly.
-     */
-    std::uint64_t *counter(const std::string &name);
-
-    /**
      * Register a polled counter: `poll` is invoked at sample time and
      * must be monotone non-decreasing over the run.
+     *
+     * Every registration fatals on an empty or malformed name and on
+     * a series name that is already taken.
      */
     void counterFn(const std::string &name,
                    std::function<std::uint64_t()> poll);
@@ -135,15 +127,11 @@ class MetricRegistry
     void gauge(const std::string &name, std::function<double()> poll);
 
     /**
-     * Register a registry-owned histogram.
-     *
-     * Expands into four series: `<name>.count` (counter), `.mean`,
-     * `.p50` and `.p99` (gauges).
-     *
-     * @return Stable pointer the caller records into directly.
+     * Register a polled histogram: expands into four gauge series,
+     * `<name>.count`, `.mean`, `.p50` and `.p99`, read from `hist` at
+     * sample time. `hist` must outlive the registry or be frozen.
      */
-    LogHistogram *histogram(const std::string &name,
-                            unsigned buckets = 32);
+    void histogramFn(const std::string &name, const LatencyHistogram &hist);
 
     // -- inspection ---------------------------------------------------
 
@@ -177,9 +165,10 @@ class MetricRegistry
      * Instants must be monotone; a snapshot at the same instant as the
      * previous one is skipped (the existing row already covers it)
      * unless `refresh_equal` is set, in which case the existing row is
-     * re-read in place — used for the forced end-of-run sample, whose
-     * values may have advanced since a periodic sample at the same
-     * instant. Exported instants stay strictly monotone either way.
+     * re-read in place — used for the forced measurement-start and
+     * end-of-run samples, whose values may have advanced since a
+     * periodic sample at the same instant. Exported instants stay
+     * strictly monotone either way.
      *
      * @param instant Total retired instructions.
      * @param cycle Current simulated cycle.
@@ -205,10 +194,7 @@ class MetricRegistry
     std::size_t measurementStartSample() const { return measureRow; }
 
   private:
-    /** Fatal when the name is already taken; records it otherwise. */
-    void claimName(const std::string &name);
-
-    /** Append one series column with its reader. */
+    /** Append one series column with its reader; fatal on a bad name. */
     void addSeries(std::string name, MetricKind kind,
                    std::function<double()> reader);
 
@@ -216,12 +202,6 @@ class MetricRegistry
     std::vector<Series> columns;
     /** One reader per series, index-aligned with `columns`. */
     std::vector<std::function<double()>> readers;
-    /** Registered metric names (pre-expansion), for duplicate checks. */
-    std::vector<std::string> claimedNames;
-    /** Stable storage for registry-owned counters. */
-    std::deque<std::uint64_t> counterPool;
-    /** Stable storage for registry-owned histograms. */
-    std::deque<LogHistogram> histogramPool;
     std::vector<Sample> rows;
     std::size_t measureRow = kNoSample;
 };

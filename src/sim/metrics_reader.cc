@@ -52,8 +52,6 @@ parseKind(const std::string &name, MetricKind &out)
         out = MetricKind::Counter;
     } else if (name == "gauge") {
         out = MetricKind::Gauge;
-    } else if (name == "histogram") {
-        out = MetricKind::Histogram;
     } else {
         return false;
     }
@@ -190,6 +188,16 @@ validateMetricsFile(const MetricsFile &file)
     }
 
     const std::size_t width = file.series.size();
+    for (std::size_t s = 0; s < width; ++s) {
+        for (std::size_t t = 0; t < s; ++t) {
+            if (file.series[t].name == file.series[s].name) {
+                problems.push_back("series " + std::to_string(s) +
+                                   " duplicates name '" +
+                                   file.series[s].name + "'");
+                break;
+            }
+        }
+    }
     for (std::size_t i = 0; i < file.rows.size(); ++i) {
         const MetricsRow &row = file.rows[i];
         const std::string where = "row " + std::to_string(i) + ": ";

@@ -57,8 +57,9 @@ MetricsFile parseMetricsDocument(const std::string &text);
 MetricsFile loadMetricsFile(const std::string &path);
 
 /**
- * Check schema invariants: schema id, consecutive sample indices,
- * strictly monotone instants, per-row array lengths, delta consistency
+ * Check schema invariants: schema id, unique series names,
+ * consecutive sample indices, strictly monotone instants, per-row
+ * array lengths, delta consistency
  * (delta == cum - previous cum, so cumulative >= delta for counters),
  * and counter monotonicity.
  *

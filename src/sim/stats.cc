@@ -114,160 +114,6 @@ RatioStat::merge(const RatioStat &other)
     oscar_assert(hitCount <= totalCount);
 }
 
-LogHistogram::LogHistogram(unsigned max_bucket)
-    : buckets(max_bucket, 0)
-{
-    // 64 buckets already cover every uint64 value; a larger count
-    // would put quantile/toString bound math into undefined shifts.
-    oscar_assert(max_bucket >= 1 && max_bucket <= 64);
-}
-
-std::uint64_t
-LogHistogram::bucketUpperBound(unsigned b)
-{
-    // Bucket b covers [2^b, 2^(b+1)). The naive (2ULL << b) - 1 is an
-    // undefined shift for b = 63; that bucket's bound is all-ones.
-    if (b >= 63)
-        return ~0ULL;
-    return (2ULL << b) - 1;
-}
-
-void
-LogHistogram::accumulate(std::uint64_t value)
-{
-    // Exact modular sum with wrap detection: unsigned overflow is
-    // defined, and a wrapped result is always smaller than one addend.
-    valueSum += value;
-    if (valueSum < value)
-        ++sumWraps;
-}
-
-void
-LogHistogram::add(std::uint64_t value)
-{
-    unsigned b = 0;
-    if (value > 0) {
-        b = 63u - static_cast<unsigned>(__builtin_clzll(value));
-    }
-    b = std::min(b, static_cast<unsigned>(buckets.size() - 1));
-    ++buckets[b];
-    ++samples;
-    if (value == 0)
-        ++zeroCount;
-    accumulate(value);
-}
-
-std::uint64_t
-LogHistogram::bucketCount(unsigned b) const
-{
-    oscar_assert(b < buckets.size());
-    return buckets[b];
-}
-
-double
-LogHistogram::mean() const
-{
-    if (samples == 0)
-        return 0.0;
-    // The common case (no wrap) divides the exact integer sum once, so
-    // the result is the correctly rounded double of the true mean.
-    if (sumWraps == 0)
-        return static_cast<double>(valueSum) /
-               static_cast<double>(samples);
-    const long double sum =
-        static_cast<long double>(sumWraps) * 0x1.0p64L +
-        static_cast<long double>(valueSum);
-    return static_cast<double>(sum / static_cast<long double>(samples));
-}
-
-std::uint64_t
-LogHistogram::quantile(double q) const
-{
-    oscar_assert(q >= 0.0 && q <= 1.0);
-    if (samples == 0)
-        return 0;
-    // The loop below finds the bucket of the (target+1)-th sample, so
-    // target must stay a valid 0-based rank: q = 1.0 would otherwise
-    // compute target == samples and fall through to the top bucket's
-    // bound regardless of the data.
-    auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(samples));
-    target = std::min(target, samples - 1);
-    std::uint64_t seen = 0;
-    for (unsigned b = 0; b < buckets.size(); ++b) {
-        seen += buckets[b];
-        if (seen > target)
-            return bucketUpperBound(b);
-    }
-    return bucketUpperBound(
-        static_cast<unsigned>(buckets.size()) - 1);
-}
-
-double
-LogHistogram::fractionAbove(std::uint64_t value) const
-{
-    if (samples == 0)
-        return 0.0;
-    // Bucket 0 holds both 0 and 1, so "above 0" cannot be answered
-    // from bucket counts alone; the zero tally makes it exact.
-    if (value == 0) {
-        return static_cast<double>(samples - zeroCount) /
-               static_cast<double>(samples);
-    }
-    // Count whole buckets whose lower bound exceeds value. Exact for
-    // bucket-boundary values (2^k - 1, the bucket upper bounds, and
-    // 1); conservative (an undercount) in between, since a bucket
-    // straddling value is excluded entirely.
-    std::uint64_t above = 0;
-    for (unsigned b = 0; b < buckets.size(); ++b) {
-        const std::uint64_t lower = b == 0 ? 0 : (1ULL << b);
-        if (lower > value)
-            above += buckets[b];
-    }
-    return static_cast<double>(above) / static_cast<double>(samples);
-}
-
-void
-LogHistogram::merge(const LogHistogram &other)
-{
-    oscar_assert(buckets.size() == other.buckets.size());
-    for (std::size_t b = 0; b < buckets.size(); ++b)
-        buckets[b] += other.buckets[b];
-    samples += other.samples;
-    zeroCount += other.zeroCount;
-    sumWraps += other.sumWraps;
-    accumulate(other.valueSum);
-}
-
-void
-LogHistogram::reset()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    samples = 0;
-    zeroCount = 0;
-    valueSum = 0;
-    sumWraps = 0;
-}
-
-std::string
-LogHistogram::toString() const
-{
-    std::string out;
-    char line[128];
-    for (unsigned b = 0; b < buckets.size(); ++b) {
-        if (buckets[b] == 0)
-            continue;
-        const std::uint64_t lower = b == 0 ? 0 : (1ULL << b);
-        const std::uint64_t upper = bucketUpperBound(b);
-        std::snprintf(line, sizeof(line), "[%8llu, %8llu] %llu\n",
-                      static_cast<unsigned long long>(lower),
-                      static_cast<unsigned long long>(upper),
-                      static_cast<unsigned long long>(buckets[b]));
-        out += line;
-    }
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // LatencyHistogram
 

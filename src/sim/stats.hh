@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics: running means, ratios, and log-bucketed
- * histograms, in the spirit of gem5's stats package but sized for this
- * reproduction.
+ * Lightweight statistics: running means, ratios, and mergeable
+ * latency histograms, in the spirit of gem5's stats package but sized
+ * for this reproduction.
  */
 
 #ifndef OSCAR_SIM_STATS_HH_
@@ -109,92 +109,6 @@ class RatioStat
 };
 
 /**
- * Histogram with logarithmic (powers-of-two) buckets, suited to OS
- * run-length distributions that span 10 to 100,000+ instructions.
- */
-class LogHistogram
-{
-  public:
-    /**
-     * @param max_bucket Number of power-of-two buckets (default
-     *        2^0..2^31). At most 64: bucket 63 already covers values
-     *        up to 2^64 - 1, so more buckets could never be occupied.
-     */
-    explicit LogHistogram(unsigned max_bucket = 32);
-
-    /** Record one value. */
-    void add(std::uint64_t value);
-
-    /** Samples with value in [2^b, 2^(b+1)); bucket 0 also holds 0. */
-    std::uint64_t bucketCount(unsigned b) const;
-
-    /** Number of buckets. */
-    unsigned bucketCountTotal() const
-    {
-        return static_cast<unsigned>(buckets.size());
-    }
-
-    /** Total samples. */
-    std::uint64_t count() const { return samples; }
-
-    /** Mean of recorded values. */
-    double mean() const;
-
-    /**
-     * Approximate quantile: the upper bound of the bucket holding the
-     * sample of 0-based rank min(floor(q * count), count - 1). Both
-     * endpoints are well-defined: quantile(0) is the bound of the
-     * lowest occupied bucket, quantile(1) of the highest occupied
-     * bucket, and an empty histogram returns 0 for every q.
-     *
-     * @param q Quantile in [0, 1].
-     */
-    std::uint64_t quantile(double q) const;
-
-    /**
-     * Fraction of samples strictly greater than the given value: exact
-     * for 0, 1 and bucket upper bounds (2^k - 1), a lower bound for
-     * values inside a bucket; 0 when empty.
-     */
-    double fractionAbove(std::uint64_t value) const;
-
-    /**
-     * Merge another histogram into this one. Both must share the same
-     * bucket count (fatal otherwise). Bucket-wise pooling is exact:
-     * the merged histogram equals one that recorded every sample of
-     * both inputs, so sweep aggregation can combine per-point
-     * distributions instead of collapsing them to means.
-     */
-    void merge(const LogHistogram &other);
-
-    /** Forget all samples. */
-    void reset();
-
-    /** Render as a short text table (for reports and debugging). */
-    std::string toString() const;
-
-  private:
-    /** Largest value bucket b can hold (2^64 - 1 for bucket 63). */
-    static std::uint64_t bucketUpperBound(unsigned b);
-
-    /** Add to the exact value sum, counting 2^64 wrap-arounds. */
-    void accumulate(std::uint64_t value);
-
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t samples = 0;
-    /** Samples with value 0 (shares bucket 0 with value 1). */
-    std::uint64_t zeroCount = 0;
-    /**
-     * Exact sum of recorded values, modulo 2^64. Accumulating in a
-     * double would silently round past 2^53 and let mean() drift on
-     * long runs; the wrap counter keeps the sum exact to 2^128.
-     */
-    std::uint64_t valueSum = 0;
-    /** Times valueSum wrapped past 2^64. */
-    std::uint64_t sumWraps = 0;
-};
-
-/**
  * Mergeable latency histogram in the HdrHistogram mould: power-of-two
  * ranges each split into 2^sub_bucket_bits linear sub-buckets, so any
  * recorded value — and therefore any reported quantile — carries a
@@ -283,7 +197,11 @@ class LatencyHistogram
     std::uint64_t samples = 0;
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
-    /** Exact sum modulo 2^64 plus wrap count (see LogHistogram). */
+    /**
+     * Exact sum modulo 2^64 plus wrap count. Accumulating in a double
+     * would silently round past 2^53 and let mean() drift on long
+     * runs; the wrap counter keeps the sum exact to 2^128.
+     */
     std::uint64_t valueSum = 0;
     std::uint64_t sumWraps = 0;
 };

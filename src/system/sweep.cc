@@ -340,36 +340,6 @@ sweepWarmerConfig(const SystemConfig &config)
 }
 
 // ---------------------------------------------------------------------
-// SweepAggregate
-
-void
-SweepAggregate::add(const SweepPointResult &result)
-{
-    if (!result.ok)
-        return;
-    ++points;
-    throughput.add(result.results.throughput);
-    if (result.normalized > 0.0)
-        normalized.add(result.normalized);
-    offload.merge(result.results.offloadRatio);
-    invocationLengths.merge(result.results.invocationLengths);
-    requestLatency.merge(result.results.requestLatency);
-    if (result.results.servingEnabled)
-        requestThroughput.add(result.results.requestThroughput);
-    for (const OsQueueResult &q : result.results.osQueues) {
-        queueDelay.merge(q.queueDelay);
-        queueWait.merge(q.wait);
-    }
-    steals += result.results.steals;
-    spills += result.results.spills;
-    if (result.results.spans != nullptr) {
-        spans += result.results.spans->spansRecorded;
-        for (std::size_t p = 0; p < kNumSpanPhases; ++p)
-            spanPhase[p].merge(result.results.spans->phase[p]);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Replica merging
 
 SimResults
@@ -443,7 +413,6 @@ mergeReplicaResults(const std::vector<SimResults> &replicas)
             merged.offloadsByService[s] += r.offloadsByService[s];
         }
         merged.offloadRatio.merge(r.offloadRatio);
-        merged.invocationLengths.merge(r.invocationLengths);
         merged.requestLatency.merge(r.requestLatency);
         merged.requestDispatchWait.merge(r.requestDispatchWait);
         if (merged.spans != nullptr && r.spans != nullptr)
@@ -684,8 +653,7 @@ replicaSubPoint(const SweepPoint &point, std::size_t replica)
 /**
  * Fold a sharded point's per-replica outcomes (already in replica
  * order) into its single merged result. Wall clock sums; normalized
- * throughput averages over the normalized replicas (the same
- * statistic SweepAggregate reports for separately-run replicas); a
+ * throughput averages over the normalized replicas; a
  * failed replica fails the point with the first failure's message.
  */
 SweepPointResult

@@ -134,62 +134,14 @@ struct SweepPointResult
 };
 
 /**
- * Distribution-preserving aggregate over sweep points (typically the
- * seed replicas of one configuration). Counts pool via
- * RatioStat::merge, invocation lengths via LogHistogram::merge, and
- * request latencies via LatencyHistogram::merge — so a percentile of
- * the aggregate equals the percentile of a single run that recorded
- * every sample, not an average of per-point percentiles (which is
- * not a percentile of anything).
- */
-struct SweepAggregate
-{
-    /** Successful points folded in. */
-    std::uint64_t points = 0;
-    /** Instruction throughput across points. */
-    RunningStat throughput;
-    /** Normalized throughput across points (normalized points only). */
-    RunningStat normalized;
-    /** Pooled off-loaded / total invocation counts. */
-    RatioStat offload;
-    /** Merged invocation-length distribution. */
-    LogHistogram invocationLengths{32};
-    /** Merged end-to-end request-latency distribution (serving). */
-    LatencyHistogram requestLatency;
-    /** Request throughput across points (serving). */
-    RunningStat requestThroughput;
-    /**
-     * Pooled OS-core queue delay over every queue of every point.
-     * Earlier revisions read only the point-level meanQueueDelay
-     * scalar, which silently collapses a K-queue point to one value;
-     * folding each OsQueueResult keeps replica pooling exact for any
-     * queue count.
-     */
-    RunningStat queueDelay;
-    /** Merged per-queue admission-wait distribution (same samples). */
-    LatencyHistogram queueWait;
-    /** Work-stealing balance actions summed across points. */
-    std::uint64_t steals = 0;
-    std::uint64_t spills = 0;
-
-    /** Spans folded in (span-recording points only). */
-    std::uint64_t spans = 0;
-    /** Merged per-phase span histograms (see sim/span.hh). */
-    std::array<LatencyHistogram, kNumSpanPhases> spanPhase;
-
-    /** Fold one point in; failed points are skipped. */
-    void add(const SweepPointResult &result);
-};
-
-/**
  * Fold the SimResults of a point's seed replicas (in replica order)
  * into one distribution-preserving result.
  *
  * Mergeable machinery pools exactly: offloadRatio via
- * RatioStat::merge, invocationLengths via LogHistogram::merge,
- * requestLatency and per-queue waits via LatencyHistogram::merge,
- * predictor accuracy via PredictorStats::merge, and per-queue delay /
- * dispatch-wait moments via RunningStat::merge — so a percentile of
+ * RatioStat::merge, requestLatency and per-queue waits via
+ * LatencyHistogram::merge, predictor accuracy via
+ * PredictorStats::merge, and per-queue delay / dispatch-wait moments
+ * via RunningStat::merge — so a percentile of
  * the merged result is the percentile of the union sample population.
  * Counters sum; per-queue counters sum by queue index (replicas share
  * a topology). Derived rates are recomputed from pooled numerators

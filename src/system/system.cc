@@ -149,7 +149,6 @@ System::System(const System &other)
     windowStartCycle = other.windowStartCycle;
     thresholdTrajectory = other.thresholdTrajectory;
     invocationLength = other.invocationLength;
-    invocationLengthHist = other.invocationLengthHist;
     for (std::size_t i = 0; i < 4; ++i)
         osInstrAboveTail[i] = other.osInstrAboveTail[i];
 
@@ -183,6 +182,9 @@ System::reconfigureForMeasurement(const SystemConfig &config)
     oscar_assert(started && measuring &&
                  "reconfigure requires a system stopped at "
                  "measurement start");
+    // Policies are rebuilt below; a registry would poll the old ones.
+    oscar_assert(metrics == nullptr &&
+                 "reconfigure requires a system without a registry");
     // The warm prefix is only shareable across configurations that
     // agree on everything that shaped it; spot-check the load-bearing
     // fields. Policy/threshold/predictor/horizon fields may differ.
@@ -362,7 +364,7 @@ System::setMetricRegistry(MetricRegistry *registry)
                             [this] { return counts.requestsOffered; });
         registry->counterFn("serving.completed",
                             [this] { return counts.requestsCompleted; });
-        mRequestLatency = registry->histogram("serving.latency", 48);
+        registry->histogramFn("serving.latency", requestLatency);
         registry->gauge("serving.inflight", [this] {
             std::uint64_t inflight = 0;
             for (const auto &queued : requestQueues)
@@ -575,7 +577,6 @@ System::recordInvocationLength(InstCount length)
     if (!measuring)
         return;
     invocationLength.add(static_cast<double>(length));
-    invocationLengthHist.add(length);
     for (std::size_t i = 0; i < 4; ++i) {
         if (length > SimResults::kTailThresholds[i])
             osInstrAboveTail[i] += length;
@@ -661,10 +662,12 @@ System::enterMeasurement()
 
     // Registry mark row: polled at the same instant as the counter
     // mark above, so "final minus this row" equals the measured
-    // region SimResults reports.
+    // region SimResults reports. A periodic row at this instant (a
+    // serving run's last warm-up retirement) predates the mark and
+    // the histogram restart, so it is re-read.
     if (metrics != nullptr) {
-        const std::size_t row =
-            metrics->takeSample(warmup_retired, events.now());
+        const std::size_t row = metrics->takeSample(
+            warmup_retired, events.now(), /*refresh_equal=*/true);
         metrics->setMeasurementStartSample(row);
     }
 }
@@ -686,13 +689,12 @@ System::resetMeasuredRegion()
     queues.resetStats();
     for (Thread &thread : threads) {
         if (thread.predictive != nullptr)
-            thread.predictive->stats().reset();
+            thread.predictive->resetStats();
     }
     invocationLength.reset();
-    invocationLengthHist.reset();
     for (InstCount &tail : osInstrAboveTail)
         tail = 0;
-    requestLatency = LatencyHistogram{};
+    requestLatency.reset();
     requestDispatchWait.reset();
 
     if (cfg.dynamicThreshold) {
@@ -1167,8 +1169,6 @@ System::completeRequest(std::uint32_t tid, Cycle now)
     const Cycle latency = now - thread.currentRequest.issued;
 
     ++counts.requestsCompleted;
-    if (mRequestLatency != nullptr)
-        mRequestLatency->add(latency);
     if (trace != nullptr) {
         TraceEvent event;
         event.kind = TraceEventKind::RequestEnd;
@@ -1404,7 +1404,6 @@ System::collectResults() const
             : 0.0;
     results.meanInvocationLength = invocationLength.mean();
     results.offloadRatio.addMany(measured.offloads, measured.invocations);
-    results.invocationLengths = invocationLengthHist;
 
     if (servingMode()) {
         results.servingEnabled = true;

@@ -192,8 +192,6 @@ struct SimResults
      * aggregation (pooled counts, not averaged ratios).
      */
     RatioStat offloadRatio;
-    /** Measured invocation-length distribution (mergeable). */
-    LogHistogram invocationLengths{32};
 
     // --- Request serving (set when SystemConfig::serving is) ---------
     /** True when the run was driven by the request front-end. */
@@ -269,9 +267,11 @@ class System
      * current cycle with all measured statistics zeroed. Only fields
      * that do not affect the warm prefix may differ (policy, predictor
      * organization, thresholds, decision costs, measurement horizon);
-     * the prefix-defining fields are asserted equal. This is the fork
-     * step of the sweep fast path: one warm snapshot, K cheap clones,
-     * each reconfigured to its own policy point.
+     * the prefix-defining fields are asserted equal, and the system
+     * must carry no metric registry (its polls would outlive the
+     * replaced policies). This is the fork step of the sweep fast
+     * path: one warm snapshot, K cheap clones, each reconfigured to
+     * its own policy point.
      */
     void reconfigureForMeasurement(const SystemConfig &config);
 
@@ -652,7 +652,6 @@ class System
 
     // Measured-region invocation-length distribution.
     RunningStat invocationLength;
-    LogHistogram invocationLengthHist{32};
     InstCount osInstrAboveTail[4] = {0, 0, 0, 0};
 
     // Serving-mode state (null / unused in classic segment mode).
@@ -665,8 +664,6 @@ class System
     RunningStat requestDispatchWait;
     bool servingDone = false;
     Cycle servingEndCycle = 0;
-    /** Registry-owned latency histogram (null when metrics off). */
-    LogHistogram *mRequestLatency = nullptr;
 
     /** Tail accounting for one completed invocation. */
     void recordInvocationLength(InstCount length);

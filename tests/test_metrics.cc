@@ -60,10 +60,11 @@ smallConfig()
 TEST(MetricRegistry, CounterUpdatesAreVisibleInSeriesValues)
 {
     MetricRegistry registry;
-    std::uint64_t *hits = registry.counter("mem.hits");
+    std::uint64_t hits = 0;
+    registry.counterFn("mem.hits", [&] { return hits; });
     EXPECT_EQ(registry.seriesValue("mem.hits"), 0.0);
-    *hits += 3;
-    ++*hits;
+    hits += 3;
+    ++hits;
     EXPECT_EQ(registry.seriesValue("mem.hits"), 4.0);
     EXPECT_EQ(registry.series().size(), 1u);
     EXPECT_EQ(registry.series()[0].kind, MetricKind::Counter);
@@ -72,11 +73,13 @@ TEST(MetricRegistry, CounterUpdatesAreVisibleInSeriesValues)
 TEST(MetricRegistry, CounterPointersStayStableAcrossRegistrations)
 {
     MetricRegistry registry;
-    std::uint64_t *first = registry.counter("a");
+    std::uint64_t first = 0;
+    std::uint64_t other = 0;
+    registry.counterFn("a", [&] { return first; });
     // Enough registrations to force internal growth.
     for (int i = 0; i < 100; ++i)
-        registry.counter("c" + std::to_string(i));
-    ++*first;
+        registry.counterFn("c" + std::to_string(i), [&] { return other; });
+    ++first;
     EXPECT_EQ(registry.seriesValue("a"), 1.0);
 }
 
@@ -100,37 +103,64 @@ TEST(MetricRegistry, PolledCounterAndGaugeReadAtSampleTime)
 TEST(MetricRegistry, HistogramExpandsToDerivedSeries)
 {
     MetricRegistry registry;
-    LogHistogram *hist = registry.histogram("os.queue.wait");
+    LatencyHistogram hist;
+    registry.histogramFn("os.queue.wait", hist);
     ASSERT_EQ(registry.series().size(), 4u);
     EXPECT_EQ(registry.series()[0].name, "os.queue.wait.count");
-    EXPECT_EQ(registry.series()[0].kind, MetricKind::Counter);
     EXPECT_EQ(registry.series()[1].name, "os.queue.wait.mean");
     EXPECT_EQ(registry.series()[2].name, "os.queue.wait.p50");
     EXPECT_EQ(registry.series()[3].name, "os.queue.wait.p99");
+    // The component may restart its histogram, so every series,
+    // count included, is a gauge.
+    for (const MetricRegistry::Series &series : registry.series())
+        EXPECT_EQ(series.kind, MetricKind::Gauge) << series.name;
 
-    hist->add(4);
-    hist->add(6);
+    hist.add(4);
+    hist.add(6);
     EXPECT_EQ(registry.seriesValue("os.queue.wait.count"), 2.0);
     EXPECT_EQ(registry.seriesValue("os.queue.wait.mean"), 5.0);
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.p50"), 6.0);
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.p99"), 6.0);
+    hist.reset();
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.count"), 0.0);
 }
 
 TEST(MetricRegistry, DuplicateNameIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    registry.counter("x.y");
-    EXPECT_THROW(registry.counter("x.y"), FatalError);
-    // Histogram base names share the same namespace.
-    EXPECT_THROW(registry.histogram("x.y"), FatalError);
+    const auto zero = [] { return std::uint64_t{0}; };
+    registry.counterFn("x.y", zero);
+    EXPECT_THROW(registry.counterFn("x.y", zero), FatalError);
+    EXPECT_THROW(registry.gauge("x.y", [] { return 0.0; }), FatalError);
+}
+
+TEST(MetricRegistry, HistogramSeriesNamesAreClaimedToo)
+{
+    // Regression: only a histogram's base name used to be claimed, so
+    // a counter named like one of its derived series wrote a second
+    // column with the same name.
+    ScopedFatalThrows guard;
+    MetricRegistry registry;
+    const LatencyHistogram hist;
+    const auto zero = [] { return std::uint64_t{0}; };
+    registry.histogramFn("a", hist);
+    EXPECT_THROW(registry.counterFn("a.count", zero), FatalError);
+    EXPECT_THROW(registry.gauge("a.p99", [] { return 0.0; }), FatalError);
+    registry.counterFn("b.mean", zero);
+    EXPECT_THROW(registry.histogramFn("b", hist), FatalError);
+    // The base name itself is not a series.
+    registry.counterFn("a", zero);
 }
 
 TEST(MetricRegistry, InvalidNameIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    EXPECT_THROW(registry.counter(""), FatalError);
-    EXPECT_THROW(registry.counter("Upper.case"), FatalError);
-    EXPECT_THROW(registry.counter("space here"), FatalError);
+    const auto zero = [] { return std::uint64_t{0}; };
+    EXPECT_THROW(registry.counterFn("", zero), FatalError);
+    EXPECT_THROW(registry.counterFn("Upper.case", zero), FatalError);
+    EXPECT_THROW(registry.counterFn("space here", zero), FatalError);
 }
 
 TEST(MetricRegistry, UnknownSeriesValueIsFatal)
@@ -145,18 +175,19 @@ TEST(MetricRegistry, RegistrationAfterSamplingIsFatal)
 {
     ScopedFatalThrows guard;
     MetricRegistry registry;
-    registry.counter("a");
+    const auto zero = [] { return std::uint64_t{0}; };
+    registry.counterFn("a", zero);
     registry.takeSample(1, 1);
-    EXPECT_THROW(registry.counter("b"), FatalError);
+    EXPECT_THROW(registry.counterFn("b", zero), FatalError);
 }
 
 TEST(MetricRegistry, EqualInstantSampleIsSkippedUnlessRefreshed)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 1;
+    std::uint64_t count = 1;
+    registry.counterFn("a", [&] { return count; });
     const std::size_t first = registry.takeSample(100, 10);
-    *count = 5;
+    count = 5;
 
     // Same instant: the existing row covers it and keeps its values.
     const std::size_t again = registry.takeSample(100, 12);
@@ -175,7 +206,7 @@ TEST(MetricRegistry, EqualInstantSampleIsSkippedUnlessRefreshed)
 TEST(MetricRegistryDeath, NonMonotoneInstantPanics)
 {
     MetricRegistry registry;
-    registry.counter("a");
+    registry.counterFn("a", [] { return std::uint64_t{0}; });
     registry.takeSample(100, 10);
     EXPECT_DEATH(registry.takeSample(99, 11), "");
 }
@@ -185,7 +216,7 @@ TEST(MetricRegistry, MeasurementStartDefaultsToNoSample)
     MetricRegistry registry;
     EXPECT_EQ(registry.measurementStartSample(),
               MetricRegistry::kNoSample);
-    registry.counter("a");
+    registry.counterFn("a", [] { return std::uint64_t{0}; });
     const std::size_t row = registry.takeSample(10, 10);
     registry.setMeasurementStartSample(row);
     EXPECT_EQ(registry.measurementStartSample(), row);
@@ -197,13 +228,13 @@ TEST(MetricRegistry, MeasurementStartDefaultsToNoSample)
 TEST(MetricsDocument, RoundTripsThroughReader)
 {
     MetricRegistry registry(/*sample_every=*/500);
-    std::uint64_t *count = registry.counter("a.count");
+    std::uint64_t count = 10;
+    registry.counterFn("a.count", [&] { return count; });
     double level = 1.5;
     registry.gauge("a.level", [&] { return level; });
 
-    *count = 10;
     registry.setMeasurementStartSample(registry.takeSample(500, 100));
-    *count = 25;
+    count = 25;
     level = -0.25;
     registry.takeSample(1000, 220);
 
@@ -233,8 +264,7 @@ TEST(MetricsDocument, RoundTripsThroughReader)
 TEST(MetricsDocument, WriterAndFileLoaderAgree)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 3;
+    registry.counterFn("a", [] { return std::uint64_t{3}; });
     registry.takeSample(10, 10);
 
     const SystemConfig config = smallConfig();
@@ -258,10 +288,10 @@ TEST(MetricsReader, RejectsGarbage)
 TEST(MetricsValidator, FlagsBrokenInvariants)
 {
     MetricRegistry registry;
-    std::uint64_t *count = registry.counter("a");
-    *count = 1;
+    std::uint64_t count = 1;
+    registry.counterFn("a", [&] { return count; });
     registry.takeSample(10, 10);
-    *count = 2;
+    count = 2;
     registry.takeSample(20, 20);
     MetricsFile file =
         parseMetricsDocument(metricsDocument(registry, smallConfig()));
@@ -292,6 +322,31 @@ TEST(MetricsValidator, FlagsBrokenInvariants)
     MetricsFile broken_schema = file;
     broken_schema.schema = "oscar.metrics.v0";
     EXPECT_FALSE(validateMetricsFile(broken_schema).empty());
+}
+
+TEST(MetricsValidator, RejectsDuplicateSeriesNames)
+{
+    // A document that names one series twice parses (the reader keeps
+    // columns positional), but seriesIndex could only ever find the
+    // first, so the validator must refuse it.
+    MetricRegistry registry;
+    registry.counterFn("a.count", [] { return std::uint64_t{1}; });
+    registry.gauge("b", [] { return 2.0; });
+    registry.takeSample(10, 10);
+    std::string doc = metricsDocument(registry, smallConfig());
+    const std::string renamed = "\"name\":\"b\"";
+    const std::size_t at = doc.find(renamed);
+    ASSERT_NE(at, std::string::npos) << doc;
+    doc.replace(at, renamed.size(), "\"name\":\"a.count\"");
+
+    const MetricsFile file = parseMetricsDocument(doc);
+    ASSERT_TRUE(file.ok) << file.error;
+    ASSERT_EQ(file.series.size(), 2u);
+    const std::vector<std::string> problems = validateMetricsFile(file);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("duplicates name 'a.count'"),
+              std::string::npos)
+        << problems[0];
 }
 
 // ---------------------------------------------------------------------
@@ -403,6 +458,40 @@ TEST(MetricsSystem, RegistryTotalsMatchStatsAggregates)
                   static_cast<double>(results.steals));
         EXPECT_EQ(measured("numa.spills"),
                   static_cast<double>(results.spills));
+
+        // Histograms restart at measurement start, so their final row
+        // is the measured-region distribution itself.
+        auto value_at = [&](const MetricRegistry::Sample &row,
+                            const std::string &name) {
+            const std::ptrdiff_t idx = registry.seriesIndex(name);
+            EXPECT_GE(idx, 0) << name;
+            return idx < 0 ? -1.0
+                           : row.values[static_cast<std::size_t>(idx)];
+        };
+        auto final_value = [&](const std::string &name) {
+            return value_at(registry.samples().back(), name);
+        };
+        auto expect_histogram = [&](const std::string &name,
+                                    const LatencyHistogram &hist) {
+            SCOPED_TRACE(name);
+            EXPECT_GT(hist.count(), 0u);
+            EXPECT_EQ(value_at(mark, name + ".count"), 0.0);
+            EXPECT_EQ(final_value(name + ".count"),
+                      static_cast<double>(hist.count()));
+            EXPECT_EQ(final_value(name + ".mean"), hist.mean());
+            EXPECT_EQ(final_value(name + ".p50"),
+                      static_cast<double>(hist.quantile(0.5)));
+            EXPECT_EQ(final_value(name + ".p99"),
+                      static_cast<double>(hist.quantile(0.99)));
+        };
+        ASSERT_EQ(results.osQueues.size(), 2u);
+        for (const OsQueueResult &q : results.osQueues) {
+            expect_histogram("os.queue.q" + std::to_string(q.queue) +
+                                 ".wait",
+                             q.wait);
+        }
+        expect_histogram("serving.latency", results.requestLatency);
+
         // The point must exercise every family it checks.
         EXPECT_GT(results.numaMigrationsInter, 0u);
         EXPECT_GT(results.steals, 0u);

@@ -158,7 +158,16 @@ TEST(Serving, MetricsCrossCheckCounters)
     EXPECT_GE(registry.seriesValue("serving.offered"), 150.0);
     EXPECT_GE(registry.seriesValue("serving.offered"),
               static_cast<double>(r.requestsOffered));
-    EXPECT_EQ(registry.seriesValue("serving.latency.count"), 150.0);
+    // The latency series poll the measured-region histogram itself.
+    EXPECT_EQ(registry.seriesValue("serving.latency.count"), 120.0);
+    EXPECT_EQ(registry.seriesValue("serving.latency.count"),
+              static_cast<double>(r.requestLatency.count()));
+    EXPECT_EQ(registry.seriesValue("serving.latency.mean"),
+              r.requestLatency.mean());
+    EXPECT_EQ(registry.seriesValue("serving.latency.p50"),
+              static_cast<double>(r.requestLatency.quantile(0.5)));
+    EXPECT_EQ(registry.seriesValue("serving.latency.p99"),
+              static_cast<double>(r.requestLatency.quantile(0.99)));
     EXPECT_GT(registry.seriesValue("serving.latency.p99"), 0.0);
     EXPECT_GE(registry.seriesValue("serving.inflight"), 0.0);
 }
@@ -225,19 +234,22 @@ TEST(Serving, AggregateMergesSeedReplicas)
         points.push_back(point);
     }
     const auto results = ParallelSweepRunner({1}).run(points);
-    SweepAggregate agg;
-    for (const auto &result : results)
-        agg.add(result);
-    EXPECT_EQ(agg.points, 2u);
-    EXPECT_EQ(agg.requestLatency.count(), 240u);
+    ASSERT_EQ(results.size(), 2u);
+    const SimResults merged = mergeReplicaResults(
+        {results[0].results, results[1].results});
+    EXPECT_TRUE(merged.servingEnabled);
+    EXPECT_EQ(merged.requestsCompleted, 240u);
+    EXPECT_EQ(merged.requestLatency.count(), 240u);
     // The pooled histogram is exactly the two per-point histograms
     // merged by hand.
     LatencyHistogram manual;
     manual.merge(results[0].results.requestLatency);
     manual.merge(results[1].results.requestLatency);
-    EXPECT_EQ(agg.requestLatency.toString(), manual.toString());
-    EXPECT_EQ(agg.requestThroughput.count(), 2u);
-    EXPECT_GT(agg.offload.total(), 0u);
+    EXPECT_EQ(merged.requestLatency.toString(), manual.toString());
+    EXPECT_EQ(merged.offloadRatio.total(),
+              results[0].results.offloadRatio.total() +
+                  results[1].results.offloadRatio.total());
+    EXPECT_GT(merged.offloadRatio.total(), 0u);
 }
 
 TEST(Serving, TenantAffinityDispatchRuns)

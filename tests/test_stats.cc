@@ -139,247 +139,6 @@ TEST(RatioStat, ResetForgets)
     EXPECT_EQ(r.total(), 0u);
 }
 
-TEST(LogHistogram, BucketBoundaries)
-{
-    LogHistogram h;
-    h.add(0);
-    h.add(1);
-    h.add(2);
-    h.add(3);
-    h.add(4);
-    // 0 and 1 -> bucket 0; 2,3 -> bucket 1; 4 -> bucket 2.
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.count(), 5u);
-}
-
-TEST(LogHistogram, Mean)
-{
-    LogHistogram h;
-    h.add(10);
-    h.add(20);
-    h.add(30);
-    EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-}
-
-TEST(LogHistogram, Quantile)
-{
-    LogHistogram h;
-    for (int i = 0; i < 90; ++i)
-        h.add(8); // bucket 3: [8, 15]
-    for (int i = 0; i < 10; ++i)
-        h.add(1024); // bucket 10
-    EXPECT_LE(h.quantile(0.5), 15u);
-    EXPECT_GE(h.quantile(0.99), 1024u);
-}
-
-TEST(LogHistogram, FractionAbove)
-{
-    LogHistogram h;
-    for (int i = 0; i < 50; ++i)
-        h.add(10);
-    for (int i = 0; i < 50; ++i)
-        h.add(10000);
-    EXPECT_NEAR(h.fractionAbove(1000), 0.5, 1e-9);
-    EXPECT_NEAR(h.fractionAbove(100000), 0.0, 1e-9);
-}
-
-TEST(LogHistogram, EmptyQuantileIsZeroForEveryQ)
-{
-    LogHistogram h;
-    EXPECT_EQ(h.quantile(0.0), 0u);
-    EXPECT_EQ(h.quantile(0.5), 0u);
-    EXPECT_EQ(h.quantile(1.0), 0u);
-}
-
-TEST(LogHistogram, QuantileEndpointsFollowTheData)
-{
-    LogHistogram h;
-    for (int i = 0; i < 100; ++i)
-        h.add(8); // everything in bucket 3: [8, 15]
-    // Every quantile of a single-bucket distribution is that bucket's
-    // upper bound — in particular q = 1.0 must not report the top
-    // bucket of the histogram range.
-    EXPECT_EQ(h.quantile(0.0), 15u);
-    EXPECT_EQ(h.quantile(0.5), 15u);
-    EXPECT_EQ(h.quantile(1.0), 15u);
-}
-
-TEST(LogHistogram, QuantileOneTracksLargestSample)
-{
-    LogHistogram h;
-    for (int i = 0; i < 99; ++i)
-        h.add(8);
-    h.add(1024); // bucket 10: [1024, 2047]
-    EXPECT_EQ(h.quantile(0.5), 15u);
-    EXPECT_EQ(h.quantile(1.0), 2047u);
-}
-
-TEST(LogHistogram, QuantileSingleSample)
-{
-    LogHistogram h;
-    h.add(100); // bucket 6: [64, 127]
-    for (double q : {0.0, 0.25, 0.5, 0.99, 1.0})
-        EXPECT_EQ(h.quantile(q), 127u) << "q=" << q;
-}
-
-TEST(LogHistogram, FractionAboveZeroIsExact)
-{
-    LogHistogram h;
-    h.add(0);
-    h.add(0);
-    h.add(1); // shares bucket 0 with the zeros
-    h.add(5);
-    EXPECT_NEAR(h.fractionAbove(0), 0.5, 1e-12);
-}
-
-TEST(LogHistogram, FractionAboveBucketBoundariesIsExact)
-{
-    LogHistogram h;
-    h.add(1);
-    h.add(7);  // top of bucket 2
-    h.add(8);  // bottom of bucket 3
-    h.add(15); // top of bucket 3
-    // value 1: everything above lives in buckets >= 1 -> exact.
-    EXPECT_NEAR(h.fractionAbove(1), 0.75, 1e-12);
-    // value 7 = bucket 2 upper bound: buckets >= 3 are above -> exact.
-    EXPECT_NEAR(h.fractionAbove(7), 0.5, 1e-12);
-    // value 15 = bucket 3 upper bound: nothing above.
-    EXPECT_NEAR(h.fractionAbove(15), 0.0, 1e-12);
-}
-
-TEST(LogHistogram, FractionAboveEmptyIsZero)
-{
-    LogHistogram h;
-    EXPECT_DOUBLE_EQ(h.fractionAbove(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.fractionAbove(100), 0.0);
-}
-
-TEST(LogHistogram, ResetForgetsZeroTally)
-{
-    LogHistogram h;
-    h.add(0);
-    h.reset();
-    h.add(3);
-    EXPECT_NEAR(h.fractionAbove(0), 1.0, 1e-12);
-    EXPECT_EQ(h.quantile(1.0), 3u);
-}
-
-TEST(LogHistogram, LargeValuesClampToLastBucket)
-{
-    LogHistogram h(8);
-    h.add(1ULL << 60);
-    EXPECT_EQ(h.bucketCount(7), 1u);
-}
-
-TEST(LogHistogram, ToStringMentionsBuckets)
-{
-    LogHistogram h;
-    h.add(100);
-    EXPECT_NE(h.toString().find("1"), std::string::npos);
-}
-
-TEST(LogHistogram, ToStringOfEmptyHistogramIsEmpty)
-{
-    LogHistogram h;
-    EXPECT_EQ(h.toString(), "");
-}
-
-TEST(LogHistogram, ToStringShowsExactBucketBounds)
-{
-    LogHistogram h;
-    h.add(0); // shares bucket 0 with value 1
-    h.add(1);
-    h.add(4);
-    const std::string text = h.toString();
-    EXPECT_NE(text.find("[       0,        1] 2"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("[       4,        7] 1"), std::string::npos)
-        << text;
-    // Only the two occupied buckets are rendered.
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-}
-
-// Regression: bucket b's upper bound used to be computed as
-// (2ULL << b) - 1, which for the top bucket overflows 2^64 and leans
-// on wraparound — and with the bucket count unvalidated, a 65-bucket
-// histogram turned that into a shift past the type width, genuine UB
-// under UBSan. Bucket 63 must report 2^64 - 1 through the clamped
-// bound math, and out-of-range bucket counts must be rejected at
-// construction (the death test below).
-TEST(LogHistogram, TopBucketQuantileIsDefined)
-{
-    LogHistogram h(64);
-    h.add(1ULL << 63);
-    EXPECT_EQ(h.quantile(0.0), UINT64_MAX);
-    EXPECT_EQ(h.quantile(1.0), UINT64_MAX);
-    EXPECT_NEAR(h.fractionAbove(1ULL << 62), 1.0, 1e-12);
-    EXPECT_NE(h.toString().find("18446744073709551615"),
-              std::string::npos);
-}
-
-TEST(LogHistogram, ConstructorRejectsInvalidBucketCounts)
-{
-    EXPECT_DEATH(LogHistogram h(0), "");
-    EXPECT_DEATH(LogHistogram h(65), "");
-}
-
-// Regression: valueSum used to accumulate in a double, which silently
-// rounds once the running sum passes 2^53 — every +1 after a 2^53
-// sample was absorbed (2^53 + 1 rounds back to 2^53), so the mean
-// drifted low by ~1000/1001 here, hundreds of ulps. The integer sum
-// keeps every addend and rounds exactly once, at the division.
-TEST(LogHistogram, MeanIsExactPastDoublePrecision)
-{
-    LogHistogram h(64);
-    h.add(1ULL << 53);
-    for (int i = 0; i < 1000; ++i)
-        h.add(1);
-    EXPECT_DOUBLE_EQ(h.mean(), (0x1.0p53 + 1000.0) / 1001.0);
-}
-
-TEST(LogHistogram, MeanSurvivesSumWraparound)
-{
-    LogHistogram h(64);
-    h.add(UINT64_MAX);
-    h.add(UINT64_MAX);
-    h.add(UINT64_MAX);
-    h.add(UINT64_MAX);
-    // Sum is 4 * (2^64 - 1), two wraps past 2^64; the mean must come
-    // back as 2^64 - 1 up to double rounding, not a wrapped residue.
-    EXPECT_NEAR(h.mean(), 0x1.0p64, 0x1.0p12);
-    EXPECT_GT(h.mean(), 0x1.0p63);
-}
-
-// Property: mean() after a randomized integer stream equals a
-// reference sum carried in __int128 — exact accumulation, not
-// floating-point drift.
-TEST(LogHistogram, MeanMatchesExactReferenceOnRandomStreams)
-{
-    Rng rng(2024);
-    for (int round = 0; round < 8; ++round) {
-        LogHistogram h(64);
-        unsigned __int128 reference = 0;
-        const int n = 1 + static_cast<int>(rng.nextBounded(4000));
-        for (int i = 0; i < n; ++i) {
-            // Mix magnitudes: many values near 2^53..2^63 so the sum
-            // leaves double territory quickly.
-            const std::uint64_t v =
-                rng.next64() >> rng.nextBounded(24);
-            h.add(v);
-            reference += v;
-        }
-        const double expected = static_cast<double>(
-            static_cast<long double>(reference) / n);
-        // Within EXPECT_DOUBLE_EQ's 4-ulp slack of the exact mean;
-        // double accumulation drifted by tens-to-hundreds of ulps on
-        // these streams.
-        EXPECT_DOUBLE_EQ(h.mean(), expected)
-            << "round " << round << " n=" << n;
-    }
-}
-
 TEST(RatioStat, MergeMatchesPooled)
 {
     RatioStat a;
@@ -413,42 +172,6 @@ TEST(RatioStat, MergeWithEmptyIsIdentity)
     empty.merge(a);
     EXPECT_EQ(empty.hits(), 3u);
     EXPECT_EQ(empty.total(), 10u);
-}
-
-// Mirrors the PredictorStats merge test: merging shards must be
-// indistinguishable from having recorded every sample into one
-// histogram — the property the sweep aggregation depends on.
-TEST(LogHistogram, MergeMatchesPooled)
-{
-    LogHistogram a(64);
-    LogHistogram b(64);
-    LogHistogram pooled(64);
-    Rng rng(99);
-    for (int i = 0; i < 2000; ++i) {
-        const std::uint64_t v = rng.next64() >> rng.nextBounded(60);
-        if (i % 3 == 0) {
-            a.add(v);
-        } else {
-            b.add(v);
-        }
-        pooled.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), pooled.count());
-    EXPECT_DOUBLE_EQ(a.mean(), pooled.mean());
-    for (unsigned bkt = 0; bkt < 64; ++bkt)
-        EXPECT_EQ(a.bucketCount(bkt), pooled.bucketCount(bkt))
-            << "bucket " << bkt;
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_EQ(a.quantile(q), pooled.quantile(q)) << "q=" << q;
-    EXPECT_EQ(a.toString(), pooled.toString());
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedBucketCounts)
-{
-    LogHistogram a(32);
-    LogHistogram b(16);
-    EXPECT_DEATH(a.merge(b), "");
 }
 
 TEST(LatencyHistogram, EmptyIsAllZero)
@@ -539,6 +262,34 @@ TEST(LatencyHistogram, MeanIsExactPastDoublePrecision)
     for (int i = 0; i < 1000; ++i)
         h.add(1);
     EXPECT_DOUBLE_EQ(h.mean(), (0x1.0p53 + 1000.0) / 1001.0);
+}
+
+// Property: mean() after a randomized integer stream equals a
+// reference sum carried in __int128 — exact accumulation, not
+// floating-point drift.
+TEST(LatencyHistogram, MeanMatchesExactReferenceOnRandomStreams)
+{
+    Rng rng(2024);
+    for (int round = 0; round < 8; ++round) {
+        LatencyHistogram h;
+        unsigned __int128 reference = 0;
+        const int n = 1 + static_cast<int>(rng.nextBounded(4000));
+        for (int i = 0; i < n; ++i) {
+            // Mix magnitudes: many values near 2^53..2^63 so the sum
+            // leaves double territory quickly.
+            const std::uint64_t v =
+                rng.next64() >> rng.nextBounded(24);
+            h.add(v);
+            reference += v;
+        }
+        const double expected = static_cast<double>(
+            static_cast<long double>(reference) / n);
+        // Within EXPECT_DOUBLE_EQ's 4-ulp slack of the exact mean;
+        // double accumulation drifted by tens-to-hundreds of ulps on
+        // these streams.
+        EXPECT_DOUBLE_EQ(h.mean(), expected)
+            << "round " << round << " n=" << n;
+    }
 }
 
 TEST(LatencyHistogram, MergeMatchesPooled)

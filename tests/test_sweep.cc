@@ -249,11 +249,12 @@ TEST(SweepReport, EmitsValidSchemaAndWritesFile)
     std::remove(path.c_str());
 }
 
-TEST(SweepAggregate, PoolsEveryQueueOfAMultiOsCorePoint)
+TEST(SweepReplicas, MergePoolsEveryQueueOfAMultiOsCorePoint)
 {
-    // Regression: the aggregate used to read only the point-level
+    // Regression: replica pooling once read only the point-level
     // meanQueueDelay scalar, collapsing a K-queue point to one value.
-    // A K=2 work-stealing point must contribute every queue's samples.
+    // Merging a K=2 work-stealing point must pool every queue's
+    // samples, queue by queue.
     SweepPoint point;
     point.label = "k2";
     point.config = ExperimentRunner::hardwareConfig(
@@ -279,24 +280,23 @@ TEST(SweepAggregate, PoolsEveryQueueOfAMultiOsCorePoint)
     ASSERT_GT(r.osQueues[1].admitted, 0u)
         << "scenario must exercise the second queue";
 
-    SweepAggregate agg;
-    agg.add(results[0]);
-    std::uint64_t admitted = 0;
-    for (const OsQueueResult &q : r.osQueues)
-        admitted += q.admitted;
-    // Both pooled views carry every admission from both queues.
-    EXPECT_EQ(agg.queueDelay.count(), admitted);
-    EXPECT_EQ(agg.queueWait.count(), admitted);
-    EXPECT_GT(admitted, r.osQueues[0].admitted)
-        << "pooling must see more than queue 0 alone";
-    EXPECT_EQ(agg.steals, r.steals);
-    EXPECT_EQ(agg.spills, r.spills);
-
-    // Folding the same point twice doubles the population (replica
-    // pooling) and leaves the mean unchanged.
-    agg.add(results[0]);
-    EXPECT_EQ(agg.queueWait.count(), 2 * admitted);
-    EXPECT_DOUBLE_EQ(agg.queueDelay.mean(), r.meanQueueDelay);
+    // Folding the same point twice doubles every queue's population
+    // (replica pooling) and leaves the pooled mean unchanged.
+    const SimResults merged = mergeReplicaResults({r, r});
+    ASSERT_EQ(merged.osQueues.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        SCOPED_TRACE(k);
+        const OsQueueResult &one = r.osQueues[k];
+        const OsQueueResult &both = merged.osQueues[k];
+        EXPECT_EQ(one.wait.count(), one.admitted);
+        EXPECT_EQ(both.admitted, 2 * one.admitted);
+        EXPECT_EQ(both.queueDelay.count(), 2 * one.admitted);
+        EXPECT_EQ(both.wait.count(), 2 * one.admitted);
+        EXPECT_EQ(both.wait.quantile(0.99), one.wait.quantile(0.99));
+    }
+    EXPECT_EQ(merged.steals, 2 * r.steals);
+    EXPECT_EQ(merged.spills, 2 * r.spills);
+    EXPECT_DOUBLE_EQ(merged.meanQueueDelay, r.meanQueueDelay);
 
     // The report's results JSON carries the per-queue numa block for
     // this point, and omits it for a default-topology point.
@@ -388,9 +388,9 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
     // Cross-check the sharded fold against first principles: run each
     // seed as its own classic point and fold the SimResults by hand
     // through mergeReplicaResults — the sharded point must serialize
-    // to the very same bytes. Alongside, SweepAggregate pooling over
-    // the individual runs must agree with the merged distributions
-    // sample for sample (same population, not averaged percentiles).
+    // to the very same bytes. Alongside, the merged distributions must
+    // equal the individual runs' histograms merged by hand, sample for
+    // sample (same population, not averaged percentiles).
     const std::vector<std::uint64_t> seeds = {42, 1337};
     const SweepPoint sharded = shardedServingPoint(seeds);
 
@@ -405,7 +405,6 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
     ASSERT_TRUE(results[0].ok) << results[0].error;
 
     std::vector<SimResults> individual;
-    SweepAggregate pooled;
     for (const std::uint64_t seed : seeds) {
         SweepPoint solo = sharded;
         solo.replicaSeeds.clear();
@@ -415,7 +414,6 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
             ParallelSweepRunner::runPoint(solo, 0);
         ASSERT_TRUE(run.ok) << run.error;
         individual.push_back(run.results);
-        pooled.add(run);
     }
 
     SweepPointResult manual = results[0];
@@ -429,14 +427,13 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
               individual[0].requestsCompleted +
                   individual[1].requestsCompleted);
     EXPECT_EQ(merged.steals, individual[0].steals + individual[1].steals);
-    // ...and the latency population is the union of the replicas',
-    // matching the distribution-preserving aggregate exactly.
-    EXPECT_EQ(merged.requestLatency.count(),
-              pooled.requestLatency.count());
-    for (const double q : {0.5, 0.95, 0.99}) {
-        EXPECT_EQ(merged.requestLatency.quantile(q),
-                  pooled.requestLatency.quantile(q));
-    }
+    // ...and the latency population is the union of the replicas'.
+    LatencyHistogram pooled;
+    pooled.merge(individual[0].requestLatency);
+    pooled.merge(individual[1].requestLatency);
+    EXPECT_EQ(merged.requestLatency.count(), pooled.count());
+    for (const double q : {0.5, 0.95, 0.99})
+        EXPECT_EQ(merged.requestLatency.quantile(q), pooled.quantile(q));
     // Per-queue pooling: every admission of every replica's every
     // queue lands in the merged per-queue results exactly once.
     ASSERT_EQ(merged.osQueues.size(), 2u);
@@ -444,6 +441,9 @@ TEST(SweepReplicas, MergedResultMatchesIndividuallyRunSeeds)
         EXPECT_EQ(merged.osQueues[k].admitted,
                   individual[0].osQueues[k].admitted +
                       individual[1].osQueues[k].admitted);
+        EXPECT_EQ(merged.osQueues[k].wait.count(),
+                  individual[0].osQueues[k].wait.count() +
+                      individual[1].osQueues[k].wait.count());
     }
 }
 

@@ -205,8 +205,9 @@ TEST(System, TailSharesAreMonotone)
 
 // The three canonical OS-core queue regimes, each cross-checked
 // against the registry's os.queue.* series. Warmup is zero so the
-// never-reset registry metrics and the measurement-reset SimResults
-// cover the same cycles.
+// lifetime offers counter and the measured region cover the same
+// cycles; the wait series poll the queue's own histogram, which
+// SimResults reports too, so they match it exactly.
 
 TEST(System, QueueDelayZeroWhenNothingOffloads)
 {
@@ -223,6 +224,8 @@ TEST(System, QueueDelayZeroWhenNothingOffloads)
     EXPECT_DOUBLE_EQ(r.maxQueueDelay, 0.0);
     EXPECT_DOUBLE_EQ(registry.seriesValue("os.queue.offers"), 0.0);
     EXPECT_DOUBLE_EQ(registry.seriesValue("os.queue.wait.count"), 0.0);
+    ASSERT_EQ(r.osQueues.size(), 1u);
+    EXPECT_EQ(r.osQueues[0].wait.count(), 0u);
 }
 
 TEST(System, SingleOffloaderNeverQueues)
@@ -245,7 +248,11 @@ TEST(System, SingleOffloaderNeverQueues)
                      static_cast<double>(r.offloaded));
     EXPECT_DOUBLE_EQ(registry.seriesValue("os.queue.wait.count"),
                      static_cast<double>(r.offloaded));
+    ASSERT_EQ(r.osQueues.size(), 1u);
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.count"),
+              static_cast<double>(r.osQueues[0].wait.count()));
     EXPECT_DOUBLE_EQ(registry.seriesValue("os.queue.wait.mean"), 0.0);
+    EXPECT_DOUBLE_EQ(registry.seriesValue("os.queue.wait.p99"), 0.0);
 }
 
 TEST(System, SaturatedOsCoreQueueDelayMatchesRegistry)
@@ -272,9 +279,18 @@ TEST(System, SaturatedOsCoreQueueDelayMatchesRegistry)
     // sum), so compare to a relative tolerance.
     EXPECT_NEAR(registry.seriesValue("os.queue.wait.mean"),
                 r.meanQueueDelay, 1e-6 * (1.0 + r.meanQueueDelay));
+    // The series poll the very histogram SimResults reports.
+    ASSERT_EQ(r.osQueues.size(), 1u);
+    const LatencyHistogram &wait = r.osQueues[0].wait;
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.count"),
+              static_cast<double>(wait.count()));
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.mean"), wait.mean());
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.p50"),
+              static_cast<double>(wait.quantile(0.5)));
+    EXPECT_EQ(registry.seriesValue("os.queue.wait.p99"),
+              static_cast<double>(wait.quantile(0.99)));
     // Every admitted request waited no longer than the recorded max.
-    EXPECT_LE(registry.seriesValue("os.queue.wait.p99"),
-              2.0 * r.maxQueueDelay + 1.0);
+    EXPECT_LE(registry.seriesValue("os.queue.wait.p99"), r.maxQueueDelay);
 }
 
 TEST(SystemDeath, PolicyWithoutOffloadIsFatal)
