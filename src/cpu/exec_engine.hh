@@ -146,8 +146,8 @@ class RefBlockSink
  * system/stream_tape.hh) is generate() with a sink that also keeps
  * the block. executeReference() is the original
  * one-reference-at-a-time loop, kept verbatim as the behavioural
- * reference (the pattern reference_cache.hh / reference_directory.hh
- * established). The two are interchangeable — identical ExecResult,
+ * reference (the pattern of the memory oracles in
+ * tests/reference_cache.hh and tests/reference_directory.hh). The two are interchangeable — identical ExecResult,
  * RNG stream position, memory/directory state and statistics —
  * because reference *generation* never depends on access outcomes:
  * every RNG draw in the loop is conditioned only on the profile and

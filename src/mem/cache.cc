@@ -72,6 +72,7 @@ SetAssocCache::invalidate(Addr line_addr)
     const MesiState old = states[idx];
     tags[idx] = kNoTag;
     states[idx] = MesiState::Invalid;
+    lastUse[idx] = 0;
     return old;
 }
 
@@ -80,6 +81,7 @@ SetAssocCache::invalidateAll()
 {
     std::fill(tags.begin(), tags.end(), kNoTag);
     std::fill(states.begin(), states.end(), MesiState::Invalid);
+    std::fill(lastUse.begin(), lastUse.end(), 0);
 }
 
 std::uint64_t

@@ -13,11 +13,20 @@
  * scan runs on every L1 miss *and* on every L1-hit write (the write
  * path probes the L2 for MESI permission). An absent way is encoded as
  * tag == kNoTag rather than a state byte, so the hot lookup loop
- * touches only the tag array. Replacement decisions are bit-identical
- * to the previous array-of-structs implementation
- * (ReferenceSetAssocCache, retained in mem/reference_cache.hh), which
- * the differential test in tests/test_cache_soa.cc checks against
- * randomized traffic.
+ * touches only the tag array, and its LRU stamp is 0, so the victim
+ * scan touches only the stamp array.
+ *
+ * Both scans visit every way and select with conditional moves rather
+ * than exiting early. Which way holds a line (or is LRU) is effectively
+ * random per reference, so an early-exit branch mispredicts on a large
+ * share of probes; a fixed-trip scan of 2 or 16 ways costs less than
+ * those mispredicts (DESIGN.md §14).
+ *
+ * Replacement decisions are bit-identical to the previous
+ * array-of-structs implementation (ReferenceSetAssocCache, kept as a
+ * test oracle in tests/reference_cache.hh), which the differential
+ * test in tests/test_soa_differential.cc checks against randomized
+ * traffic.
  */
 
 #ifndef OSCAR_MEM_CACHE_HH_
@@ -196,17 +205,17 @@ class SetAssocCache
 
         // Victim choice mirrors the reference implementation exactly:
         // the lowest-numbered empty way wins, else the strictly
-        // smallest LRU stamp (ties break toward the lower way).
+        // smallest LRU stamp (ties break toward the lower way). Empty
+        // ways carry stamp 0 and resident ones a stamp >= 1, so one
+        // strict-minimum scan over the stamps implements both rules.
         const std::size_t base = setIndex(line_addr) * geom.assoc;
-        std::size_t victim = kNone;
-        for (unsigned w = 0; w < geom.assoc; ++w) {
+        std::size_t victim = base;
+        std::uint64_t oldest = lastUse[base];
+        for (unsigned w = 1; w < geom.assoc; ++w) {
             const std::size_t i = base + w;
-            if (tags[i] == kNoTag) {
-                victim = i;
-                break;
-            }
-            if (victim == kNone || lastUse[i] < lastUse[victim])
-                victim = i;
+            const bool older = lastUse[i] < oldest;
+            victim = older ? i : victim;
+            oldest = older ? lastUse[i] : oldest;
         }
 
         std::optional<Eviction> evicted;
@@ -272,23 +281,24 @@ class SetAssocCache
     /**
      * Flat way-array index of the way holding a line, or kNone. Scans
      * only the contiguous tag array; empty ways hold kNoTag and can
-     * never match.
+     * never match. A line sits in at most one way, so selecting the
+     * match without an early exit returns the same index.
      */
     std::size_t
     findIndex(Addr line_addr) const
     {
         const std::size_t base = setIndex(line_addr) * geom.assoc;
-        for (unsigned w = 0; w < geom.assoc; ++w) {
-            if (tags[base + w] == line_addr)
-                return base + w;
-        }
-        return kNone;
+        std::size_t idx = kNone;
+        for (unsigned w = 0; w < geom.assoc; ++w)
+            idx = tags[base + w] == line_addr ? base + w : idx;
+        return idx;
     }
 
     std::string label;
     CacheGeometry geom;
     std::uint64_t numSets;
-    // Parallel arrays, numSets * assoc entries each, set-major.
+    // Parallel arrays, numSets * assoc entries each, set-major. An
+    // empty way holds tags == kNoTag, states == Invalid, lastUse == 0.
     std::vector<Addr> tags;
     std::vector<MesiState> states;
     std::vector<std::uint64_t> lastUse;

@@ -215,10 +215,8 @@ Cycle
 MemorySystem::upgradeLine(CoreId core, Addr line_addr)
 {
     // S->M upgrade: request to directory, invalidations to sharers,
-    // acks back to the requester. One directory probe serves the
-    // whole transaction: the slot is read for the sharer set and then
-    // rewritten in place (nothing below touches the directory, so the
-    // slot stays valid).
+    // acks back to the requester. The entry is read once for the
+    // sharer set and then rewritten in place.
     fabric.countMessage();
     Cycle latency = fabric.requestResponse() + lat.directoryLookup;
     const Directory::Slot slot = dir.findOrInsert(line_addr);
@@ -247,12 +245,7 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
     fabric.countMessage();
     result.latency = fabric.requestResponse() + lat.directoryLookup;
 
-    // One directory probe serves the whole transaction: the slot is
-    // read once and rewritten in place by the arm taken. Every arm
-    // leaves the requester caching the line, so the empty entry
-    // findOrInsert creates for an untracked line never outlives this
-    // call. Slot operations all precede fillL2 — its eviction path
-    // removes the victim's directory entry, which can move slots.
+    // The entry is read once and rewritten in place by the arm taken.
     const Directory::Slot slot = dir.findOrInsert(line_addr);
     const DirEntry entry = dir.entryAt(slot);
     const bool remote_exclusive =

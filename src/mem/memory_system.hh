@@ -269,9 +269,7 @@ class MemorySystem
      * Invalidate every cached copy of a line outside @p except,
      * charging per-sharer fabric messages and invalidation stats.
      * Directory bookkeeping is the caller's: it holds the line's slot
-     * and rewrites the sharer set in one shot afterwards (removing
-     * sharers one at a time would erase and reinsert the entry, and
-     * backward-shift deletion would invalidate the held slot).
+     * and rewrites the sharer set in one shot afterwards.
      */
     unsigned invalidateSharers(const DirEntry &entry, Addr line_addr,
                                CoreId except);

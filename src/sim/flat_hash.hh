@@ -3,8 +3,8 @@
  * Open-addressing hash map with 64-bit keys for simulator hot paths.
  *
  * std::unordered_map pays a heap node and a pointer chase per entry;
- * on paths executed millions of times per simulated second (the MESI
- * directory, the CAM predictor index) that is the dominant cost. This
+ * on paths executed millions of times per simulated second (the CAM
+ * predictor index) that is the dominant cost. This
  * map stores everything in three flat arrays and probes linearly, so
  * a lookup is one hash, a byte-array scan, and (usually) one key
  * compare — no allocation, no pointer chasing.

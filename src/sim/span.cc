@@ -6,6 +6,7 @@
 #include "sim/span.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -212,9 +213,9 @@ SpanRecorder::reset()
         slot.pendingSteal = 0;
         slot.span = RequestSpan{};
     }
-    std::size_t capacity = aggregates.exemplarCapacity;
-    aggregates = SpanResults{};
-    aggregates.exemplarCapacity = capacity;
+    SpanResults fresh;
+    fresh.exemplarCapacity = aggregates.exemplarCapacity;
+    aggregates = std::move(fresh);
 }
 
 } // namespace oscar

@@ -104,6 +104,31 @@ TEST(DirectoryDeath, TooManyCoresRejected)
     EXPECT_EXIT(Directory dir(0), ::testing::ExitedWithCode(1), "");
 }
 
+TEST(Directory, LinesPastTheArraysReadAsUncached)
+{
+    Directory dir(4);
+    dir.addSharer(10, 1);
+    EXPECT_TRUE(dir.lookup(11).uncached());
+    EXPECT_TRUE(dir.lookup(Directory::kMaxLines + 5).uncached());
+    dir.removeSharer(Directory::kMaxLines + 5, 1);
+    EXPECT_EQ(dir.trackedLines(), 1u);
+    // Growing past the first allocation keeps earlier entries.
+    dir.setExclusive(100000, 2);
+    EXPECT_EQ(dir.trackedLines(), 2u);
+    EXPECT_TRUE(dir.lookup(10).hasSharer(1));
+    EXPECT_EQ(dir.lookup(100000).owner(), 2u);
+    EXPECT_TRUE(dir.lookup(99999).uncached());
+}
+
+TEST(DirectoryDeath, LinePastCeilingIsFatal)
+{
+    Directory dir(4);
+    EXPECT_EXIT(dir.addSharer(Directory::kMaxLines, 0),
+                ::testing::ExitedWithCode(1), "ceiling");
+    EXPECT_EXIT(dir.findOrInsert(~Addr{0} >> 6),
+                ::testing::ExitedWithCode(1), "ceiling");
+}
+
 TEST(Directory, ManyLinesTracked)
 {
     Directory dir(4);

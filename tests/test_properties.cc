@@ -106,8 +106,9 @@ TEST_P(OffloadAccounting, InvariantsHold)
     EXPECT_GE(r.osCoreUtilization, 0.0);
     EXPECT_LE(r.osCoreUtilization, 1.0);
     // Queue delays only exist when something was off-loaded.
-    if (r.offloaded == 0)
+    if (r.offloaded == 0) {
         EXPECT_DOUBLE_EQ(r.meanQueueDelay, 0.0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,13 +2,13 @@
  * @file
  * Differential tests for the structure-of-arrays cache and directory
  * against the retained array-of-structs / hash-map reference
- * implementations (mem/reference_cache.hh, mem/reference_directory.hh).
+ * implementations (reference_cache.hh, reference_directory.hh).
  *
  * Both implementations are driven with identical randomized traffic
  * and every observable — returned states, LRU-driven victim choices,
  * eviction records, hit/miss/eviction counters, resident-line and
- * tracked-line counts — must match exactly at every step. The SoA
- * rewrite is a pure layout change; any behavioural divergence is a
+ * tracked-line counts — must match exactly at every step. The
+ * rewrites are pure layout changes; any behavioural divergence is a
  * bug in the rewrite, not an accepted difference.
  */
 
@@ -19,8 +19,8 @@
 
 #include "mem/cache.hh"
 #include "mem/directory.hh"
-#include "mem/reference_cache.hh"
-#include "mem/reference_directory.hh"
+#include "reference_cache.hh"
+#include "reference_directory.hh"
 #include "sim/random.hh"
 
 namespace oscar
