@@ -16,17 +16,21 @@
  *                    [--seed S] [--coupling X] [--baseline-compare]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "system/experiment.hh"
+#include "system/sweep.hh"
 
 namespace
 {
 
 using namespace oscar;
+
+constexpr std::uint64_t kAnyCount = std::numeric_limits<std::uint64_t>::max();
 
 [[noreturn]] void
 usageAndExit(const char *argv0)
@@ -75,6 +79,10 @@ main(int argc, char **argv)
             usageAndExit(argv[0]);
         return argv[++i];
     };
+    auto next_count = [&](int &i, std::uint64_t max = kAnyCount) {
+        const char *flag = argv[i];
+        return parseCount(flag, next_value(i).c_str(), max);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -83,16 +91,14 @@ main(int argc, char **argv)
         } else if (arg == "--policy") {
             policy = next_value(i);
         } else if (arg == "--threshold") {
-            config.staticThreshold = std::strtoull(
-                next_value(i).c_str(), nullptr, 10);
+            config.staticThreshold = next_count(i);
         } else if (arg == "--dynamic") {
             config.dynamicThreshold = true;
         } else if (arg == "--latency") {
-            config.migrationOneWayCycles = std::strtoull(
-                next_value(i).c_str(), nullptr, 10);
+            config.migrationOneWayCycles = next_count(i);
         } else if (arg == "--cores") {
             config.userCores = static_cast<unsigned>(
-                std::strtoul(next_value(i).c_str(), nullptr, 10));
+                next_count(i, std::numeric_limits<unsigned>::max()));
         } else if (arg == "--predictor") {
             const std::string kind = next_value(i);
             if (kind == "cam")
@@ -104,14 +110,11 @@ main(int argc, char **argv)
             else
                 usageAndExit(argv[0]);
         } else if (arg == "--measure") {
-            config.measureInstructions = std::strtoull(
-                next_value(i).c_str(), nullptr, 10);
+            config.measureInstructions = next_count(i);
         } else if (arg == "--warmup") {
-            config.warmupInstructions = std::strtoull(
-                next_value(i).c_str(), nullptr, 10);
+            config.warmupInstructions = next_count(i);
         } else if (arg == "--seed") {
-            config.seed = std::strtoull(next_value(i).c_str(), nullptr,
-                                        10);
+            config.seed = next_count(i);
         } else if (arg == "--coupling") {
             config.osCouplingScale =
                 std::strtod(next_value(i).c_str(), nullptr);

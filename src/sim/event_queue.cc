@@ -5,187 +5,46 @@
 
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace oscar
 {
 
-void
-EventQueue::checkConsistency() const
-{
-    oscar_assert(liveIndex.size() + freeSlots.size() == pool.size());
-}
-
 EventQueue::EventQueue(const EventQueue &other)
-    : heap(other.heap), freeSlots(other.freeSlots),
-      liveIndex(other.liveIndex), currentCycle(other.currentCycle),
-      nextId(other.nextId), fired(other.fired),
-      cancelled(other.cancelled)
+    : heap(other.heap), currentCycle(other.currentCycle),
+      nextSeq(other.nextSeq), fired(other.fired),
+      peakPending(other.peakPending)
 {
-    // A callback capture is opaque — it typically holds a pointer into
-    // the system being copied — so a snapshot is only sound when every
-    // live event is a plain-data payload event.
-    for (const auto &[id, slot] : other.liveIndex) {
-        (void)id;
-        oscar_assert(other.pool[slot].isPayload &&
-                     "cannot snapshot an EventQueue holding live "
-                     "callback events; use payload events");
-    }
-    // Slot holds a move-only Callback, so the pool is copied by hand.
-    // Free slots carry no callable (reclaim() clears them); live slots
-    // are payload-only per the assertion above.
-    pool.resize(other.pool.size());
-    for (std::size_t i = 0; i < other.pool.size(); ++i) {
-        pool[i].when = other.pool[i].when;
-        pool[i].id = other.pool[i].id;
-        pool[i].payload = other.pool[i].payload;
-        pool[i].isPayload = other.pool[i].isPayload;
-    }
-    checkConsistency();
 }
 
-std::uint64_t
-EventQueue::schedule(Cycle when, Callback cb)
-{
-    oscar_assert(when >= currentCycle);
-    const std::uint64_t id = nextId++;
-
-    std::uint32_t slot;
-    if (!freeSlots.empty()) {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(pool.size());
-        pool.emplace_back();
-    }
-    pool[slot].when = when;
-    pool[slot].id = id;
-    pool[slot].cb = std::move(cb);
-    pool[slot].isPayload = false;
-
-    liveIndex.emplace(id, slot);
-    heap.push(HeapItem{when, id, slot});
-    checkConsistency();
-    return id;
-}
-
-std::uint64_t
+void
 EventQueue::schedulePayload(Cycle when, const EventPayload &payload)
 {
     oscar_assert(when >= currentCycle);
-    const std::uint64_t id = nextId++;
-
-    std::uint32_t slot;
-    if (!freeSlots.empty()) {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(pool.size());
-        pool.emplace_back();
-    }
-    pool[slot].when = when;
-    pool[slot].id = id;
-    pool[slot].cb = nullptr;
-    pool[slot].payload = payload;
-    pool[slot].isPayload = true;
-
-    liveIndex.emplace(id, slot);
-    heap.push(HeapItem{when, id, slot});
-    checkConsistency();
-    return id;
-}
-
-void
-EventQueue::reclaim(std::uint64_t id, std::uint32_t slot)
-{
-    pool[slot].cb = nullptr;
-    pool[slot].isPayload = false;
-    freeSlots.push_back(slot);
-    liveIndex.erase(id);
-}
-
-bool
-EventQueue::cancel(std::uint64_t id)
-{
-    auto it = liveIndex.find(id);
-    if (it == liveIndex.end())
-        return false;
-    // The heap still holds a stale {when, id, slot} item; it is
-    // skipped when it reaches the top because the id is gone.
-    reclaim(id, it->second);
-    ++cancelled;
-    checkConsistency();
-    return true;
-}
-
-void
-EventQueue::skipStale()
-{
-    while (!heap.empty() &&
-           liveIndex.find(heap.top().id) == liveIndex.end()) {
-        heap.pop();
-    }
+    heap.push(Entry{when, nextSeq++, payload});
+    peakPending = std::max(peakPending, heap.size());
 }
 
 void
 EventQueue::runOne()
 {
-    skipStale();
     oscar_assert(!heap.empty());
-    const HeapItem item = heap.top();
+    oscar_assert(payloadHandler != nullptr);
+    // Copy the entry out before popping: the handler may schedule.
+    const Entry entry = heap.top();
     heap.pop();
-
-    auto it = liveIndex.find(item.id);
-    oscar_assert(it != liveIndex.end());
-    const std::uint32_t slot = it->second;
-    oscar_assert(slot == item.slot && pool[slot].id == item.id);
-    oscar_assert(item.when >= currentCycle);
-
-    currentCycle = item.when;
+    currentCycle = entry.when;
     ++fired;
-    if (pool[slot].isPayload) {
-        // Copy the payload out before reclaiming: the handler may
-        // schedule new events that immediately reuse this slot.
-        const EventPayload payload = pool[slot].payload;
-        reclaim(item.id, slot);
-        checkConsistency();
-        oscar_assert(payloadHandler != nullptr);
-        payloadHandler(payloadCtx, payload, item.when);
-        return;
-    }
-    // Move the callback out before reclaiming: it may schedule new
-    // events that immediately reuse this slot.
-    Callback cb = std::move(pool[slot].cb);
-    reclaim(item.id, slot);
-    checkConsistency();
-    cb(item.when);
+    payloadHandler(payloadCtx, entry.payload, entry.when);
 }
 
 void
 EventQueue::runUntil(Cycle limit)
 {
-    for (;;) {
-        skipStale();
-        if (heap.empty() || heap.top().when > limit)
-            return;
+    while (!heap.empty() && heap.top().when <= limit)
         runOne();
-    }
-}
-
-bool
-EventQueue::empty() const
-{
-    return liveIndex.empty();
-}
-
-Cycle
-EventQueue::nextEventCycle() const
-{
-    // Lazily drop stale (cancelled) items so the top is live. This
-    // mutates only bookkeeping, never observable queue contents.
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipStale();
-    return heap.empty() ? kNoCycle : heap.top().when;
 }
 
 } // namespace oscar

@@ -6,22 +6,15 @@
  * global event queue keyed by cycle. Ties are broken by insertion
  * order, so simulation is fully deterministic.
  *
- * Storage is a slot pool with a free list: a fired or cancelled
- * entry's slot (and its callback's captured state) is reclaimed
- * immediately and reused by later schedules, so memory is bounded by
- * the peak number of simultaneously pending events rather than
- * growing with the total event count of a run. Cancelled events leave
- * a stale id in the heap that is skipped lazily when it surfaces.
- *
- * Events come in two flavours. Callback events wrap an arbitrary
- * capture (InlineFunction) and cannot survive a snapshot: a capture
- * typically holds a `this` pointer into the system being copied.
- * Payload events carry only plain data ({kind, a, b}) and are
- * dispatched through a single handler installed with
- * setPayloadHandler(); they are trivially copyable, so a queue whose
- * live events are all payload events can be deep-copied — the
- * warm-state snapshot/fork machinery relies on this, and the copy
- * constructor asserts it.
+ * Every event is plain data ({kind, a, b}) dispatched through one
+ * handler installed with setPayloadHandler(). The queue is a binary
+ * heap of {when, seq, payload} entries ordered by (when, seq): memory
+ * is bounded by the peak number of simultaneously pending events, and
+ * scheduling or firing an event allocates only when the heap grows
+ * past its previous peak. Because entries are trivially copyable, a
+ * queue copies member-wise — the warm-state snapshot/fork machinery
+ * relies on this — except for the handler, which the copy's owner
+ * installs.
  */
 
 #ifndef OSCAR_SIM_EVENT_QUEUE_HH_
@@ -29,31 +22,17 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
-#include "sim/inline_function.hh"
 #include "sim/types.hh"
 
 namespace oscar
 {
 
 /**
- * Inline storage budget for event callbacks, in bytes: sized for the
- * largest capture scheduled by System ([this, tid, length] — a
- * pointer, a 32-bit thread id and a 64-bit instruction count), and
- * static_asserted there. A callable that does not fit is a compile
- * error, never a heap allocation — schedule() is the per-event hot
- * path and must stay allocation-free.
- */
-inline constexpr std::size_t kEventCallbackBytes = 24;
-
-/**
  * Plain-data event: a discriminator plus two operand words. The
  * meaning of kind/a/b is private to the component that installed the
- * payload handler (System encodes its event vocabulary here). Kept
- * trivially copyable on purpose — payload events are what makes an
- * EventQueue snapshot possible.
+ * payload handler (System encodes its event vocabulary here).
  */
 struct EventPayload
 {
@@ -67,21 +46,18 @@ using PayloadHandler = void (*)(void *ctx, const EventPayload &payload,
                                 Cycle now);
 
 /**
- * Min-heap of (cycle, sequence) ordered callbacks.
+ * Min-heap of (cycle, sequence) ordered payload events.
  */
 class EventQueue
 {
   public:
-    using Callback = InlineFunction<void(Cycle), kEventCallbackBytes>;
-
     EventQueue() = default;
 
     /**
-     * Snapshot copy. Every live event must be a payload event
-     * (asserted): callback captures are opaque and typically point
-     * into the system being copied. The payload handler and its
-     * context are deliberately NOT copied — the clone's owner must
-     * install its own with setPayloadHandler() before running.
+     * Snapshot copy of the pending events, clock and counters. The
+     * payload handler and its context are deliberately NOT copied —
+     * the clone's owner must install its own with setPayloadHandler()
+     * before running.
      */
     EventQueue(const EventQueue &other);
 
@@ -90,18 +66,9 @@ class EventQueue
     EventQueue &operator=(EventQueue &&) = default;
 
     /**
-     * Schedule a callback at an absolute cycle.
-     *
-     * @param when Absolute cycle; must be >= now().
-     * @param cb Callback invoked with the firing cycle.
-     * @return Monotonically increasing event id.
-     */
-    std::uint64_t schedule(Cycle when, Callback cb);
-
-    /**
      * Install the dispatcher for payload events. One handler serves
      * the whole queue; the context pointer is passed back verbatim.
-     * Must be set before the first payload event fires.
+     * Must be set before the first event fires.
      */
     void
     setPayloadHandler(PayloadHandler handler, void *ctx)
@@ -111,22 +78,13 @@ class EventQueue
     }
 
     /**
-     * Schedule a payload event at an absolute cycle. Shares the id
-     * sequence and slot pool with schedule(), so interleaving the two
-     * kinds preserves deterministic tie-breaking.
+     * Schedule a payload event at an absolute cycle. Events at the
+     * same cycle fire in the order they were scheduled.
      *
      * @param when Absolute cycle; must be >= now().
      * @param payload Dispatched to the installed handler when firing.
-     * @return Monotonically increasing event id.
      */
-    std::uint64_t schedulePayload(Cycle when, const EventPayload &payload);
-
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * @return true if the event existed and had not yet fired.
-     */
-    bool cancel(std::uint64_t id);
+    void schedulePayload(Cycle when, const EventPayload &payload);
 
     /** Fire the earliest pending event; advances now(). */
     void runOne();
@@ -134,81 +92,56 @@ class EventQueue
     /** Run until the queue is empty or now() would exceed the limit. */
     void runUntil(Cycle limit);
 
-    /** True when no live events are pending. */
-    bool empty() const;
+    /** True when no events are pending. */
+    bool empty() const { return heap.empty(); }
 
-    /** Number of live (non-cancelled) pending events. */
-    std::size_t pendingCount() const { return liveIndex.size(); }
+    /** Number of pending events. */
+    std::size_t pendingCount() const { return heap.size(); }
 
     /** Current simulated cycle. */
     Cycle now() const { return currentCycle; }
 
     /** Cycle of the earliest pending event, or kNoCycle when empty. */
-    Cycle nextEventCycle() const;
+    Cycle
+    nextEventCycle() const
+    {
+        return heap.empty() ? kNoCycle : heap.top().when;
+    }
 
     /** Total events ever fired (for stats/tests). */
     std::uint64_t firedCount() const { return fired; }
 
-    /** Total events ever scheduled (ids are dense, never reused). */
-    std::uint64_t scheduledCount() const { return nextId; }
+    /** Total events ever scheduled. */
+    std::uint64_t scheduledCount() const { return nextSeq; }
 
-    /** Total events cancelled before firing. */
-    std::uint64_t cancelledCount() const { return cancelled; }
-
-    /** Entry slots allocated (live + reclaimed); bounds memory use. */
-    std::size_t slotCount() const { return pool.size(); }
-
-    /** Slots on the free list awaiting reuse (tests). */
-    std::size_t freeSlotCount() const { return freeSlots.size(); }
+    /** Peak number of simultaneously pending events; bounds memory. */
+    std::size_t slotCount() const { return peakPending; }
 
   private:
-    /** Reusable storage for one scheduled callback or payload. */
-    struct Slot
-    {
-        Cycle when = 0;
-        std::uint64_t id = 0;
-        Callback cb;
-        EventPayload payload;
-        bool isPayload = false;
-    };
-
-    /** Heap key; the slot is only valid while the id is live. */
-    struct HeapItem
+    struct Entry
     {
         Cycle when;
-        std::uint64_t id;
-        std::uint32_t slot;
+        /** Schedule order; breaks ties between same-cycle events. */
+        std::uint64_t seq;
+        EventPayload payload;
     };
 
-    struct Compare
+    struct Later
     {
         bool
-        operator()(const HeapItem &a, const HeapItem &b) const
+        operator()(const Entry &a, const Entry &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.id > b.id;
+            return a.seq > b.seq;
         }
     };
 
-    /** Pop heap items whose id is no longer live (cancelled). */
-    void skipStale();
-
-    /** Release a slot back to the free list. */
-    void reclaim(std::uint64_t id, std::uint32_t slot);
-
-    /** Slots are always either live or free-listed. */
-    void checkConsistency() const;
-
-    std::priority_queue<HeapItem, std::vector<HeapItem>, Compare> heap;
-    std::vector<Slot> pool;
-    std::vector<std::uint32_t> freeSlots;
-    /** Live event id -> slot; ids are never reused. */
-    std::unordered_map<std::uint64_t, std::uint32_t> liveIndex;
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
     Cycle currentCycle = 0;
-    std::uint64_t nextId = 0;
+    std::uint64_t nextSeq = 0;
     std::uint64_t fired = 0;
-    std::uint64_t cancelled = 0;
+    std::size_t peakPending = 0;
     PayloadHandler payloadHandler = nullptr;
     void *payloadCtx = nullptr;
 };

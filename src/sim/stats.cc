@@ -6,7 +6,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "sim/logging.hh"
@@ -21,30 +20,13 @@ RunningStat::add(double x)
     total += x;
     if (n == 1) {
         m = x;
-        s = 0.0;
         lo = x;
         hi = x;
         return;
     }
-    const double old_m = m;
-    m += (x - old_m) / static_cast<double>(n);
-    s += (x - old_m) * (x - m);
+    m += (x - m) / static_cast<double>(n);
     lo = std::min(lo, x);
     hi = std::max(hi, x);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    return s / static_cast<double>(n);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 void
@@ -66,7 +48,6 @@ RunningStat::merge(const RunningStat &other)
     const auto na = static_cast<double>(n);
     const auto nb = static_cast<double>(other.n);
     const double combined = na + nb;
-    s += other.s + delta * delta * na * nb / combined;
     m += delta * nb / combined;
     n += other.n;
     total += other.total;
@@ -117,26 +98,31 @@ RatioStat::merge(const RatioStat &other)
 // ---------------------------------------------------------------------
 // LatencyHistogram
 
-LatencyHistogram::LatencyHistogram(unsigned sub_bucket_bits)
-    : bits(sub_bucket_bits)
+namespace
 {
-    oscar_assert(sub_bucket_bits >= 1 && sub_bucket_bits <= 16);
-    // One linear region of 2^bits unit slots for values below 2^bits,
-    // then 2^bits sub-buckets per power-of-two range [2^t, 2^(t+1))
-    // for t = bits..63 — every uint64 value has a slot.
-    const std::size_t m = std::size_t{1} << bits;
-    slots.assign(m * (64 - bits + 1), 0);
+
+constexpr unsigned kBits = LatencyHistogram::kSubBucketBits;
+
+} // namespace
+
+LatencyHistogram::LatencyHistogram()
+{
+    // One linear region of 2^kBits unit slots for values below 2^kBits,
+    // then 2^kBits sub-buckets per power-of-two range [2^t, 2^(t+1))
+    // for t = kBits..63 — every uint64 value has a slot.
+    const std::size_t m = std::size_t{1} << kBits;
+    slots.assign(m * (64 - kBits + 1), 0);
 }
 
 std::size_t
 LatencyHistogram::slotFor(std::uint64_t value) const
 {
-    const std::uint64_t m = std::uint64_t{1} << bits;
+    const std::uint64_t m = std::uint64_t{1} << kBits;
     if (value < m)
         return static_cast<std::size_t>(value);
     const unsigned top =
         63u - static_cast<unsigned>(__builtin_clzll(value));
-    const unsigned group = top - bits; // 0-based; sub-bucket width 2^group
+    const unsigned group = top - kBits; // 0-based; sub-bucket width 2^group
     const std::uint64_t offset = (value - (std::uint64_t{1} << top))
                                  >> group;
     return static_cast<std::size_t>(m + group * m + offset);
@@ -145,12 +131,12 @@ LatencyHistogram::slotFor(std::uint64_t value) const
 std::uint64_t
 LatencyHistogram::slotUpperBound(std::size_t slot) const
 {
-    const std::uint64_t m = std::uint64_t{1} << bits;
+    const std::uint64_t m = std::uint64_t{1} << kBits;
     if (slot < m)
         return slot;
-    const std::uint64_t group = (slot - m) >> bits;
+    const std::uint64_t group = (slot - m) >> kBits;
     const std::uint64_t offset = (slot - m) & (m - 1);
-    const unsigned top = bits + static_cast<unsigned>(group);
+    const unsigned top = kBits + static_cast<unsigned>(group);
     const std::uint64_t width = std::uint64_t{1} << group;
     const std::uint64_t lower =
         (std::uint64_t{1} << top) + offset * width;
@@ -210,7 +196,6 @@ LatencyHistogram::quantile(double q) const
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {
-    oscar_assert(bits == other.bits);
     if (other.samples == 0)
         return;
     for (std::size_t s = 0; s < slots.size(); ++s)

@@ -16,7 +16,7 @@ namespace oscar
 {
 
 /**
- * Incremental mean/variance/min/max accumulator (Welford's algorithm).
+ * Incremental mean/min/max/sum accumulator.
  */
 class RunningStat
 {
@@ -29,12 +29,6 @@ class RunningStat
 
     /** Mean of recorded samples; 0 when empty. */
     double mean() const { return n ? m : 0.0; }
-
-    /** Population variance; 0 for fewer than two samples. */
-    double variance() const;
-
-    /** Standard deviation. */
-    double stddev() const;
 
     /** Smallest sample; 0 when empty. */
     double min() const { return n ? lo : 0.0; }
@@ -54,7 +48,6 @@ class RunningStat
   private:
     std::uint64_t n = 0;
     double m = 0.0;
-    double s = 0.0;
     double lo = 0.0;
     double hi = 0.0;
     double total = 0.0;
@@ -110,10 +103,10 @@ class RatioStat
 
 /**
  * Mergeable latency histogram in the HdrHistogram mould: power-of-two
- * ranges each split into 2^sub_bucket_bits linear sub-buckets, so any
- * recorded value — and therefore any reported quantile — carries a
- * bounded relative error of 2^-sub_bucket_bits, across the full
- * uint64 range with no configuration of an expected maximum.
+ * ranges each split into 2^kSubBucketBits = 32 linear sub-buckets, so
+ * any recorded value — and therefore any reported quantile — carries
+ * a bounded relative error of 2^-5 (~3%), across the full uint64
+ * range with no configuration of an expected maximum.
  *
  * This is the recording structure behind request tail latencies: each
  * request's end-to-end latency (queueing + service + migration) is
@@ -125,12 +118,10 @@ class RatioStat
 class LatencyHistogram
 {
   public:
-    /**
-     * @param sub_bucket_bits log2 of linear sub-buckets per
-     *        power-of-two range (1..16). The default 5 (32 sub-buckets)
-     *        bounds quantile error at ~3%.
-     */
-    explicit LatencyHistogram(unsigned sub_bucket_bits = 5);
+    /** log2 of linear sub-buckets per power-of-two range. */
+    static constexpr unsigned kSubBucketBits = 5;
+
+    LatencyHistogram();
 
     /** Record one value. */
     void add(std::uint64_t value);
@@ -157,10 +148,7 @@ class LatencyHistogram
      */
     std::uint64_t quantile(double q) const;
 
-    /**
-     * Merge another histogram into this one; both must share the same
-     * sub-bucket geometry (fatal otherwise).
-     */
+    /** Merge another histogram into this one. */
     void merge(const LatencyHistogram &other);
 
     /**
@@ -176,12 +164,6 @@ class LatencyHistogram
     /** Forget all samples. */
     void reset();
 
-    /** Sub-bucket geometry (for merge compatibility checks). */
-    unsigned subBucketBits() const { return bits; }
-
-    /** Number of internal slots (geometry inspection). */
-    std::size_t slotCount() const { return slots.size(); }
-
     /** Render min/mean/percentiles as one line; "" when empty. */
     std::string toString() const;
 
@@ -192,7 +174,6 @@ class LatencyHistogram
     /** Largest value a slot can hold. */
     std::uint64_t slotUpperBound(std::size_t slot) const;
 
-    unsigned bits;
     std::vector<std::uint64_t> slots;
     std::uint64_t samples = 0;
     std::uint64_t lo = 0;

@@ -163,50 +163,18 @@ TraceSink::emit(TraceEvent event)
 // ---------------------------------------------------------------------
 // MemoryTraceSink
 
-MemoryTraceSink::MemoryTraceSink(std::size_t capacity)
-    : cap(capacity)
-{
-    if (cap != 0)
-        ring.reserve(cap);
-}
-
 void
 MemoryTraceSink::record(const TraceEvent &event)
 {
-    if (cap == 0) {
-        ring.push_back(event);
-        return;
-    }
-    if (ring.size() < cap) {
-        ring.push_back(event);
-        head = ring.size() % cap;
-        return;
-    }
-    ring[head] = event;
-    head = (head + 1) % cap;
-    wrapped = true;
-    ++droppedCount;
-}
-
-std::vector<TraceEvent>
-MemoryTraceSink::events() const
-{
-    if (cap == 0 || !wrapped)
-        return ring;
-    std::vector<TraceEvent> ordered;
-    ordered.reserve(ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        ordered.push_back(ring[(head + i) % ring.size()]);
-    return ordered;
+    recorded.push_back(event);
 }
 
 std::vector<std::string>
 MemoryTraceSink::lines() const
 {
     std::vector<std::string> out;
-    const std::vector<TraceEvent> ordered = events();
-    out.reserve(ordered.size());
-    for (const TraceEvent &event : ordered)
+    out.reserve(recorded.size());
+    for (const TraceEvent &event : recorded)
         out.push_back(traceEventJson(event));
     return out;
 }

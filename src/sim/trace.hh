@@ -22,8 +22,8 @@
  * byte-identical serialized trace, which is what the replay and
  * golden-trace regression tests assert.
  *
- * Two sinks are provided: MemoryTraceSink (unbounded or ring-buffered,
- * for tests) and JsonlTraceSink (streaming `oscar.trace.v1` JSONL
+ * Two sinks are provided: MemoryTraceSink (keeps every event, for
+ * tests) and JsonlTraceSink (streaming `oscar.trace.v1` JSONL
  * writer, for bench artifacts). The serialized schema is documented in
  * DESIGN.md §trace.
  */
@@ -176,7 +176,7 @@ class TraceSink
     /** Stamp subsequent events with this queue's now(); may be null. */
     void setClock(const EventQueue *queue) { clock = queue; }
 
-    /** Events emitted into this sink (including any later dropped). */
+    /** Events emitted into this sink. */
     std::uint64_t emitted() const { return emittedCount; }
 
   protected:
@@ -189,36 +189,22 @@ class TraceSink
 };
 
 /**
- * In-memory sink for tests and replay verification.
- *
- * With capacity 0 every event is kept; otherwise the sink is a ring
- * buffer holding the most recent `capacity` events (dropped() counts
- * the evicted ones) — the low-overhead flight-recorder mode.
+ * In-memory sink for tests and replay verification; keeps every event.
  */
 class MemoryTraceSink : public TraceSink
 {
   public:
-    /** @param capacity Ring size; 0 keeps everything. */
-    explicit MemoryTraceSink(std::size_t capacity = 0);
-
     /** Recorded events, oldest first. */
-    std::vector<TraceEvent> events() const;
+    const std::vector<TraceEvent> &events() const { return recorded; }
 
-    /** Events evicted by the ring (0 in unbounded mode). */
-    std::uint64_t dropped() const { return droppedCount; }
-
-    /** Serialize the retained events, one JSON line each. */
+    /** Serialize the recorded events, one JSON line each. */
     std::vector<std::string> lines() const;
 
   protected:
     void record(const TraceEvent &event) override;
 
   private:
-    std::size_t cap;
-    std::vector<TraceEvent> ring;
-    std::size_t head = 0; ///< next write position in ring mode
-    bool wrapped = false;
-    std::uint64_t droppedCount = 0;
+    std::vector<TraceEvent> recorded;
 };
 
 /**

@@ -1095,17 +1095,11 @@ applySweepSpanPaths(std::vector<SweepPoint> &points,
 // ---------------------------------------------------------------------
 // BenchOptions
 
-namespace
-{
-
-/**
- * A flag's decimal value in [0, max]; fatal otherwise. strtoull alone
- * would negate a leading '-' into a huge value and saturate on
- * overflow, so both are rejected explicitly.
- */
 std::uint64_t
 parseCount(const char *flag, const char *text, std::uint64_t max)
 {
+    // strtoull alone would negate a leading '-' into a huge value and
+    // saturate on overflow, so both are rejected explicitly.
     errno = 0;
     char *end = nullptr;
     const unsigned long long value = std::strtoull(text, &end, 10);
@@ -1117,8 +1111,6 @@ parseCount(const char *flag, const char *text, std::uint64_t max)
     }
     return value;
 }
-
-} // namespace
 
 BenchOptions
 BenchOptions::parse(int argc, char **argv,

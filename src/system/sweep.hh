@@ -379,6 +379,16 @@ struct BenchOptions
 };
 
 /**
+ * A command-line flag's decimal value in [0, max]; fatal otherwise.
+ * Signs, empty or trailing text and out-of-range values are all
+ * rejected, so a typo never becomes 0 or a wrapped huge count.
+ *
+ * @param flag Flag name, for the error message.
+ */
+std::uint64_t parseCount(const char *flag, const char *text,
+                         std::uint64_t max);
+
+/**
  * Per-point trace file name derived from a base path: the point index
  * is spliced in before a trailing ".jsonl" ("fig4.jsonl" -> point 2 ->
  * "fig4.2.jsonl"), or appended as ".<index>.jsonl" otherwise.

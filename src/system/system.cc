@@ -379,8 +379,6 @@ System::setMetricRegistry(MetricRegistry *registry)
                         [this] { return events.scheduledCount(); });
     registry->counterFn("events.fired",
                         [this] { return events.firedCount(); });
-    registry->counterFn("events.cancelled",
-                        [this] { return events.cancelledCount(); });
     registry->gauge("events.pending", [this] {
         return static_cast<double>(events.pendingCount());
     });

@@ -448,11 +448,10 @@ class System
     };
 
     /**
-     * Discriminators of the payload events System schedules. Using
-     * plain-data payload events instead of capturing lambdas keeps the
-     * EventQueue snapshot-copyable (see EventQueue's copy ctor); the
-     * trampoline below decodes {kind, a, b} back into the same method
-     * calls the old captures made.
+     * Discriminators of the payload events System schedules. Events
+     * are plain data, so the EventQueue copies with the rest of a
+     * snapshot (see EventQueue's copy ctor); the trampoline below
+     * decodes {kind, a, b} into the method call each event stands for.
      */
     enum class EventKind : std::uint32_t
     {

@@ -15,7 +15,10 @@ SystemConfig::validate() const
 {
     if (userCores == 0)
         oscar_fatal("at least one user core is required");
-    if (totalCores() > 64)
+    // Bound each count before summing: totalCores() adds in unsigned
+    // and wraps for counts near 2^32.
+    const unsigned os_cores = offloadEnabled ? topology.osCores : 0u;
+    if (userCores > 64 || os_cores > 64 || totalCores() > 64)
         oscar_fatal("at most 64 cores are supported");
     if (offloadEnabled)
         topology.validate(userCores);

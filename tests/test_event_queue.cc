@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,250 +17,311 @@ namespace oscar
 namespace
 {
 
+/** Payload kind whose handler schedules a follow-up event. */
+constexpr std::uint32_t kFollowUp = 1;
+
+/**
+ * Payload handler context that records every fired event as (firing
+ * cycle, payload.b). A kFollowUp event schedules {0, 0, b + 1} on the
+ * same queue payload.a cycles later.
+ */
+struct Recorder
+{
+    EventQueue *queue = nullptr;
+    std::vector<std::pair<Cycle, std::uint64_t>> fired;
+
+    static void
+    handle(void *ctx, const EventPayload &payload, Cycle now)
+    {
+        auto *self = static_cast<Recorder *>(ctx);
+        self->fired.emplace_back(now, payload.b);
+        if (payload.kind == kFollowUp)
+            self->queue->schedulePayload(now + payload.a,
+                                         EventPayload{0, 0, payload.b + 1});
+    }
+
+    void
+    attach(EventQueue &q)
+    {
+        queue = &q;
+        q.setPayloadHandler(&Recorder::handle, this);
+    }
+
+    std::vector<std::uint64_t>
+    tags() const
+    {
+        std::vector<std::uint64_t> out;
+        for (const auto &[when, tag] : fired)
+            out.push_back(tag);
+        return out;
+    }
+};
+
+EventPayload
+tag(std::uint64_t b)
+{
+    return EventPayload{0, 0, b};
+}
+
 TEST(EventQueue, StartsEmptyAtCycleZero)
 {
     EventQueue q;
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.now(), 0u);
     EXPECT_EQ(q.nextEventCycle(), kNoCycle);
+    EXPECT_EQ(q.scheduledCount(), 0u);
+    EXPECT_EQ(q.slotCount(), 0u);
 }
 
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](Cycle) { order.push_back(3); });
-    q.schedule(10, [&](Cycle) { order.push_back(1); });
-    q.schedule(20, [&](Cycle) { order.push_back(2); });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(30, tag(3));
+    q.schedulePayload(10, tag(1));
+    q.schedulePayload(20, tag(2));
     while (!q.empty())
         q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(rec.tags(), (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(q.now(), 30u);
 }
 
 TEST(EventQueue, TiesFireInInsertionOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(5, [&](Cycle) { order.push_back(1); });
-    q.schedule(5, [&](Cycle) { order.push_back(2); });
-    q.schedule(5, [&](Cycle) { order.push_back(3); });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(5, tag(1));
+    q.schedulePayload(5, tag(2));
+    q.schedulePayload(5, tag(3));
     while (!q.empty())
         q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(rec.tags(), (std::vector<std::uint64_t>{1, 2, 3}));
 }
+
+struct Seen
+{
+    EventPayload payload;
+    Cycle now = 0;
+};
 
 TEST(EventQueue, CallbackReceivesFiringCycle)
 {
+    // The handler gets the firing cycle, its context and the payload
+    // exactly as scheduled.
     EventQueue q;
-    Cycle seen = 0;
-    q.schedule(17, [&](Cycle when) { seen = when; });
+    Seen seen;
+    q.setPayloadHandler(
+        [](void *ctx, const EventPayload &payload, Cycle now) {
+            static_cast<Seen *>(ctx)->payload = payload;
+            static_cast<Seen *>(ctx)->now = now;
+        },
+        &seen);
+    q.schedulePayload(17, EventPayload{3, 0xABCD, 0x1234'5678'9ABC'DEF0});
     q.runOne();
-    EXPECT_EQ(seen, 17u);
+    EXPECT_EQ(seen.now, 17u);
+    EXPECT_EQ(seen.payload.kind, 3u);
+    EXPECT_EQ(seen.payload.a, 0xABCDu);
+    EXPECT_EQ(seen.payload.b, 0x1234'5678'9ABC'DEF0u);
 }
 
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&](Cycle when) {
-        ++fired;
-        q.schedule(when + 1, [&](Cycle) { ++fired; });
-    });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(1, EventPayload{kFollowUp, 1, 0});
     q.runUntil(100);
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(rec.fired.size(), 2u);
+    EXPECT_EQ(rec.tags(), (std::vector<std::uint64_t>{0, 1}));
     EXPECT_EQ(q.now(), 2u);
 }
 
 TEST(EventQueue, RunUntilStopsAtLimit)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(10, [&](Cycle) { ++fired; });
-    q.schedule(20, [&](Cycle) { ++fired; });
-    q.schedule(30, [&](Cycle) { ++fired; });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(10, tag(1));
+    q.schedulePayload(20, tag(2));
+    q.schedulePayload(30, tag(3));
     q.runUntil(20);
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(rec.fired.size(), 2u);
     EXPECT_FALSE(q.empty());
     EXPECT_EQ(q.nextEventCycle(), 30u);
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue q;
-    int fired = 0;
-    const auto id = q.schedule(10, [&](Cycle) { ++fired; });
-    q.schedule(20, [&](Cycle) { ++fired; });
-    EXPECT_TRUE(q.cancel(id));
-    q.runUntil(100);
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdFails)
-{
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(12345));
-}
-
-TEST(EventQueue, CancelTwiceFails)
-{
-    EventQueue q;
-    const auto id = q.schedule(10, [](Cycle) {});
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, PendingCountTracksLiveEvents)
 {
     EventQueue q;
-    const auto a = q.schedule(10, [](Cycle) {});
-    q.schedule(20, [](Cycle) {});
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(10, tag(1));
+    q.schedulePayload(20, tag(2));
     EXPECT_EQ(q.pendingCount(), 2u);
-    q.cancel(a);
+    q.runOne();
     EXPECT_EQ(q.pendingCount(), 1u);
     q.runOne();
     EXPECT_EQ(q.pendingCount(), 0u);
-}
-
-TEST(EventQueue, NextEventCycleSkipsCancelled)
-{
-    EventQueue q;
-    const auto a = q.schedule(10, [](Cycle) {});
-    q.schedule(20, [](Cycle) {});
-    q.cancel(a);
-    EXPECT_EQ(q.nextEventCycle(), 20u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, SchedulingAtCurrentCycleIsAllowed)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&](Cycle when) {
-        q.schedule(when, [&](Cycle) { ++fired; });
-    });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(5, EventPayload{kFollowUp, 0, 0});
     q.runUntil(5);
-    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(rec.fired.size(), 2u);
+    EXPECT_EQ(q.now(), 5u);
 }
 
 TEST(EventQueue, FiredCountAccumulates)
 {
     EventQueue q;
+    Recorder rec;
+    rec.attach(q);
     for (int i = 0; i < 7; ++i)
-        q.schedule(i + 1, [](Cycle) {});
+        q.schedulePayload(i + 1, tag(i));
     q.runUntil(100);
     EXPECT_EQ(q.firedCount(), 7u);
+    EXPECT_EQ(q.scheduledCount(), 7u);
 }
 
 TEST(EventQueue, FiredEntriesAreReclaimed)
 {
-    // Regression: fired entries used to stay in the entry pool until
-    // destruction, so memory grew linearly with the event count of a
-    // run. With the free list, slot storage is bounded by the peak
-    // number of simultaneously pending events.
+    // Storage is bounded by the peak number of simultaneously pending
+    // events, not by the event count of a run.
     EventQueue q;
+    Recorder rec;
+    rec.attach(q);
     for (int batch = 0; batch < 1000; ++batch) {
-        q.schedule(q.now() + 1, [](Cycle) {});
-        q.schedule(q.now() + 2, [](Cycle) {});
+        q.schedulePayload(q.now() + 1, tag(0));
+        q.schedulePayload(q.now() + 2, tag(1));
         q.runOne();
         q.runOne();
     }
     EXPECT_EQ(q.firedCount(), 2000u);
     EXPECT_EQ(q.pendingCount(), 0u);
-    EXPECT_LE(q.slotCount(), 4u); // peak pending was 2
-    EXPECT_EQ(q.freeSlotCount(), q.slotCount());
-}
-
-TEST(EventQueue, CancelledEntriesAreReclaimedImmediately)
-{
-    EventQueue q;
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 100; ++i)
-        ids.push_back(q.schedule(1000 + i, [](Cycle) {}));
-    for (std::uint64_t id : ids)
-        EXPECT_TRUE(q.cancel(id));
-    EXPECT_EQ(q.pendingCount(), 0u);
-    EXPECT_TRUE(q.empty());
-    // All 100 slots are back on the free list and get reused.
-    EXPECT_EQ(q.freeSlotCount(), q.slotCount());
-    for (int i = 0; i < 100; ++i)
-        q.schedule(2000 + i, [](Cycle) {});
-    EXPECT_EQ(q.slotCount(), 100u);
-    EXPECT_EQ(q.pendingCount(), 100u);
+    EXPECT_EQ(q.slotCount(), 2u); // peak pending
 }
 
 TEST(EventQueue, SlotReuseKeepsOrderingAndPendingCountConsistent)
 {
+    // Interleave schedule and fire, then check that ordering, the
+    // pending count and the peak stay consistent.
     EventQueue q;
-    std::vector<int> order;
-    // Interleave schedule/cancel/fire so slots recycle aggressively,
-    // then check ordering and pendingCount stay consistent.
-    const auto a = q.schedule(10, [&](Cycle) { order.push_back(1); });
-    q.schedule(20, [&](Cycle) { order.push_back(2); });
-    q.cancel(a);
-    // Reuses the slot of `a` with a later deadline but newer id.
-    q.schedule(15, [&](Cycle) { order.push_back(3); });
-    q.schedule(12, [&](Cycle) { order.push_back(4); });
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(10, tag(1));
+    q.schedulePayload(20, tag(2));
+    q.runOne();
+    // Earlier deadlines than the pending event, later sequence numbers.
+    q.schedulePayload(15, tag(3));
+    q.schedulePayload(12, tag(4));
     EXPECT_EQ(q.pendingCount(), 3u);
+    EXPECT_EQ(q.slotCount(), 3u);
     while (!q.empty())
         q.runOne();
-    EXPECT_EQ(order, (std::vector<int>{4, 3, 2}));
+    EXPECT_EQ(rec.tags(), (std::vector<std::uint64_t>{1, 4, 3, 2}));
     EXPECT_EQ(q.pendingCount(), 0u);
+    EXPECT_EQ(q.slotCount(), 3u);
 }
 
-TEST(EventQueue, CallbackStateIsReleasedOnFire)
+TEST(EventQueue, SnapshotCopyFiresSameSequence)
 {
-    // The callback (and anything it captured) must be destroyed when
-    // the entry is reclaimed, not at queue destruction.
-    auto token = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = token;
+    // A copy carries the pending events, clock and counters but not
+    // the handler; once given one, it fires exactly what the original
+    // would have, and draining it leaves the original untouched.
+    EventQueue original;
+    Recorder first;
+    first.attach(original);
+    for (std::uint64_t i = 0; i < 40; ++i)
+        original.schedulePayload(1 + (i * 37) % 25, tag(i));
+    // Pending at the snapshot; fires in each queue on its own handler.
+    original.schedulePayload(8, EventPayload{kFollowUp, 4, 100});
+    original.runUntil(5);
+
+    EventQueue copy(original);
+    EXPECT_EQ(copy.now(), original.now());
+    EXPECT_EQ(copy.pendingCount(), original.pendingCount());
+    EXPECT_EQ(copy.firedCount(), original.firedCount());
+    EXPECT_EQ(copy.scheduledCount(), original.scheduledCount());
+    EXPECT_EQ(copy.slotCount(), original.slotCount());
+
+    Recorder second;
+    second.attach(copy);
+    while (!copy.empty())
+        copy.runOne();
+    // The original still holds its pending events and its handler.
+    EXPECT_EQ(original.pendingCount(), 41u - first.fired.size());
+    EXPECT_EQ(original.now(), 5u);
+    const std::size_t already = first.fired.size();
+    while (!original.empty())
+        original.runOne();
+    const std::vector<std::pair<Cycle, std::uint64_t>> rest(
+        first.fired.begin() + static_cast<std::ptrdiff_t>(already),
+        first.fired.end());
+    EXPECT_EQ(second.fired, rest);
+    EXPECT_EQ(copy.firedCount(), original.firedCount());
+}
+
+TEST(EventQueue, ManyEventsStressOrdering)
+{
     EventQueue q;
-    q.schedule(5, [token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired()); // held by the pending event
+    Recorder rec;
+    rec.attach(q);
+    for (int i = 0; i < 1000; ++i) {
+        const Cycle when = static_cast<Cycle>((i * 7919) % 5000) + 1;
+        q.schedulePayload(when, tag(when));
+    }
+    while (!q.empty())
+        q.runOne();
+    ASSERT_EQ(rec.fired.size(), 1000u);
+    for (std::size_t i = 0; i < rec.fired.size(); ++i) {
+        EXPECT_EQ(rec.fired[i].first, rec.fired[i].second);
+        if (i > 0) {
+            EXPECT_LE(rec.fired[i - 1].first, rec.fired[i].first);
+        }
+    }
+}
+
+TEST(EventQueueDeath, ScheduleInThePastAborts)
+{
+    EventQueue q;
+    Recorder rec;
+    rec.attach(q);
+    q.schedulePayload(10, tag(0));
     q.runOne();
-    EXPECT_TRUE(watch.expired()); // released at reclaim
+    EXPECT_DEATH(q.schedulePayload(9, tag(1)), "");
 }
 
-TEST(EventQueue, CallbackStateIsReleasedOnCancel)
+TEST(EventQueueDeath, FiringWithoutHandlerAborts)
 {
-    auto token = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = token;
     EventQueue q;
-    const auto id = q.schedule(5, [token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired());
-    q.cancel(id);
-    EXPECT_TRUE(watch.expired());
+    q.schedulePayload(10, tag(0));
+    EXPECT_DEATH(q.runOne(), "");
 }
 
 /**
  * Naive reference model of the event queue: a flat list of
- * (when, id) pairs, fired in (when, id) order by linear scan. Slot
- * reuse, the lazy-cancellation heap and the free list in the real
- * implementation must be observationally identical to this.
+ * (when, seq) pairs, fired in (when, seq) order by linear scan. The
+ * heap in the real implementation must be observationally identical
+ * to this.
  */
 class ReferenceQueue
 {
   public:
     void
-    schedule(Cycle when, std::uint64_t id)
+    schedule(Cycle when, std::uint64_t seq)
     {
-        pending.push_back({when, id});
+        pending.push_back({when, seq});
+        peak = std::max(peak, pending.size());
     }
 
-    bool
-    cancel(std::uint64_t id)
-    {
-        for (auto it = pending.begin(); it != pending.end(); ++it) {
-            if (it->second == id) {
-                pending.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /** Fire the (when, id)-minimal entry; the queue must be nonempty. */
+    /** Fire the (when, seq)-minimal entry; the queue must be nonempty. */
     std::pair<Cycle, std::uint64_t>
     fireNext()
     {
@@ -282,191 +342,69 @@ class ReferenceQueue
         return pending.size();
     }
 
+    std::size_t
+    peakSize() const
+    {
+        return peak;
+    }
+
     Cycle
     nextCycle() const
     {
         Cycle next = kNoCycle;
-        for (const auto &[when, id] : pending)
+        for (const auto &[when, seq] : pending)
             next = std::min(next, when);
         return next;
     }
 
   private:
     std::vector<std::pair<Cycle, std::uint64_t>> pending;
+    std::size_t peak = 0;
 };
 
 TEST(EventQueueDifferential, RandomOpsMatchReferenceModel)
 {
     EventQueue q;
+    Recorder rec;
+    rec.attach(q);
     ReferenceQueue model;
     Rng rng(0x5EED);
 
-    // Each scheduled callback records (id, firing cycle); the id cell
-    // is filled in after schedule() returns it.
-    std::vector<std::pair<std::uint64_t, Cycle>> fired;
-    std::vector<std::uint64_t> ids; // every id ever issued
+    // Each event's payload carries its schedule sequence number, so
+    // the recorder's (cycle, tag) pairs compare against the model.
+    std::uint64_t seq = 0;
+    auto fire_and_compare = [&] {
+        const std::size_t before = rec.fired.size();
+        q.runOne();
+        const auto expected = model.fireNext();
+        ASSERT_EQ(rec.fired.size(), before + 1);
+        EXPECT_EQ(rec.fired.back().second, expected.second);
+        EXPECT_EQ(rec.fired.back().first, expected.first);
+        EXPECT_EQ(q.now(), expected.first);
+    };
 
     for (int step = 0; step < 20'000; ++step) {
-        const double roll = rng.nextDouble();
-        if (roll < 0.45) {
+        if (rng.nextDouble() < 0.5 || q.empty()) {
             // Schedule at now + [0, 50).
             const Cycle when = q.now() + rng.nextBounded(50);
-            auto cell = std::make_shared<std::uint64_t>(0);
-            const std::uint64_t id =
-                q.schedule(when, [cell, &fired](Cycle at) {
-                    fired.emplace_back(*cell, at);
-                });
-            *cell = id;
-            model.schedule(when, id);
-            ids.push_back(id);
-        } else if (roll < 0.65 && !ids.empty()) {
-            // Cancel a random id: may be live, fired, or already
-            // cancelled — outcomes must agree in every case.
-            const std::uint64_t id =
-                ids[rng.nextBounded(ids.size())];
-            EXPECT_EQ(q.cancel(id), model.cancel(id));
-        } else if (!q.empty()) {
-            const std::size_t before = fired.size();
-            q.runOne();
-            const auto expected = model.fireNext();
-            ASSERT_EQ(fired.size(), before + 1);
-            EXPECT_EQ(fired.back().first, expected.second);
-            EXPECT_EQ(fired.back().second, expected.first);
-            EXPECT_EQ(q.now(), expected.first);
+            q.schedulePayload(when, tag(seq));
+            model.schedule(when, seq);
+            ++seq;
+        } else {
+            fire_and_compare();
         }
         ASSERT_EQ(q.pendingCount(), model.size());
         ASSERT_EQ(q.empty(), model.size() == 0);
         ASSERT_EQ(q.nextEventCycle(), model.nextCycle());
+        ASSERT_EQ(q.slotCount(), model.peakSize());
     }
 
     // Drain what is left; order must match to the end.
-    while (!q.empty()) {
-        const std::size_t before = fired.size();
-        q.runOne();
-        const auto expected = model.fireNext();
-        ASSERT_EQ(fired.size(), before + 1);
-        EXPECT_EQ(fired.back().first, expected.second);
-        EXPECT_EQ(fired.back().second, expected.first);
-    }
-    EXPECT_EQ(model.size(), 0u);
-    EXPECT_EQ(q.firedCount(), fired.size());
-}
-
-// ---------------------------------------------------------------------
-// InlineFunction callback storage
-
-// The no-allocation guarantee is structural: every capture System
-// schedules must fit the inline buffer, checked at compile time. These
-// mirror the static_asserts at the call sites in system.cc.
-struct LargestSystemCapture
-{
-    void *self;
-    std::uint32_t tid;
-    std::uint64_t length;
-};
-static_assert(sizeof(LargestSystemCapture) <= kEventCallbackBytes,
-              "the [this, tid, length] completion capture must fit the "
-              "event callback buffer");
-static_assert(EventQueue::Callback::kCapacity == kEventCallbackBytes);
-
-TEST(InlineCallback, InvokesWithArgument)
-{
-    Cycle seen = 0;
-    EventQueue::Callback cb([&seen](Cycle c) { seen = c; });
-    ASSERT_TRUE(static_cast<bool>(cb));
-    cb(17);
-    EXPECT_EQ(seen, 17u);
-}
-
-TEST(InlineCallback, DefaultConstructedIsEmpty)
-{
-    EventQueue::Callback cb;
-    EXPECT_FALSE(static_cast<bool>(cb));
-    EventQueue::Callback null_cb(nullptr);
-    EXPECT_FALSE(static_cast<bool>(null_cb));
-}
-
-TEST(InlineCallback, MoveTransfersStateAndEmptiesSource)
-{
-    int hits = 0;
-    EventQueue::Callback a([&hits](Cycle) { ++hits; });
-    EventQueue::Callback b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    ASSERT_TRUE(static_cast<bool>(b));
-    b(0);
-    EXPECT_EQ(hits, 1);
-
-    EventQueue::Callback c;
-    c = std::move(b);
-    EXPECT_FALSE(static_cast<bool>(b));
-    ASSERT_TRUE(static_cast<bool>(c));
-    c(0);
-    EXPECT_EQ(hits, 2);
-}
-
-TEST(InlineCallback, ResetDestroysCapturedState)
-{
-    auto token = std::make_shared<int>(1);
-    std::weak_ptr<int> watch = token;
-    EventQueue::Callback cb([token](Cycle) {});
-    token.reset();
-    EXPECT_FALSE(watch.expired());
-    cb = nullptr;
-    EXPECT_TRUE(watch.expired());
-    EXPECT_FALSE(static_cast<bool>(cb));
-}
-
-TEST(InlineCallback, MoveRelocatesNonTrivialCapture)
-{
-    // A shared_ptr capture exercises the relocate (move-construct +
-    // destroy-source) path rather than a memcpy.
-    auto token = std::make_shared<int>(5);
-    std::weak_ptr<int> watch = token;
-    EventQueue::Callback a([token](Cycle) {});
-    token.reset();
-    EventQueue::Callback b(std::move(a));
-    EXPECT_FALSE(watch.expired()); // alive inside b
-    b = nullptr;
-    EXPECT_TRUE(watch.expired());
-}
-
-TEST(InlineCallback, FullCapacityCaptureWorks)
-{
-    // A capture of exactly kEventCallbackBytes must be storable and
-    // invocable: the budget is inclusive.
-    struct Full
-    {
-        unsigned char bytes[kEventCallbackBytes - sizeof(void *)];
-        unsigned char *sink;
-    };
-    static_assert(sizeof(Full) == kEventCallbackBytes);
-    unsigned char seen = 0;
-    Full payload{};
-    payload.bytes[0] = 42;
-    payload.sink = &seen;
-    EventQueue::Callback cb(
-        [payload](Cycle) { *payload.sink = payload.bytes[0]; });
-    static_assert(sizeof(Full) <= EventQueue::Callback::kCapacity);
-    cb(0);
-    EXPECT_EQ(seen, 42);
-}
-
-TEST(EventQueue, ManyEventsStressOrdering)
-{
-    EventQueue q;
-    Cycle last = 0;
-    bool monotone = true;
-    for (int i = 0; i < 1000; ++i) {
-        const Cycle when = static_cast<Cycle>((i * 7919) % 5000) + 1;
-        q.schedule(when, [&, when](Cycle) {
-            if (when < last)
-                monotone = false;
-            last = when;
-        });
-    }
     while (!q.empty())
-        q.runOne();
-    EXPECT_TRUE(monotone);
+        fire_and_compare();
+    EXPECT_EQ(model.size(), 0u);
+    EXPECT_EQ(q.firedCount(), rec.fired.size());
+    EXPECT_EQ(q.scheduledCount(), seq);
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "sim/logging.hh"
 #include "system/experiment.hh"
 
 namespace oscar
@@ -56,6 +59,33 @@ TEST(ExperimentConfigs, SiConfigCarriesProfile)
     EXPECT_EQ(config.policy, PolicyKind::StaticInstrumentation);
     EXPECT_EQ(config.siProfile.get(), profile.get());
     config.validate();
+}
+
+TEST(ExperimentConfigs, CoreCountsThatWrapTheSumAreRejected)
+{
+    // userCores + osCores wraps in unsigned arithmetic; each count is
+    // bounded before the sum, so neither order slips past the 64-core
+    // limit. Only validate() runs: no System or Topology is built.
+    ScopedFatalThrows fatal_throws;
+    SystemConfig many_users = ExperimentRunner::hardwareConfig(
+        WorkloadKind::Apache, 500, 1000);
+    many_users.userCores = UINT32_MAX;
+    many_users.topology.osCores = 1;
+    ASSERT_EQ(many_users.totalCores(), 0u);
+    EXPECT_THROW(many_users.validate(), FatalError);
+
+    SystemConfig many_os = many_users;
+    many_os.userCores = 1;
+    many_os.topology.osCores = UINT32_MAX;
+    ASSERT_EQ(many_os.totalCores(), 0u);
+    EXPECT_THROW(many_os.validate(), FatalError);
+
+    SystemConfig sixty_five = many_os;
+    sixty_five.userCores = 64;
+    sixty_five.topology.osCores = 1;
+    EXPECT_THROW(sixty_five.validate(), FatalError);
+    sixty_five.userCores = 63;
+    EXPECT_NO_THROW(sixty_five.validate());
 }
 
 TEST(ExperimentRunner, ProfileServicesSeesTheMix)

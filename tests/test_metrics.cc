@@ -78,7 +78,8 @@ TEST(MetricRegistry, CounterPointersStayStableAcrossRegistrations)
     registry.counterFn("a", [&] { return first; });
     // Enough registrations to force internal growth.
     for (int i = 0; i < 100; ++i)
-        registry.counterFn("c" + std::to_string(i), [&] { return other; });
+        registry.counterFn(std::string("c").append(std::to_string(i)),
+                           [&] { return other; });
     ++first;
     EXPECT_EQ(registry.seriesValue("a"), 1.0);
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 #include <tuple>
 
 #include "core/run_length_predictor.hh"
@@ -119,8 +120,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Cycle(0), Cycle(100),
                                          Cycle(5000))),
     [](const auto &info) {
-        return "N" + std::to_string(std::get<0>(info.param)) + "_lat" +
-               std::to_string(std::get<1>(info.param));
+        return std::string("N")
+            .append(std::to_string(std::get<0>(info.param)))
+            .append("_lat")
+            .append(std::to_string(std::get<1>(info.param)));
     });
 
 // ---------------------------------------------------------------------

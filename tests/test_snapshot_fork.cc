@@ -204,7 +204,8 @@ TEST(SnapshotFork, ForkedSweepIsJobCountInvariant)
         for (WorkloadKind kind :
              {WorkloadKind::Apache, WorkloadKind::SpecJbb}) {
             SweepPoint point;
-            point.label = "p" + std::to_string(points.size());
+            point.label = std::string("p").append(
+                std::to_string(points.size()));
             point.config = withHorizons(
                 ExperimentRunner::hardwareConfig(kind, n, 500));
             points.push_back(std::move(point));

@@ -23,7 +23,6 @@ TEST(RunningStat, EmptyIsZero)
     RunningStat s;
     EXPECT_EQ(s.count(), 0u);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), 0.0);
     EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
@@ -34,19 +33,16 @@ TEST(RunningStat, SingleSample)
     s.add(42.0);
     EXPECT_EQ(s.count(), 1u);
     EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), 42.0);
     EXPECT_DOUBLE_EQ(s.max(), 42.0);
 }
 
-TEST(RunningStat, MeanAndVariance)
+TEST(RunningStat, MeanMinMaxSum)
 {
     RunningStat s;
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         s.add(x);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 9.0);
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
@@ -88,7 +84,6 @@ TEST(RunningStat, MergeMatchesCombined)
     a.merge(b);
     EXPECT_EQ(a.count(), combined.count());
     EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-9);
     EXPECT_DOUBLE_EQ(a.min(), combined.min());
     EXPECT_DOUBLE_EQ(a.max(), combined.max());
 }
@@ -188,9 +183,9 @@ TEST(LatencyHistogram, EmptyIsAllZero)
 
 TEST(LatencyHistogram, SmallValuesAreExact)
 {
-    // Values below 2^sub_bucket_bits land in unit-width slots, so
+    // Values below 2^kSubBucketBits land in unit-width slots, so
     // quantiles of small distributions are exact.
-    LatencyHistogram h(5);
+    LatencyHistogram h;
     for (std::uint64_t v = 0; v <= 31; ++v)
         h.add(v);
     EXPECT_EQ(h.quantile(0.0), 0u);
@@ -211,14 +206,16 @@ TEST(LatencyHistogram, QuantileOneIsObservedMax)
 }
 
 // The headline guarantee: every quantile is within a relative
-// 2^-sub_bucket_bits of an exact reference computed from the sorted
+// 2^-kSubBucketBits of an exact reference computed from the sorted
 // sample vector.
 TEST(LatencyHistogram, QuantileRelativeErrorIsBounded)
 {
-    for (unsigned bits : {3u, 5u, 8u}) {
-        LatencyHistogram h(bits);
+    const double tolerance =
+        std::pow(2.0, -double(LatencyHistogram::kSubBucketBits));
+    for (std::uint64_t seed : {34u, 36u, 39u}) {
+        LatencyHistogram h;
         std::vector<std::uint64_t> values;
-        Rng rng(31 + bits);
+        Rng rng(seed);
         for (int i = 0; i < 5000; ++i) {
             // Latency-like spread: exponential bulk plus a heavy tail.
             const double x = rng.nextExponential(50'000.0) +
@@ -227,18 +224,17 @@ TEST(LatencyHistogram, QuantileRelativeErrorIsBounded)
             h.add(values.back());
         }
         std::sort(values.begin(), values.end());
-        const double tolerance = std::pow(2.0, -double(bits));
         for (double q : {0.5, 0.9, 0.95, 0.99, 0.999}) {
             const std::uint64_t exact = values[static_cast<size_t>(
                 q * static_cast<double>(values.size()))];
             const std::uint64_t approx = h.quantile(q);
             // The reported value is an upper bound of the exact
             // sample's sub-bucket: never below it, and at most one
-            // sub-bucket width (2^-bits relative) above.
-            EXPECT_GE(approx, exact) << "bits=" << bits << " q=" << q;
+            // sub-bucket width (2^-kSubBucketBits relative) above.
+            EXPECT_GE(approx, exact) << "seed=" << seed << " q=" << q;
             EXPECT_LE(static_cast<double>(approx - exact),
                       tolerance * static_cast<double>(exact) + 1.0)
-                << "bits=" << bits << " q=" << q;
+                << "seed=" << seed << " q=" << q;
         }
     }
 }
@@ -411,19 +407,6 @@ TEST(LatencyHistogram, PhaseSumsReconstructEndToEnd)
         reconstructed += phase[p].sum();
     }
     EXPECT_EQ(reconstructed, total.sum());
-}
-
-TEST(LatencyHistogram, MergeRejectsMismatchedGeometry)
-{
-    LatencyHistogram a(5);
-    LatencyHistogram b(6);
-    EXPECT_DEATH(a.merge(b), "");
-}
-
-TEST(LatencyHistogram, ConstructorRejectsInvalidGeometry)
-{
-    EXPECT_DEATH(LatencyHistogram h(0), "");
-    EXPECT_DEATH(LatencyHistogram h(17), "");
 }
 
 TEST(LatencyHistogram, ResetForgets)

@@ -47,7 +47,7 @@ sampleGrid()
         for (InstCount n : {InstCount(100), InstCount(1000)}) {
             for (Cycle latency : {Cycle(100), Cycle(5000)}) {
                 SweepPoint point;
-                point.label = "p" + std::to_string(i++);
+                point.label = std::string("p").append(std::to_string(i++));
                 point.config = quickConfig(kind, n, latency);
                 points.push_back(std::move(point));
             }

@@ -58,37 +58,10 @@ TEST(TraceSink, UnboundedMemorySinkKeepsEmissionOrder)
     for (Cycle c = 0; c < 10; ++c)
         sink.emit(eventWithCycle(c));
     EXPECT_EQ(sink.emitted(), 10u);
-    EXPECT_EQ(sink.dropped(), 0u);
     const auto events = sink.events();
     ASSERT_EQ(events.size(), 10u);
     for (Cycle c = 0; c < 10; ++c)
         EXPECT_EQ(events[c].cycle, c);
-}
-
-TEST(TraceSink, RingModeKeepsMostRecentAndCountsDropped)
-{
-    MemoryTraceSink sink(4);
-    for (Cycle c = 0; c < 10; ++c)
-        sink.emit(eventWithCycle(c));
-    EXPECT_EQ(sink.emitted(), 10u);
-    EXPECT_EQ(sink.dropped(), 6u);
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 4u);
-    // Oldest-first: cycles 6, 7, 8, 9.
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(events[i].cycle, 6u + i);
-}
-
-TEST(TraceSink, RingModeBelowCapacityBehavesLikeUnbounded)
-{
-    MemoryTraceSink sink(8);
-    for (Cycle c = 0; c < 3; ++c)
-        sink.emit(eventWithCycle(c));
-    EXPECT_EQ(sink.dropped(), 0u);
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].cycle, 0u);
-    EXPECT_EQ(events[2].cycle, 2u);
 }
 
 TEST(TraceSink, AttachedClockStampsEvents)
@@ -96,7 +69,12 @@ TEST(TraceSink, AttachedClockStampsEvents)
     EventQueue queue;
     MemoryTraceSink sink;
     sink.setClock(&queue);
-    queue.schedule(42, [&](Cycle) { sink.emit(TraceEvent{}); });
+    queue.setPayloadHandler(
+        [](void *ctx, const EventPayload &, Cycle) {
+            static_cast<MemoryTraceSink *>(ctx)->emit(TraceEvent{});
+        },
+        &sink);
+    queue.schedulePayload(42, EventPayload{});
     queue.runOne();
     const auto events = sink.events();
     ASSERT_EQ(events.size(), 1u);
