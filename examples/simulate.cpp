@@ -116,8 +116,11 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             config.seed = next_count(i);
         } else if (arg == "--coupling") {
-            config.osCouplingScale =
-                std::strtod(next_value(i).c_str(), nullptr);
+            const std::string value = next_value(i);
+            if (!parseNonNegative(value.c_str(), config.osCouplingScale)) {
+                oscar_fatal("--coupling expects a finite number >= 0, "
+                            "got '%s'", value.c_str());
+            }
         } else if (arg == "--baseline-compare") {
             baseline_compare = true;
         } else {

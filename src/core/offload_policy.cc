@@ -7,7 +7,6 @@
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/trace.hh"
 
 namespace oscar
 {
@@ -187,24 +186,12 @@ PredictivePolicy::decide(const OsInvocation &invocation)
     decision.predictedLength = decision.prediction.length;
     decision.predictorUsed = true;
     decision.cost = cost;
-    const InstCount n = thresh.threshold();
-    decision.offload = decision.predictedLength > n;
+    decision.threshold = thresh.threshold();
+    decision.offload = decision.predictedLength > decision.threshold;
     ++lookups;
     globalFallbacks += decision.prediction.fromGlobal ? 1 : 0;
     tableHits += decision.prediction.tableHit ? 1 : 0;
     lookupConfidence.add(decision.prediction.confidence);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::PredictorLookup;
-        event.thread = traceThread;
-        event.astate = invocation.astate();
-        event.predicted = decision.predictedLength;
-        event.confidence = decision.prediction.confidence;
-        event.fromGlobal = decision.prediction.fromGlobal;
-        event.tableHit = decision.prediction.tableHit;
-        event.threshold = n;
-        trace->emit(event);
-    }
     return decision;
 }
 

@@ -37,7 +37,6 @@ namespace oscar
 {
 
 class MetricRegistry;
-class TraceSink;
 
 /** What the policy decided for one invocation. */
 struct OffloadDecision
@@ -50,6 +49,8 @@ struct OffloadDecision
     InstCount predictedLength = 0;
     /** True when a predictor was consulted. */
     bool predictorUsed = false;
+    /** The N the prediction was compared against, when consulted. */
+    InstCount threshold = 0;
     /** The lookup result, for accuracy accounting. */
     RunLengthPrediction prediction;
 };
@@ -163,24 +164,6 @@ class OffloadPolicy
 
     /** Display name. */
     std::string name() const { return policyShortName(kind()); }
-
-    /**
-     * Attach a trace sink; predictive policies emit one lookup event
-     * per decision. Null detaches (the default: no tracing).
-     *
-     * @param sink Destination, or nullptr.
-     * @param thread Thread id stamped on emitted events.
-     */
-    void
-    setTraceSink(TraceSink *sink, std::uint32_t thread)
-    {
-        trace = sink;
-        traceThread = thread;
-    }
-
-  protected:
-    TraceSink *trace = nullptr;
-    std::uint32_t traceThread = 0;
 };
 
 /**

@@ -9,30 +9,9 @@
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/trace.hh"
 
 namespace oscar
 {
-
-namespace
-{
-
-/** Emit one N-change record (also used for the initial N). */
-void
-emitThresholdChange(TraceSink *trace, InstCount before, InstCount after,
-                    std::uint64_t round)
-{
-    if (trace == nullptr)
-        return;
-    TraceEvent event;
-    event.kind = TraceEventKind::ThresholdChange;
-    event.thresholdBefore = before;
-    event.threshold = after;
-    event.depth = round;
-    trace->emit(event);
-}
-
-} // namespace
 
 ThresholdController::ThresholdController(const ThresholdConfig &config)
     : cfg(config)
@@ -121,8 +100,6 @@ ThresholdController::begin(double priv_fraction)
     lowerExists = false;
     upperExists = false;
     setPhase(Phase::SampleCurrent);
-    emitThresholdChange(trace, cfg.ladder[currentIndex],
-                        cfg.ladder[currentIndex], roundCount);
 }
 
 InstCount
@@ -186,8 +163,6 @@ ThresholdController::concludeRound()
     }
 
     if (winner != currentIndex) {
-        emitThresholdChange(trace, cfg.ladder[currentIndex],
-                            cfg.ladder[winner], roundCount);
         currentIndex = winner;
         ++switchCount;
         runLength = scaledRunBase();

@@ -28,7 +28,6 @@ namespace oscar
 {
 
 class MetricRegistry;
-class TraceSink;
 
 /** Tuning knobs of the dynamic-N mechanism (paper defaults). */
 struct ThresholdConfig
@@ -104,6 +103,13 @@ class ThresholdController
     /** Current phase. */
     Phase phase() const { return currentPhase; }
 
+    /**
+     * The incumbent N: the ladder entry sampling rounds compare their
+     * neighbours against (currentThreshold() differs from it only
+     * while a neighbour is being sampled).
+     */
+    InstCount incumbent() const { return cfg.ladder[currentIndex]; }
+
     /** Number of times N changed after a sampling round. */
     std::uint64_t switches() const { return switchCount; }
 
@@ -120,12 +126,6 @@ class ThresholdController
     static std::string phaseName(Phase phase);
 
     /**
-     * Attach a trace sink; the controller emits a threshold-change
-     * event from begin() and whenever a sampling round moves N.
-     */
-    void setTraceSink(TraceSink *sink) { trace = sink; }
-
-    /**
      * Register controller metrics under `controller.`: the N in force
      * and the phase as gauges, plus epoch/round/switch/transition
      * counters. Call at most once; the registry must outlive this
@@ -134,9 +134,6 @@ class ThresholdController
     void registerMetrics(MetricRegistry &registry);
 
   private:
-    /** Index of the incumbent N in the ladder. */
-    std::size_t ladderIndex() const { return currentIndex; }
-
     /** Scaled epoch lengths. */
     InstCount scaledSample() const;
     InstCount scaledRunBase() const;
@@ -163,8 +160,6 @@ class ThresholdController
     std::uint64_t roundCount = 0;
     std::uint64_t epochCount = 0;
     std::uint64_t transitionCount = 0;
-
-    TraceSink *trace = nullptr;
 };
 
 } // namespace oscar

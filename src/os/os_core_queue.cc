@@ -7,7 +7,6 @@
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/trace.hh"
 
 namespace oscar
 {
@@ -20,13 +19,6 @@ OsCoreQueue::registerMetrics(MetricRegistry &registry,
     registry.histogramFn(prefix + "wait", waitHist);
     registry.gauge(prefix + "depth",
                    [this] { return static_cast<double>(depth()); });
-}
-
-void
-OsCoreQueue::setQueueId(std::uint32_t id, bool annotate_events)
-{
-    queueIndex = id;
-    annotate = annotate_events;
 }
 
 void
@@ -45,27 +37,9 @@ OsCoreQueue::offer(const OffloadRequest &req, Cycle now)
     if (!coreBusy) {
         coreBusy = true;
         recordWait(0);
-        if (trace != nullptr) {
-            TraceEvent event;
-            event.kind = TraceEventKind::QueueEnter;
-            event.thread = req.threadId;
-            event.depth = 0;
-            if (annotate)
-                event.queue = queueIndex;
-            trace->emit(event);
-        }
         return true;
     }
     waiting.push_back(req);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::QueueEnter;
-        event.thread = req.threadId;
-        event.depth = waiting.size();
-        if (annotate)
-            event.queue = queueIndex;
-        trace->emit(event);
-    }
     return false;
 }
 
@@ -81,15 +55,6 @@ OsCoreQueue::completeCurrent(Cycle now, OffloadRequest &next_out)
     waiting.pop_front();
     oscar_assert(now >= next_out.arrival);
     recordWait(now - next_out.arrival);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::QueueExit;
-        event.thread = next_out.threadId;
-        event.latency = now - next_out.arrival;
-        if (annotate)
-            event.queue = queueIndex;
-        trace->emit(event);
-    }
     return true;
 }
 

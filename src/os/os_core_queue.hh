@@ -32,7 +32,6 @@ namespace oscar
 {
 
 class MetricRegistry;
-class TraceSink;
 
 /** One off-loaded request waiting for the OS core. */
 struct OffloadRequest
@@ -144,24 +143,6 @@ class OsCoreQueue
     void resetStats();
 
     /**
-     * Attach a trace sink: every offer emits a queue-enter event
-     * (depth 0 when the OS core was idle and service starts at once)
-     * and every delayed admission a queue-exit event with the wait.
-     */
-    void setTraceSink(TraceSink *sink) { trace = sink; }
-
-    /**
-     * Identify this queue among K: its index and whether queue events
-     * should carry it. Single-queue systems leave annotation off so
-     * their traces stay byte-identical to the legacy single-OS-core
-     * format.
-     */
-    void setQueueId(std::uint32_t id, bool annotate_events);
-
-    /** Queue index among the K OS-core queues. */
-    std::uint32_t queueId() const { return queueIndex; }
-
-    /**
      * Register queue metrics under `<prefix>`: polls of the offers
      * counter and of waitHistogram() (`<prefix>wait.*`), and a depth
      * gauge. The registry must outlive the queue or be frozen first.
@@ -172,13 +153,6 @@ class OsCoreQueue
     void registerMetrics(MetricRegistry &registry,
                          const std::string &prefix = "os.queue.");
 
-    /**
-     * Detach the trace sink after a snapshot copy: the copied pointer
-     * aliases the original's sink. The queue itself (occupancy,
-     * stats) is left untouched.
-     */
-    void dropInstrumentation() { trace = nullptr; }
-
   private:
     /** Record one admission wait in every delay statistic. */
     void recordWait(Cycle waited);
@@ -188,9 +162,6 @@ class OsCoreQueue
     RunningStat delayStat;
     LatencyHistogram waitHist;
     OsQueueCounters counts;
-    std::uint32_t queueIndex = 0;
-    bool annotate = false;
-    TraceSink *trace = nullptr;
 };
 
 } // namespace oscar

@@ -18,9 +18,6 @@ OsQueueSet::build(const Topology &topology)
     oscar_assert(queues.empty());
     topo = &topology;
     queues.resize(topology.osCoreCount());
-    const bool annotate = topology.osCoreCount() > 1;
-    for (unsigned k = 0; k < size(); ++k)
-        queues[k].setQueueId(k, annotate);
 }
 
 void
@@ -30,8 +27,6 @@ OsQueueSet::cloneFrom(const OsQueueSet &other, const Topology &topology)
     oscar_assert(topology.osCoreCount() == other.size());
     topo = &topology;
     queues = other.queues;
-    for (OsCoreQueue &q : queues)
-        q.dropInstrumentation();
 }
 
 unsigned
@@ -151,13 +146,6 @@ OsQueueSet::resetStats()
 {
     for (OsCoreQueue &q : queues)
         q.resetStats();
-}
-
-void
-OsQueueSet::setTraceSink(TraceSink *sink)
-{
-    for (OsCoreQueue &q : queues)
-        q.setTraceSink(sink);
 }
 
 void

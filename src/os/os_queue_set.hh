@@ -23,7 +23,6 @@ namespace oscar
 {
 
 class MetricRegistry;
-class TraceSink;
 
 /** Sentinel: no peer queue qualifies for a spill or steal. */
 inline constexpr unsigned kNoQueue = ~0u;
@@ -40,8 +39,8 @@ class OsQueueSet
     /**
      * Populate this set as a snapshot of `other`, bound to the clone's
      * own topology object (which must equal the original's). Queue
-     * occupancy and statistics are copied; trace/registry hooks are
-     * dropped — the clone starts uninstrumented.
+     * occupancy and statistics are copied; registry hooks are not —
+     * the clone starts uninstrumented.
      */
     void cloneFrom(const OsQueueSet &other, const Topology &topology);
 
@@ -97,9 +96,6 @@ class OsQueueSet
 
     /** Clear every queue's delay distributions (see OsCoreQueue). */
     void resetStats();
-
-    /** Attach a trace sink to every queue. */
-    void setTraceSink(TraceSink *sink);
 
     /**
      * Register every queue's metrics: the legacy unprefixed names

@@ -5,7 +5,6 @@
 
 #include "sim/trace.hh"
 
-#include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
@@ -146,18 +145,6 @@ traceEventJson(const TraceEvent &event)
     w.endObject();
     oscar_assert(w.complete());
     return w.str();
-}
-
-// ---------------------------------------------------------------------
-// TraceSink
-
-void
-TraceSink::emit(TraceEvent event)
-{
-    if (clock != nullptr)
-        event.cycle = clock->now();
-    ++emittedCount;
-    record(event);
 }
 
 // ---------------------------------------------------------------------

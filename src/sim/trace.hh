@@ -5,17 +5,13 @@
  * The off-loading mechanism lives or dies on per-invocation details —
  * the AState hash, the predicted vs. actual run length, the decision
  * at threshold N, the migration and queueing costs — yet aggregate
- * results only show their sum. TraceSink gives every decision point a
- * structured event stream:
+ * results only show their sum. System is the only emitter: it builds
+ * every event from state it already holds (the OffloadDecision for a
+ * predictor lookup, the return values of the OS-core queue for queue
+ * enter/exit, the controller's incumbent N and switch count around an
+ * epoch boundary) and stamps it with the current simulated cycle.
  *
- *  - System emits invocation begin/end, decisions, migrations, epoch
- *    boundaries and the measurement-start marker;
- *  - PredictivePolicy emits one predictor-lookup event per decision
- *    (AState, prediction, confidence, threshold in force);
- *  - OsCoreQueue emits queue enter/exit events;
- *  - ThresholdController emits threshold-change events.
- *
- * Emission sites guard with a null check, so a trace-disabled run
+ * Each emission site guards with a null check, so a trace-disabled run
  * costs one predicted-not-taken branch per site. Since simulation is
  * single-threaded per System, events arrive in a deterministic total
  * order: the same configuration and seed always produce a
@@ -40,8 +36,6 @@
 
 namespace oscar
 {
-
-class EventQueue;
 
 /** Schema identifier emitted in every trace header. */
 inline constexpr const char *kTraceSchema = "oscar.trace.v1";
@@ -98,7 +92,7 @@ const char *traceEventKindName(TraceEventKind kind);
 struct TraceEvent
 {
     TraceEventKind kind = TraceEventKind::InvocationBegin;
-    /** Emission cycle (stamped by the sink when a clock is attached). */
+    /** Emission cycle, stamped by the emitter. */
     Cycle cycle = 0;
     /** Emitting thread, or kNoTraceThread. */
     std::uint32_t thread = kNoTraceThread;
@@ -156,35 +150,31 @@ std::string traceEventJson(const TraceEvent &event);
 /**
  * Destination of trace events.
  *
- * Emitters hold a `TraceSink *` that is null when tracing is off and
- * construct events only inside the null check, so disabled tracing is
- * a single branch per site.
+ * The emitter holds a `TraceSink *` that is null when tracing is off
+ * and constructs events only inside the null check, so disabled
+ * tracing is a single branch per site.
  */
 class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
 
-    /**
-     * Record one event. When a clock is attached the event's cycle is
-     * stamped with the current simulated cycle first, so emitters
-     * without cycle knowledge (predictors, the controller) still
-     * produce correctly timed records.
-     */
-    void emit(TraceEvent event);
-
-    /** Stamp subsequent events with this queue's now(); may be null. */
-    void setClock(const EventQueue *queue) { clock = queue; }
+    /** Record one event, cycle as stamped by the emitter. */
+    void
+    emit(const TraceEvent &event)
+    {
+        ++emittedCount;
+        record(event);
+    }
 
     /** Events emitted into this sink. */
     std::uint64_t emitted() const { return emittedCount; }
 
   protected:
-    /** Store or stream one (already stamped) event. */
+    /** Store or stream one event. */
     virtual void record(const TraceEvent &event) = 0;
 
   private:
-    const EventQueue *clock = nullptr;
     std::uint64_t emittedCount = 0;
 };
 

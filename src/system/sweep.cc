@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <future>
@@ -1110,6 +1113,15 @@ parseCount(const char *flag, const char *text, std::uint64_t max)
                     flag, static_cast<unsigned long long>(max), text);
     }
     return value;
+}
+
+bool
+parseNonNegative(const char *text, double &out)
+{
+    const char *end = text + std::strlen(text);
+    const auto res = std::from_chars(text, end, out);
+    return res.ec == std::errc() && res.ptr == end && std::isfinite(out) &&
+           out >= 0.0;
 }
 
 BenchOptions

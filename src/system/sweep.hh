@@ -389,6 +389,13 @@ std::uint64_t parseCount(const char *flag, const char *text,
                          std::uint64_t max);
 
 /**
+ * Strict non-negative real: true when the whole of `text` is a finite
+ * number >= 0, stored in `out`. strtod would read "abc" as 0 and
+ * accept "nan", against which every comparison is false.
+ */
+bool parseNonNegative(const char *text, double &out);
+
+/**
  * Per-point trace file name derived from a base path: the point index
  * is spliced in before a trailing ".jsonl" ("fig4.jsonl" -> point 2 ->
  * "fig4.2.jsonl"), or appended as ".<index>.jsonl" otherwise.

@@ -95,8 +95,6 @@ System::System(const System &other)
 {
     // The copied EventQueue carries no handler; install ours.
     events.setPayloadHandler(&System::eventTrampoline, this);
-    // The copied controller may carry the original's trace sink.
-    controller.setTraceSink(nullptr);
     queues.cloneFrom(other.queues, topo);
 
     // Rebind every region pointer into our deep-copied address space.
@@ -291,12 +289,30 @@ void
 System::setTraceSink(TraceSink *sink)
 {
     trace = sink;
-    if (trace != nullptr)
-        trace->setClock(&events);
-    queues.setTraceSink(sink);
-    controller.setTraceSink(sink);
-    for (Thread &thread : threads)
-        thread.policy->setTraceSink(sink, thread.id);
+}
+
+void
+System::emitTrace(TraceEvent &event)
+{
+    event.cycle = events.now();
+    trace->emit(event);
+}
+
+std::uint32_t
+System::traceQueue(unsigned k) const
+{
+    return queues.size() > 1 ? k : kNoTraceQueue;
+}
+
+void
+System::traceThresholdChange(InstCount before)
+{
+    TraceEvent event;
+    event.kind = TraceEventKind::ThresholdChange;
+    event.thresholdBefore = before;
+    event.threshold = controller.incumbent();
+    event.depth = controller.rounds();
+    emitTrace(event);
 }
 
 void
@@ -594,14 +610,18 @@ System::retire(Thread &thread, InstCount count, bool privileged)
 
         if (cfg.dynamicThreshold && measured >= nextEpochBoundary) {
             const double feedback = epochFeedback();
+            const InstCount incumbent = controller.incumbent();
+            const std::uint64_t switches = controller.switches();
             controller.onEpochEnd(feedback);
             if (trace != nullptr) {
+                if (controller.switches() != switches)
+                    traceThresholdChange(incumbent);
                 TraceEvent event;
                 event.kind = TraceEventKind::EpochEnd;
                 event.instruction = measured;
                 event.threshold = controller.currentThreshold();
                 event.feedback = feedback;
-                trace->emit(event);
+                emitTrace(event);
             }
             thresholdTrajectory.push_back(
                 {measured, controller.currentThreshold()});
@@ -653,7 +673,7 @@ System::enterMeasurement()
         event.kind = TraceEventKind::MeasurementStart;
         event.instruction = warmup_retired;
         event.feedback = warmupPrivFraction;
-        trace->emit(event);
+        emitTrace(event);
     }
 
     resetMeasuredRegion();
@@ -697,6 +717,8 @@ System::resetMeasuredRegion()
 
     if (cfg.dynamicThreshold) {
         controller.begin(warmupPrivFraction);
+        if (trace != nullptr)
+            traceThresholdChange(controller.incumbent());
         thresholdTrajectory.push_back({0, controller.currentThreshold()});
         nextEpochBoundary = controller.epochLength();
         windowStartInstr = 0;
@@ -774,10 +796,22 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.service = static_cast<std::uint16_t>(inv.service->id);
         event.astate = inv.astate();
         event.actual = inv.trueLength;
-        trace->emit(event);
+        emitTrace(event);
     }
 
     const OffloadDecision decision = thread.policy->decide(inv);
+    if (trace != nullptr && decision.predictorUsed) {
+        TraceEvent event;
+        event.kind = TraceEventKind::PredictorLookup;
+        event.thread = tid;
+        event.astate = inv.astate();
+        event.predicted = decision.predictedLength;
+        event.confidence = decision.prediction.confidence;
+        event.fromGlobal = decision.prediction.fromGlobal;
+        event.tableHit = decision.prediction.tableHit;
+        event.threshold = decision.threshold;
+        emitTrace(event);
+    }
     cores[thread.core].cycles().decision += decision.cost;
     if (spans != nullptr) {
         spans->segment(tid, SpanPhase::Decision, now, decision.cost,
@@ -792,7 +826,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.latency = decision.cost;
         event.predicted = decision.predictedLength;
         event.predictorUsed = decision.predictorUsed;
-        trace->emit(event);
+        emitTrace(event);
     }
     ++counts.invocations;
     ++counts.invocationsByService[static_cast<std::size_t>(
@@ -816,7 +850,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
             event.service = static_cast<std::uint16_t>(inv.service->id);
             event.actual = length;
             event.offload = false;
-            trace->emit(event);
+            emitTrace(event);
         }
         retire(thread, length, true);
         if (spans != nullptr) {
@@ -847,9 +881,8 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.thread = tid;
         event.toOs = true;
         event.latency = one_way;
-        if (queues.size() > 1)
-            event.queue = target;
-        trace->emit(event);
+        event.queue = traceQueue(target);
+        emitTrace(event);
     }
     if (spans != nullptr) {
         spans->segment(tid, SpanPhase::MigrationOut,
@@ -899,7 +932,7 @@ System::osCoreArrival(std::uint32_t tid)
                 event.depth = static_cast<std::uint32_t>(
                     queues.queue(home).depth());
                 event.latency = transfer;
-                trace->emit(event);
+                emitTrace(event);
             }
             if (spans != nullptr) {
                 spans->segment(tid, SpanPhase::Spill, now, transfer,
@@ -919,7 +952,17 @@ System::osCoreArrival(std::uint32_t tid)
     }
 
     const OffloadRequest request{tid, now};
-    if (queues.queue(home).offer(request, now)) {
+    const bool admitted = queues.queue(home).offer(request, now);
+    if (trace != nullptr) {
+        // Depth after the offer: 0 when service starts at once.
+        TraceEvent event;
+        event.kind = TraceEventKind::QueueEnter;
+        event.thread = tid;
+        event.depth = queues.queue(home).depth();
+        event.queue = traceQueue(home);
+        emitTrace(event);
+    }
+    if (admitted) {
         startOsExecution(tid, now, home);
     } else {
         // The request queued behind a busy core; a completely idle
@@ -982,7 +1025,7 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
             thread.pendingInv.service->id);
         event.actual = executed_length;
         event.offload = true;
-        trace->emit(event);
+        emitTrace(event);
     }
     retire(thread, executed_length, true);
 
@@ -997,9 +1040,8 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
         event.thread = tid;
         event.toOs = false;
         event.latency = one_way;
-        if (queues.size() > 1)
-            event.queue = queue_idx;
-        trace->emit(event);
+        event.queue = traceQueue(queue_idx);
+        emitTrace(event);
     }
     if (spans != nullptr) {
         spans->segment(tid, SpanPhase::MigrationBack, now, one_way,
@@ -1016,10 +1058,19 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
     // Admit the next queued request; an empty work-stealing queue
     // raids the deepest peer instead of going idle.
     OffloadRequest next{};
-    if (queues.queue(queue_idx).completeCurrent(now, next))
-        startOsExecution(next.threadId, now, queue_idx);
-    else
+    if (!queues.queue(queue_idx).completeCurrent(now, next)) {
         maybeSteal(queue_idx, now);
+        return;
+    }
+    if (trace != nullptr) {
+        TraceEvent event;
+        event.kind = TraceEventKind::QueueExit;
+        event.thread = next.threadId;
+        event.latency = now - next.arrival;
+        event.queue = traceQueue(queue_idx);
+        emitTrace(event);
+    }
+    startOsExecution(next.threadId, now, queue_idx);
 }
 
 void
@@ -1042,7 +1093,7 @@ System::maybeSteal(unsigned thief, Cycle now)
         event.queueFrom = victim;
         event.queue = thief;
         event.latency = transfer;
-        trace->emit(event);
+        emitTrace(event);
     }
     if (spans != nullptr)
         spans->stealTransfer(req.threadId, now, transfer, thief);
@@ -1145,9 +1196,8 @@ System::beginRequest(std::uint32_t tid, Cycle now)
         // Carry the home dispatch queue when K>1, matching the
         // qenter/qexit convention, so spans reconstructed from traces
         // can bind a request to its queue.
-        if (queues.size() > 1)
-            event.queue = topo.homeQueue(thread.core);
-        trace->emit(event);
+        event.queue = traceQueue(topo.homeQueue(thread.core));
+        emitTrace(event);
     }
     if (spans != nullptr) {
         spans->begin(tid, thread.currentRequest.id,
@@ -1174,9 +1224,8 @@ System::completeRequest(std::uint32_t tid, Cycle now)
         event.requestId = thread.currentRequest.id;
         event.tenant = thread.currentRequest.tenant;
         event.latency = latency;
-        if (queues.size() > 1)
-            event.queue = topo.homeQueue(thread.core);
-        trace->emit(event);
+        event.queue = traceQueue(topo.homeQueue(thread.core));
+        emitTrace(event);
     }
     // Before the measuring block: the request that triggers
     // enterMeasurement below is warmup, exactly like requestLatency.

@@ -47,6 +47,7 @@ namespace oscar
 
 class MetricRegistry;
 class TraceSink;
+struct TraceEvent;
 
 /** One (instruction, N) point of the dynamic-N trajectory. */
 struct ThresholdSample
@@ -299,10 +300,10 @@ class System
     /**
      * Attach an invocation-level trace recorder (see sim/trace.hh).
      *
-     * Must be called before run(). The sink is wired through to the
-     * OS-core queue, the dynamic-N controller, and every thread's
-     * decision policy, and its clock is bound to this system's event
-     * queue. Null detaches everything (the default).
+     * Must be called before run(). The system is the trace's only
+     * emitter: it records every event, including predictor lookups,
+     * OS-core queue admissions and N switches, stamped with the
+     * current cycle. Null detaches (the default).
      */
     void setTraceSink(TraceSink *sink);
 
@@ -488,6 +489,21 @@ class System
 
     /** Count one migration between two cores (NUMA accounting). */
     void countMigration(CoreId from, CoreId to);
+
+    /** Stamp `event` with the current cycle and emit it (trace on). */
+    void emitTrace(TraceEvent &event);
+
+    /**
+     * Queue index as trace events carry it: kNoTraceQueue when there
+     * is a single queue, so such traces keep the single-OS-core format.
+     */
+    std::uint32_t traceQueue(unsigned k) const;
+
+    /**
+     * Emit an N-switch record: the controller's incumbent moved from
+     * `before` (or was initialized, when `before` equals it).
+     */
+    void traceThresholdChange(InstCount before);
 
     /** Queue `thief` went idle: steal from the deepest peer, if any. */
     void maybeSteal(unsigned thief, Cycle now);

@@ -5,6 +5,8 @@
 
 #include "system/system_config.hh"
 
+#include <cmath>
+
 #include "sim/logging.hh"
 
 namespace oscar
@@ -32,6 +34,10 @@ SystemConfig::validate() const
     }
     if (measureInstructions == 0)
         oscar_fatal("measureInstructions must be positive");
+    if (!std::isfinite(osCouplingScale) || osCouplingScale < 0.0) {
+        oscar_fatal("osCouplingScale must be a finite number >= 0, "
+                    "got %g", osCouplingScale);
+    }
     if (serving)
         serving->validate();
     if (geometry.l1i.lineBytes != geometry.l2.lineBytes ||

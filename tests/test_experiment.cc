@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "system/experiment.hh"
@@ -86,6 +88,26 @@ TEST(ExperimentConfigs, CoreCountsThatWrapTheSumAreRejected)
     EXPECT_THROW(sixty_five.validate(), FatalError);
     sixty_five.userCores = 63;
     EXPECT_NO_THROW(sixty_five.validate());
+}
+
+TEST(ExperimentConfigs, NonFiniteOrNegativeCouplingIsRejected)
+{
+    // Only validate() runs: no System is built.
+    ScopedFatalThrows fatal_throws;
+    SystemConfig config = ExperimentRunner::hardwareConfig(
+        WorkloadKind::Apache, 500, 1000);
+    for (const double bad :
+         {std::nan(""), std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(), -3.0, -0.5}) {
+        SCOPED_TRACE(bad);
+        config.osCouplingScale = bad;
+        EXPECT_THROW(config.validate(), FatalError);
+    }
+    for (const double good : {0.0, 1.0, 2.5}) {
+        SCOPED_TRACE(good);
+        config.osCouplingScale = good;
+        EXPECT_NO_THROW(config.validate());
+    }
 }
 
 TEST(ExperimentRunner, ProfileServicesSeesTheMix)

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/trace.hh"
 #include "sim/trace_diff.hh"
 #include "system/sweep.hh"
@@ -62,23 +61,6 @@ TEST(TraceSink, UnboundedMemorySinkKeepsEmissionOrder)
     ASSERT_EQ(events.size(), 10u);
     for (Cycle c = 0; c < 10; ++c)
         EXPECT_EQ(events[c].cycle, c);
-}
-
-TEST(TraceSink, AttachedClockStampsEvents)
-{
-    EventQueue queue;
-    MemoryTraceSink sink;
-    sink.setClock(&queue);
-    queue.setPayloadHandler(
-        [](void *ctx, const EventPayload &, Cycle) {
-            static_cast<MemoryTraceSink *>(ctx)->emit(TraceEvent{});
-        },
-        &sink);
-    queue.schedulePayload(42, EventPayload{});
-    queue.runOne();
-    const auto events = sink.events();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].cycle, 42u);
 }
 
 TEST(TraceSink, WithoutClockEmitterCycleIsKept)
@@ -467,21 +449,45 @@ TEST(TraceContent, OffloadedInvocationsEmitMigrationPairs)
 
 TEST(TraceContent, DynamicRunEmitsEpochAndThresholdEvents)
 {
+    // Derby with short epochs: the controller moves N during the
+    // measured region, so nswitch records with n0 != n must appear,
+    // one per switch the results count.
     SystemConfig config = ExperimentRunner::hardwareDynamicConfig(
-        WorkloadKind::Apache, 100);
+        WorkloadKind::Derby, 100);
     config.warmupInstructions = 10'000;
-    config.measureInstructions = 120'000;
+    config.measureInstructions = 200'000;
     config.thresholdConfig.epochScale = 0.0004;
     const TraceCapture capture = captureTrace(config);
-    std::size_t epochs = 0, switches = 0;
+
+    const auto field = [](const std::string &line, const char *key) {
+        const std::string tag = std::string("\"") + key + "\":";
+        const std::size_t at = line.find(tag);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "no " << key << " in " << line;
+            return 0ull;
+        }
+        return std::stoull(line.substr(at + tag.size()));
+    };
+    std::size_t epochs = 0, records = 0, switches = 0;
+    std::uint64_t last_round = 0;
     for (const std::string &line : capture.lines) {
-        if (line.find("\"k\":\"epoch\"") != std::string::npos)
+        if (line.find("\"k\":\"epoch\"") != std::string::npos) {
             ++epochs;
-        else if (line.find("\"k\":\"nswitch\"") != std::string::npos)
-            ++switches;
+            continue;
+        }
+        if (line.find("\"k\":\"nswitch\"") == std::string::npos)
+            continue;
+        const std::uint64_t round = field(line, "round");
+        if (records++ > 0) {
+            EXPECT_GT(round, last_round) << line;
+        }
+        last_round = round;
+        switches += field(line, "n0") != field(line, "n") ? 1 : 0;
     }
     EXPECT_GT(epochs, 0u);
-    EXPECT_GE(switches, 1u); // at least the initial N record
+    EXPECT_GE(switches, 1u);
+    EXPECT_EQ(switches, capture.results.thresholdSwitches);
+    EXPECT_EQ(records, switches + 1); // plus the initial N record
 }
 
 } // namespace

@@ -10,7 +10,7 @@
  * the diff and prints the first divergent record with context.
  *
  * To inspect or re-bless after an intended change:
- *   build/examples/example_trace_tools capture <name> \
+ *   build/examples/example_oscar_tools trace capture <name> \
  *       --out tests/golden/<name>.trace.jsonl
  * (see EXPERIMENTS.md).
  */
@@ -53,8 +53,8 @@ TEST_P(GoldenTraceTest, MatchesCheckedInTrace)
     const std::string path = goldenPath(golden->name);
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in) << "missing golden trace '" << path
-                    << "'; regenerate with example_trace_tools "
-                       "capture "
+                    << "'; regenerate with example_oscar_tools "
+                       "trace capture "
                     << golden->name;
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -67,7 +67,7 @@ TEST_P(GoldenTraceTest, MatchesCheckedInTrace)
         << "' diverged (left = checked-in, right = this build):\n"
         << report.format()
         << "If the behaviour change is intended, re-bless with:\n"
-           "  example_trace_tools capture "
+           "  example_oscar_tools trace capture "
         << golden->name << " --out " << path << "\n";
 }
 
