@@ -29,9 +29,7 @@ overheadFor(WorkloadKind kind, Cycle di_cost)
     config.diDecisionCost = di_cost;
     // A threshold no invocation reaches: decisions always say "stay".
     config.staticThreshold = 1ULL << 40;
-    const SimResults base = ExperimentRunner::baselineResults(
-        kind, config.seed, config.measureInstructions,
-        config.warmupInstructions);
+    const SimResults base = ExperimentRunner::baselineResults(config);
     const SimResults di = ExperimentRunner::run(config);
     return base.throughput / di.throughput;
 }

@@ -183,9 +183,7 @@ main(int argc, char **argv)
                         .c_str());
     }
     if (baseline_compare) {
-        const SimResults base = ExperimentRunner::baselineResults(
-            config.workload, config.seed, config.measureInstructions,
-            config.warmupInstructions);
+        const SimResults base = ExperimentRunner::baselineResults(config);
         std::printf("normalized          %.3f vs uni-processor "
                     "baseline\n",
                     r.throughput / base.throughput);

@@ -101,7 +101,10 @@ SpanRecorder::begin(std::uint32_t tid, std::uint64_t request_id,
     ActiveSpan &slot = threads[tid];
     slot.active = true;
     slot.pendingSteal = 0;
-    slot.span = RequestSpan{};
+    // Every field is set here, and the segment vector keeps its
+    // capacity from one request to the next.
+    slot.span.segs.clear();
+    slot.span.completed = 0;
     slot.span.requestId = request_id;
     slot.span.tenant = tenant;
     slot.span.thread = tid;
@@ -182,10 +185,12 @@ SpanRecorder::complete(std::uint32_t tid, Cycle now, bool measuring)
     span.completed = now;
     // Segments are recorded in event order; steal transfers land
     // before the queue wait they interrupt, so restore timeline order.
-    std::stable_sort(span.segs.begin(), span.segs.end(),
-                     [](const SpanSegment &a, const SpanSegment &b) {
-                         return a.start < b.start;
-                     });
+    // Few spans are out of order, and stable_sort allocates.
+    const auto earlier = [](const SpanSegment &a, const SpanSegment &b) {
+        return a.start < b.start;
+    };
+    if (!std::is_sorted(span.segs.begin(), span.segs.end(), earlier))
+        std::stable_sort(span.segs.begin(), span.segs.end(), earlier);
     aggregates.total.add(span.latency());
     std::array<Cycle, kNumSpanPhases> totals{};
     for (const SpanSegment &seg : span.segs)
@@ -211,7 +216,7 @@ SpanRecorder::reset()
     for (ActiveSpan &slot : threads) {
         slot.active = false;
         slot.pendingSteal = 0;
-        slot.span = RequestSpan{};
+        slot.span.segs.clear();
     }
     SpanResults fresh;
     fresh.exemplarCapacity = aggregates.exemplarCapacity;

@@ -289,23 +289,18 @@ ExperimentRunner::baselineResults(const SystemConfig &config)
     return future.get();
 }
 
-SimResults
-ExperimentRunner::baselineResults(WorkloadKind workload,
-                                  std::uint64_t seed,
-                                  InstCount measure_instructions,
-                                  InstCount warmup_instructions)
-{
-    SystemConfig config = baselineConfig(workload, seed);
-    config.measureInstructions = measure_instructions;
-    config.warmupInstructions = warmup_instructions;
-    return baselineResults(config);
-}
-
 void
 ExperimentRunner::clearBaselineCache()
 {
     std::lock_guard<std::mutex> lock(baselineMutex);
     baselineCache.clear();
+}
+
+std::size_t
+ExperimentRunner::cachedBaselines()
+{
+    std::lock_guard<std::mutex> lock(baselineMutex);
+    return baselineCache.size();
 }
 
 double

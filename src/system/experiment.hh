@@ -96,19 +96,11 @@ class ExperimentRunner
      */
     static SimResults baselineResults(const SystemConfig &config);
 
-    /**
-     * Convenience overload: baseline for the given workload/seed with
-     * every other environment knob at its default. Equivalent to
-     * baselineResults(baselineConfig(workload, seed)) with the given
-     * horizon lengths.
-     */
-    static SimResults baselineResults(WorkloadKind workload,
-                                      std::uint64_t seed,
-                                      InstCount measure_instructions,
-                                      InstCount warmup_instructions);
-
     /** Reset the baseline cache (tests). */
     static void clearBaselineCache();
+
+    /** Baselines currently cached (tests check what a sweep adds). */
+    static std::size_t cachedBaselines();
 };
 
 /**

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <future>
 #include <limits>
 #include <map>
@@ -320,6 +321,18 @@ forkEligible(const SweepPoint &point)
     if (point.config.serving != nullptr)
         return point.config.serving->warmupRequests > 0;
     return point.config.warmupInstructions > 0;
+}
+
+/**
+ * True when the points of a fork group share one measured-region
+ * stream: one user thread and no serving front-end (stream_tape.hh).
+ * Such a group tapes that stream and normalises against a Baseline
+ * replay of it.
+ */
+bool
+tapeable(const SystemConfig &config)
+{
+    return config.userCores == 1 && config.serving == nullptr;
 }
 
 } // namespace
@@ -710,11 +723,17 @@ namespace
 {
 
 /**
- * Claim order and stream-tape bookkeeping of one run() call.
+ * Claim order, stream-tape bookkeeping and group baselines of one
+ * run() call.
  *
  * Fork-eligible sub-jobs that share a warm-up key form a group. A
- * group of two or more single-thread, segment-mode sub-jobs is taped:
- * its sub-job with the longest horizon runs first and records the
+ * tapeable group gains one Baseline sub-job per distinct horizon among
+ * its normalising sub-jobs: the group's warm snapshot reconfigured to
+ * sweepWarmerConfig() at that horizon. Its OS cores stay idle, so its
+ * throughput equals the uni-core baseline's bit for bit, and
+ * normalize() divides by it once the pool has drained. A tapeable
+ * group of two or more sub-jobs, baselines included, is taped: its
+ * point with the longest horizon runs first and records the
  * measured-region stream, and the others replay it. Taped groups are
  * claimed as a block at the position of their first sub-job; every
  * other sub-job keeps its index position. A worker never waits for a
@@ -737,12 +756,14 @@ class SweepSchedule
         std::shared_ptr<StreamTape> tape;
     };
 
-    SweepSchedule(const std::vector<SweepPoint> &subs, bool fork)
-        : subs(subs), groupOf(subs.size(), kNone),
-          claimed(subs.size(), false)
+    /** Schedule `points`, which become sub-jobs 0 .. points.size()-1;
+     *  group baselines are appended after them. */
+    SweepSchedule(std::vector<SweepPoint> points, bool fork)
+        : subs(std::move(points)), pointJobs(subs.size()),
+          groupOf(subs.size(), kNone), baselineOf(subs.size(), kNone)
     {
         std::map<std::string, std::size_t> index;
-        for (std::size_t j = 0; j < subs.size(); ++j) {
+        for (std::size_t j = 0; j < pointJobs; ++j) {
             if (!fork || !forkEligible(subs[j]))
                 continue;
             const std::string key = sweepWarmupKey(subs[j].config);
@@ -755,25 +776,26 @@ class SweepSchedule
             groups[it->second].members.push_back(j);
         }
 
-        for (Group &group : groups) {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            Group &group = groups[g];
+            if (tapeable(subs[group.members.front()].config)) {
+                // The recorder covers every member's horizon.
+                const auto longest = std::max_element(
+                    group.members.begin(), group.members.end(),
+                    [&](std::size_t a, std::size_t b) {
+                        return subs[a].config.measureInstructions <
+                               subs[b].config.measureInstructions;
+                    });
+                std::rotate(group.members.begin(), longest, longest + 1);
+                addBaselines(g);
+                group.taped = group.members.size() > 1;
+            }
             group.unfinished = group.members.size();
-            const SystemConfig &first = subs[group.members.front()].config;
-            group.taped = group.members.size() > 1 &&
-                          first.userCores == 1 && first.serving == nullptr;
-            if (!group.taped)
-                continue;
-            // The recorder covers every member's horizon.
-            const auto longest = std::max_element(
-                group.members.begin(), group.members.end(),
-                [&](std::size_t a, std::size_t b) {
-                    return subs[a].config.measureInstructions <
-                           subs[b].config.measureInstructions;
-                });
-            std::rotate(group.members.begin(), longest, longest + 1);
         }
+        claimed.assign(subs.size(), false);
 
         std::vector<bool> placed(groups.size(), false);
-        for (std::size_t j = 0; j < subs.size(); ++j) {
+        for (std::size_t j = 0; j < pointJobs; ++j) {
             const std::size_t g = groupOf[j];
             if (g == kNone || !groups[g].taped) {
                 order.push_back(j);
@@ -784,6 +806,12 @@ class SweepSchedule
             }
         }
     }
+
+    /** Sub-jobs to run, group baselines included. */
+    std::size_t size() const { return subs.size(); }
+
+    /** The point sub-job `j` runs. */
+    const SweepPoint &job(std::size_t j) const { return subs[j]; }
 
     /** The next sub-job to run; job == kNone when none is left. */
     Claim
@@ -837,11 +865,53 @@ class SweepSchedule
             } else {
                 group.state = TapeState::Failed;
                 group.tape.reset();
+                // The group's points normalise without its baselines
+                // (see normalize()), so those that have not started
+                // never run.
+                for (const std::size_t j : group.members) {
+                    if (j >= pointJobs && !claimed[j]) {
+                        claimed[j] = true;
+                        --group.unfinished;
+                    }
+                }
             }
         }
         if (--group.unfinished == 0) {
             group.tape.reset();
             dropWarmSnapshot(group.key);
+        }
+    }
+
+    /**
+     * Once every sub-job has run, normalise each point sub-job that a
+     * group baseline serves. A group whose tape was never sealed, or a
+     * baseline that failed, falls back to
+     * ExperimentRunner::baselineResults, like a point outside any
+     * taped group.
+     */
+    void
+    normalize(std::vector<SweepPointResult> &outcomes) const
+    {
+        for (std::size_t j = 0; j < pointJobs; ++j) {
+            SweepPointResult &out = outcomes[j];
+            const std::size_t b = baselineOf[j];
+            if (b == kNone || !out.ok)
+                continue;
+            try {
+                ScopedFatalThrows fatal_throws;
+                const bool own = groups[groupOf[j]].state ==
+                                     TapeState::Ready &&
+                                 outcomes[b].ok;
+                const double base =
+                    own ? outcomes[b].results.throughput
+                        : ExperimentRunner::baselineResults(subs[j].config)
+                              .throughput;
+                oscar_assert(base > 0.0);
+                out.normalized = out.results.throughput / base;
+            } catch (const std::exception &e) {
+                out.ok = false;
+                out.error = e.what();
+            }
         }
     }
 
@@ -857,13 +927,43 @@ class SweepSchedule
     struct Group
     {
         std::string key;
-        /** Sub-jobs of the group; a taped group's recorder first. */
+        /** Sub-jobs of the group: a taped group's recorder first, its
+         *  baselines last. */
         std::vector<std::size_t> members;
         std::size_t unfinished = 0;
         bool taped = false;
         TapeState state = TapeState::Unrecorded;
         std::shared_ptr<StreamTape> tape;
     };
+
+    /**
+     * Append one Baseline sub-job per distinct horizon among group
+     * `g`'s normalising points, and leave their normalisation to it.
+     */
+    void
+    addBaselines(std::size_t g)
+    {
+        std::map<InstCount, std::size_t> by_horizon;
+        const std::size_t points = groups[g].members.size();
+        for (std::size_t m = 0; m < points; ++m) {
+            const std::size_t j = groups[g].members[m];
+            if (!subs[j].normalize)
+                continue;
+            subs[j].normalize = false;
+            const auto [it, fresh] = by_horizon.emplace(
+                subs[j].config.measureInstructions, subs.size());
+            baselineOf[j] = it->second;
+            if (!fresh)
+                continue;
+            SweepPoint baseline;
+            baseline.normalize = false;
+            baseline.config = sweepWarmerConfig(subs[j].config);
+            subs.push_back(std::move(baseline));
+            groupOf.push_back(g);
+            baselineOf.push_back(kNone);
+            groups[g].members.push_back(it->second);
+        }
+    }
 
     Claim
     take(std::size_t job, TapeUse use, std::shared_ptr<StreamTape> tape)
@@ -872,11 +972,16 @@ class SweepSchedule
         return Claim{job, use, std::move(tape)};
     }
 
-    const std::vector<SweepPoint> &subs;
+    /** Point sub-jobs, then group baselines. */
+    std::vector<SweepPoint> subs;
+    /** Sub-jobs below this index are points; the rest are baselines. */
+    std::size_t pointJobs;
     std::mutex mutex;
     std::vector<Group> groups;
     /** Group of each sub-job; kNone when it does not fork. */
     std::vector<std::size_t> groupOf;
+    /** Baseline sub-job normalising each point sub-job, or kNone. */
+    std::vector<std::size_t> baselineOf;
     /** Claim order over sub-jobs. */
     std::vector<std::size_t> order;
     std::vector<bool> claimed;
@@ -887,62 +992,38 @@ class SweepSchedule
 std::vector<SweepPointResult>
 ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
 {
-    std::vector<SweepPointResult> results(points.size());
     if (points.empty())
-        return results;
+        return {};
 
     // Expand sharded points into per-replica sub-jobs. Replicas join
     // the same claim pool as whole points, so a single many-replica
     // point saturates the pool instead of running its replicas
     // serially on one worker.
-    struct SubJob
-    {
-        std::size_t point;
-        std::size_t replica; // kWholePoint for an unsharded point
-    };
-    static constexpr std::size_t kWholePoint =
-        ~static_cast<std::size_t>(0);
-    std::vector<SubJob> sub_jobs;
     std::vector<SweepPoint> subs;
-    std::vector<std::vector<SweepPointResult>> replica_results(
-        points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         const std::vector<std::uint64_t> &seeds =
             points[i].replicaSeeds;
-        if (seeds.empty()) {
-            sub_jobs.push_back({i, kWholePoint});
+        if (seeds.empty())
             subs.push_back(points[i]);
-            continue;
-        }
-        replica_results[i].resize(seeds.size());
-        for (std::size_t r = 0; r < seeds.size(); ++r) {
-            sub_jobs.push_back({i, r});
+        for (std::size_t r = 0; r < seeds.size(); ++r)
             subs.push_back(replicaSubPoint(points[i], r));
-        }
     }
 
-    // Sub-results land at (point, replica) regardless of which worker
-    // ran them, and the merge below folds replicas in listed order —
-    // the output is independent of the job count and claim order.
-    SweepSchedule schedule(subs, opts.fork);
+    SweepSchedule schedule(std::move(subs), opts.fork);
+    std::vector<SweepPointResult> outcomes(schedule.size());
     auto worker = [&]() {
         for (;;) {
             const SweepSchedule::Claim claim = schedule.claim();
             if (claim.job == SweepSchedule::kNone)
                 return;
-            const SubJob &job = sub_jobs[claim.job];
-            SweepPointResult result =
-                executePoint(subs[claim.job], job.point, opts.fork,
-                             claim.use, claim.tape);
-            if (job.replica == kWholePoint)
-                results[job.point] = std::move(result);
-            else
-                replica_results[job.point][job.replica] = std::move(result);
+            outcomes[claim.job] =
+                executePoint(schedule.job(claim.job), claim.job,
+                             opts.fork, claim.use, claim.tape);
             schedule.complete(claim);
         }
     };
 
-    const unsigned jobs = effectiveJobs(sub_jobs.size());
+    const unsigned jobs = effectiveJobs(schedule.size());
     if (jobs <= 1) {
         worker();
     } else {
@@ -953,12 +1034,26 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
         for (std::thread &thread : threads)
             thread.join();
     }
+    schedule.normalize(outcomes);
 
+    // Sub-results land by sub-job index regardless of which worker ran
+    // them, and a point's replicas are consecutive sub-jobs, folded in
+    // listed order: the output is independent of the job count and
+    // claim order. Results are moved, not default-constructed: each
+    // SimResults owns a 15 KB latency histogram.
+    std::vector<SweepPointResult> results;
+    results.reserve(points.size());
+    auto sub = std::make_move_iterator(outcomes.begin());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!points[i].replicaSeeds.empty()) {
-            results[i] = mergeReplicaPoint(points[i], i,
-                                           std::move(replica_results[i]));
+        const std::size_t replicas = points[i].replicaSeeds.size();
+        if (replicas == 0) {
+            results.push_back(*sub++);
+            results.back().index = i;
+            continue;
         }
+        results.push_back(mergeReplicaPoint(
+            points[i], i, std::vector<SweepPointResult>(sub, sub + replicas)));
+        sub += replicas;
     }
     return results;
 }

@@ -41,8 +41,11 @@ struct SweepPoint
     /** Full system configuration to simulate. */
     SystemConfig config;
     /**
-     * True to also obtain the uni-processor baseline (cached across
-     * points) and report variant/baseline normalized throughput.
+     * True to also obtain the uni-processor baseline and report
+     * variant/baseline normalized throughput. A point of a taped fork
+     * group normalises against its group's Baseline replay (see
+     * ParallelSweepRunner::run); any other point uses
+     * ExperimentRunner::baselineResults. Both give the same value.
      */
     bool normalize = true;
     /**
@@ -210,10 +213,13 @@ class ParallelSweepRunner
      * Workers claim points dynamically, in index order except that
      * the single-thread points of one fork group are claimed as a
      * block: the group's longest-horizon point records a stream tape
-     * that the others replay (see system/stream_tape.hh). The output
-     * vector is indexed by point, and a replay is byte-identical to a
-     * live run, so the results are independent of the job count and
-     * of worker timing.
+     * that the others replay (see system/stream_tape.hh). Such a
+     * group also replays the tape once per normalising horizon under
+     * the Baseline policy, and its points normalise against that run:
+     * with its OS cores idle, it equals the uni-core baseline bit for
+     * bit. The output vector is indexed by point, and a replay is
+     * byte-identical to a live run, so the results are independent of
+     * the job count and of worker timing.
      */
     std::vector<SweepPointResult>
     run(const std::vector<SweepPoint> &points) const;

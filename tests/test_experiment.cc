@@ -125,10 +125,12 @@ TEST(ExperimentRunner, ProfileServicesSeesTheMix)
 TEST(ExperimentRunner, BaselineCacheReturnsSameResults)
 {
     ExperimentRunner::clearBaselineCache();
-    const SimResults a = ExperimentRunner::baselineResults(
-        WorkloadKind::Derby, 3, 200'000, 100'000);
-    const SimResults b = ExperimentRunner::baselineResults(
-        WorkloadKind::Derby, 3, 200'000, 100'000);
+    SystemConfig config =
+        ExperimentRunner::baselineConfig(WorkloadKind::Derby, 3);
+    config.measureInstructions = 200'000;
+    config.warmupInstructions = 100'000;
+    const SimResults a = ExperimentRunner::baselineResults(config);
+    const SimResults b = ExperimentRunner::baselineResults(config);
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.retired, b.retired);
 }

@@ -176,12 +176,16 @@ TEST(BaselineCache, ConcurrentRequestsComputeOnce)
     ExperimentRunner::clearBaselineCache();
     // All threads request the same baseline; the compute-once future
     // must hand every one of them an identical result.
+    SystemConfig config =
+        ExperimentRunner::baselineConfig(WorkloadKind::Apache, 42);
+    config.measureInstructions = 150'000;
+    config.warmupInstructions = 60'000;
     std::vector<std::thread> threads;
     std::vector<double> throughputs(6, 0.0);
     for (std::size_t t = 0; t < throughputs.size(); ++t) {
-        threads.emplace_back([t, &throughputs]() {
-            const SimResults base = ExperimentRunner::baselineResults(
-                WorkloadKind::Apache, 42, 150'000, 60'000);
+        threads.emplace_back([t, &config, &throughputs]() {
+            const SimResults base =
+                ExperimentRunner::baselineResults(config);
             throughputs[t] = base.throughput;
         });
     }
@@ -563,7 +567,8 @@ TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
             expected.emplace_back();
             continue;
         }
-        // Alone in its sweep, a point forks without a tape.
+        // Alone in its sweep, a single-thread point forks and records
+        // the tape that only its group baseline replays.
         SweepPointResult solo =
             ParallelSweepRunner({1}).run({points[i]}).front();
         ASSERT_TRUE(solo.ok) << solo.error;
