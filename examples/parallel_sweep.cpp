@@ -7,8 +7,9 @@
  *
  * Demonstrates the three pieces the bench binaries compose:
  * ParallelSweepRunner (thread-pool execution with failure isolation),
- * the normalized-throughput baseline cache (shared across concurrent
- * points), and SweepReport (the oscar.sweep.v1 JSON artifact).
+ * normalized throughput (each baseline run once per sweep and shared
+ * by every point that needs it), and SweepReport (the oscar.sweep.v1
+ * JSON artifact).
  */
 
 #include <cstdio>

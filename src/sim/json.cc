@@ -61,6 +61,24 @@ jsonNumber(double value)
     return std::string(buf, res.ptr);
 }
 
+bool
+writeArtifactFile(const std::string &path, const std::string &doc,
+                  const char *what)
+{
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    if (file == nullptr) {
+        oscar_warn("cannot open %s file '%s'", what, path.c_str());
+        return false;
+    }
+    const std::size_t written =
+        std::fwrite(doc.data(), 1, doc.size(), file);
+    if (std::fclose(file) != 0 || written != doc.size()) {
+        oscar_warn("short write to %s file '%s'", what, path.c_str());
+        return false;
+    }
+    return true;
+}
+
 void
 JsonWriter::beforeValue()
 {

@@ -27,6 +27,14 @@ std::string jsonEscape(const std::string &text);
 std::string jsonNumber(double value);
 
 /**
+ * Write an artifact document to `path`, replacing the file. Warns and
+ * returns false when the file cannot be opened or is written short;
+ * `what` names the artifact in the warning, e.g. "metrics".
+ */
+bool writeArtifactFile(const std::string &path, const std::string &doc,
+                       const char *what);
+
+/**
  * Incremental JSON document builder.
  *
  * Usage:

@@ -105,15 +105,6 @@ constexpr unsigned kBits = LatencyHistogram::kSubBucketBits;
 
 } // namespace
 
-LatencyHistogram::LatencyHistogram()
-{
-    // One linear region of 2^kBits unit slots for values below 2^kBits,
-    // then 2^kBits sub-buckets per power-of-two range [2^t, 2^(t+1))
-    // for t = kBits..63 — every uint64 value has a slot.
-    const std::size_t m = std::size_t{1} << kBits;
-    slots.assign(m * (64 - kBits + 1), 0);
-}
-
 std::size_t
 LatencyHistogram::slotFor(std::uint64_t value) const
 {
@@ -147,6 +138,8 @@ LatencyHistogram::slotUpperBound(std::size_t slot) const
 void
 LatencyHistogram::add(std::uint64_t value)
 {
+    if (slots.empty()) [[unlikely]]
+        allocate();
     ++slots[slotFor(value)];
     if (samples == 0) {
         lo = value;
@@ -198,6 +191,8 @@ LatencyHistogram::merge(const LatencyHistogram &other)
 {
     if (other.samples == 0)
         return;
+    if (slots.empty())
+        allocate();
     for (std::size_t s = 0; s < slots.size(); ++s)
         slots[s] += other.slots[s];
     lo = samples == 0 ? other.lo : std::min(lo, other.lo);
@@ -207,6 +202,16 @@ LatencyHistogram::merge(const LatencyHistogram &other)
     valueSum += other.valueSum;
     if (valueSum < other.valueSum)
         ++sumWraps;
+}
+
+void
+LatencyHistogram::allocate()
+{
+    // One linear region of 2^kBits unit slots for values below 2^kBits,
+    // then 2^kBits sub-buckets per power-of-two range [2^t, 2^(t+1))
+    // for t = kBits..63 — every uint64 value has a slot.
+    const std::size_t m = std::size_t{1} << kBits;
+    slots.assign(m * (64 - kBits + 1), 0);
 }
 
 void

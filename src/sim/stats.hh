@@ -121,8 +121,6 @@ class LatencyHistogram
     /** log2 of linear sub-buckets per power-of-two range. */
     static constexpr unsigned kSubBucketBits = 5;
 
-    LatencyHistogram();
-
     /** Record one value. */
     void add(std::uint64_t value);
 
@@ -168,12 +166,18 @@ class LatencyHistogram
     std::string toString() const;
 
   private:
+    /** Give every slot a zero count (done on the first add or merge);
+     *  kept out of line, off add()'s hot path. */
+    [[gnu::cold, gnu::noinline]] void allocate();
+
     /** Slot holding a value. */
     std::size_t slotFor(std::uint64_t value) const;
 
     /** Largest value a slot can hold. */
     std::uint64_t slotUpperBound(std::size_t slot) const;
 
+    /** Empty until the first sample arrives, so that the many
+     *  histograms that never record one cost no slot memory. */
     std::vector<std::uint64_t> slots;
     std::uint64_t samples = 0;
     std::uint64_t lo = 0;

@@ -6,11 +6,9 @@
 #include "system/experiment.hh"
 
 #include <cstdio>
-#include <future>
-#include <map>
-#include <mutex>
 #include <string>
 
+#include "sim/compute_once.hh"
 #include "sim/logging.hh"
 
 namespace oscar
@@ -105,18 +103,6 @@ ExperimentRunner::run(const SystemConfig &config, TraceSink *trace,
     return system.run();
 }
 
-namespace
-{
-
-/**
- * The uni-processor baseline derived from a full variant config: a
- * default-constructed SystemConfig is already the Baseline uni-core
- * machine, so only the environment knobs carry over. Everything
- * off-loading-specific (policy, predictor, thresholds, decision
- * costs, SI profile, topology, migration latency) stays at its
- * default — none of it is consulted when off-loading is disabled,
- * and canonicalizing it keeps the cache key from fragmenting.
- */
 SystemConfig
 baselineVariant(const SystemConfig &config)
 {
@@ -132,6 +118,9 @@ baselineVariant(const SystemConfig &config)
     base.measureInstructions = config.measureInstructions;
     return base;
 }
+
+namespace
+{
 
 void
 appendKey(std::string &key, const char *name, double value)
@@ -229,28 +218,22 @@ sweepWarmupKey(const SystemConfig &config)
     return key;
 }
 
-namespace
-{
-
 std::string
 baselineCacheKey(const SystemConfig &baseline)
 {
     std::string key = "baseline";
     appendConfigEnvironmentKey(key, baseline);
-    // The baseline's measured horizon is part of its identity (the
-    // warm-snapshot key, by contrast, excludes it).
+    // The warm-snapshot key, by contrast, excludes the horizon.
     appendKey(key, "meas", baseline.measureInstructions);
     if (baseline.serving != nullptr)
         appendKey(key, "s.meas", baseline.serving->measureRequests);
     return key;
 }
 
-// The cache stores shared_futures so concurrent sweep points that
-// share a baseline compute it exactly once: the first requester
-// inserts the future and runs the simulation, later requesters block
-// on it. Guarded by a mutex; the simulation itself runs unlocked.
-std::mutex baselineMutex;
-std::map<std::string, std::shared_future<SimResults>> baselineCache;
+namespace
+{
+
+ComputeOnce<SimResults> baselineCache;
 
 } // namespace
 
@@ -258,48 +241,19 @@ SimResults
 ExperimentRunner::baselineResults(const SystemConfig &config)
 {
     const SystemConfig baseline = baselineVariant(config);
-    const std::string key = baselineCacheKey(baseline);
-
-    std::promise<SimResults> promise;
-    std::shared_future<SimResults> future;
-    bool compute = false;
-    {
-        std::lock_guard<std::mutex> lock(baselineMutex);
-        auto it = baselineCache.find(key);
-        if (it != baselineCache.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            baselineCache.emplace(key, future);
-            compute = true;
-        }
-    }
-
-    if (compute) {
-        try {
-            promise.set_value(run(baseline));
-        } catch (...) {
-            // Propagate to every waiter, then forget the entry so a
-            // later call can retry instead of replaying the failure.
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(baselineMutex);
-            baselineCache.erase(key);
-        }
-    }
-    return future.get();
+    return baselineCache.get(baselineCacheKey(baseline),
+                             [&] { return run(baseline); });
 }
 
 void
 ExperimentRunner::clearBaselineCache()
 {
-    std::lock_guard<std::mutex> lock(baselineMutex);
     baselineCache.clear();
 }
 
 std::size_t
 ExperimentRunner::cachedBaselines()
 {
-    std::lock_guard<std::mutex> lock(baselineMutex);
     return baselineCache.size();
 }
 

@@ -84,22 +84,21 @@ class ExperimentRunner
     static double normalizedThroughput(const SystemConfig &config);
 
     /**
-     * Uni-processor baseline for a full variant configuration: the
-     * baseline keeps every environment knob of the variant (cache
-     * geometry, memory timings, interrupt rate, coupling scale,
-     * serving front-end, seed, warmup/measure lengths) and strips only
-     * the off-loading machinery. Cached process-wide under a key that
-     * encodes all of those fields, so two points share a cached
-     * baseline only when their full warmup environment matches — a
-     * point with, say, a scaled coupling factor can no longer silently
-     * normalize against the default-environment baseline.
+     * Uni-processor baseline for a full variant configuration:
+     * run(baselineVariant(config)), computed once per process under
+     * baselineCacheKey(). The baseline keeps every environment knob of
+     * the variant (cache geometry, memory timings, interrupt rate,
+     * coupling scale, serving front-end, seed, warmup/measure lengths)
+     * and strips only the off-loading machinery. The sweep runner
+     * computes the same baselines as sub-jobs of its own and never
+     * touches this cache.
      */
     static SimResults baselineResults(const SystemConfig &config);
 
     /** Reset the baseline cache (tests). */
     static void clearBaselineCache();
 
-    /** Baselines currently cached (tests check what a sweep adds). */
+    /** Baselines currently cached (tests check that a sweep adds none). */
     static std::size_t cachedBaselines();
 };
 
@@ -125,6 +124,24 @@ class TextTable
 
 /** Format a double with fixed decimals. */
 std::string formatDouble(double value, int decimals = 3);
+
+/**
+ * The uni-processor baseline derived from a full variant config: a
+ * default-constructed SystemConfig is already the Baseline uni-core
+ * machine, so only the environment knobs carry over. Everything
+ * off-loading-specific (policy, predictor, thresholds, decision
+ * costs, SI profile, topology, migration latency) stays at its
+ * default — none of it is consulted when off-loading is disabled,
+ * and canonicalizing it keeps the cache key from fragmenting.
+ */
+SystemConfig baselineVariant(const SystemConfig &config);
+
+/**
+ * Identity of a baselineVariant() config: its environment
+ * (appendConfigEnvironmentKey) plus the measured horizon. Two
+ * variants share a baseline exactly when their keys match.
+ */
+std::string baselineCacheKey(const SystemConfig &baseline);
 
 /**
  * Append a textual encoding of every configuration field that shapes

@@ -5,13 +5,8 @@
 
 #include "system/metrics_capture.hh"
 
-#include <cstdio>
-
-#include "core/offload_policy.hh"
-#include "core/run_length_predictor.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "workload/workload.hh"
 
 namespace oscar
 {
@@ -78,17 +73,8 @@ metricsMetaJson(const MetricRegistry &registry,
                 : static_cast<std::int64_t>(mark));
     w.key("config");
     w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.field("warmup_instructions", config.warmupInstructions);
-    w.field("measure_instructions", config.measureInstructions);
+    writeConfigIdentity(w, config);
+    writeConfigHorizons(w, config);
     w.endObject();
     w.key("series");
     w.beginArray();
@@ -121,20 +107,8 @@ bool
 writeMetricsFile(const MetricRegistry &registry,
                  const SystemConfig &config, const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr) {
-        oscar_warn("cannot open metrics file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = metricsDocument(registry, config);
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    std::fclose(file);
-    if (written != doc.size()) {
-        oscar_warn("short write to metrics file '%s'", path.c_str());
-        return false;
-    }
-    return true;
+    return writeArtifactFile(path, metricsDocument(registry, config),
+                             "metrics");
 }
 
 } // namespace oscar

@@ -5,13 +5,8 @@
 
 #include "system/span_capture.hh"
 
-#include <cstdio>
-
-#include "core/offload_policy.hh"
-#include "core/run_length_predictor.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
-#include "workload/workload.hh"
 
 namespace oscar
 {
@@ -27,15 +22,7 @@ spansMetaJson(const SpanResults &results, const SystemConfig &config)
             static_cast<std::uint64_t>(results.exemplarCapacity));
     w.key("config");
     w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
+    writeConfigIdentity(w, config);
     w.endObject();
     w.key("phases");
     w.beginArray();
@@ -123,20 +110,7 @@ bool
 writeSpansFile(const SpanResults &results, const SystemConfig &config,
                const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr) {
-        oscar_warn("cannot open spans file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = spansDocument(results, config);
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    std::fclose(file);
-    if (written != doc.size()) {
-        oscar_warn("short write to spans file '%s'", path.c_str());
-        return false;
-    }
-    return true;
+    return writeArtifactFile(path, spansDocument(results, config), "spans");
 }
 
 } // namespace oscar

@@ -15,15 +15,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <iterator>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
+#include "sim/compute_once.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -38,43 +38,6 @@ namespace oscar
 
 namespace
 {
-
-void
-writeConfigJson(JsonWriter &w, const SystemConfig &config)
-{
-    w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.field("warmup_instructions", config.warmupInstructions);
-    w.field("measure_instructions", config.measureInstructions);
-    // The paper's one-OS-core machine emits no topology block, so
-    // every pre-existing artifact stays byte-identical.
-    if (config.offloadEnabled && !config.topology.isDefault()) {
-        w.key("topology");
-        w.beginObject();
-        w.field("os_cores", config.topology.osCores);
-        w.field("numa_nodes", config.topology.numaNodes);
-        w.field("placement",
-                osPlacementName(config.topology.placement));
-        w.field("dispatch",
-                osDispatchPolicyName(config.topology.dispatch));
-        w.field("intra_node_hop_cycles",
-                config.topology.intraNodeHopCycles);
-        w.field("inter_node_hop_cycles",
-                config.topology.interNodeHopCycles);
-        w.field("spill_depth", static_cast<std::uint64_t>(
-                                   config.topology.spillDepth));
-        w.endObject();
-    }
-    w.endObject();
-}
 
 void
 writeResultsJson(JsonWriter &w, const SweepPointResult &point)
@@ -129,8 +92,8 @@ writeResultsJson(JsonWriter &w, const SweepPointResult &point)
     w.field("dispatch_wait_max", r.requestDispatchWait.max());
     w.endObject();
 
-    // Same gate as writeConfigJson: default-topology points keep the
-    // legacy byte layout; multi-queue points add a numa block.
+    // Same gate as writeConfigTopology: default-topology points keep
+    // the legacy byte layout; multi-queue points add a numa block.
     if (point.config.offloadEnabled &&
         !point.config.topology.isDefault()) {
         w.key("numa");
@@ -235,7 +198,11 @@ writePointJson(JsonWriter &w, const SweepPointResult &point,
     if (include_wall)
         w.field("wall_ms", point.wallMs);
     w.key("config");
-    writeConfigJson(w, point.config);
+    w.beginObject();
+    writeConfigIdentity(w, point.config);
+    writeConfigHorizons(w, point.config);
+    writeConfigTopology(w, point.config);
+    w.endObject();
     if (point.ok) {
         w.key("results");
         writeResultsJson(w, point);
@@ -247,60 +214,21 @@ writePointJson(JsonWriter &w, const SweepPointResult &point,
 // Warm-snapshot cache
 
 /**
- * One warm System per fork group, stored behind a shared_future so
- * concurrent points that share a group simulate the prefix exactly
- * once: the first requester inserts the future and runs the warm-up,
- * later requesters block on it. The snapshot is const and only ever
- * clone()d, which is thread-safe.
+ * One warm System per fork group, simulated once however many points
+ * of the group ask for it concurrently. The snapshot is const and only
+ * ever clone()d, which is thread-safe.
  */
-std::mutex snapshotMutex;
-std::map<std::string,
-         std::shared_future<std::shared_ptr<const System>>> snapshotCache;
+ComputeOnce<std::shared_ptr<const System>> snapshotCache;
 
 std::shared_ptr<const System>
 warmSnapshot(const SystemConfig &point_config)
 {
-    const std::string key = sweepWarmupKey(point_config);
-
-    std::promise<std::shared_ptr<const System>> promise;
-    std::shared_future<std::shared_ptr<const System>> future;
-    bool compute = false;
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex);
-        auto it = snapshotCache.find(key);
-        if (it != snapshotCache.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            snapshotCache.emplace(key, future);
-            compute = true;
-        }
-    }
-
-    if (compute) {
-        try {
-            auto system = std::make_shared<System>(
-                sweepWarmerConfig(point_config));
-            system->runToMeasurementStart();
-            promise.set_value(
-                std::shared_ptr<const System>(std::move(system)));
-        } catch (...) {
-            // Propagate to every waiter, then forget the entry so a
-            // later call can retry instead of replaying the failure.
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(snapshotMutex);
-            snapshotCache.erase(key);
-        }
-    }
-    return future.get();
-}
-
-/** Forget a fork group's warm snapshot once its last point is done. */
-void
-dropWarmSnapshot(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(snapshotMutex);
-    snapshotCache.erase(key);
+    return snapshotCache.get(sweepWarmupKey(point_config), [&] {
+        auto system =
+            std::make_shared<System>(sweepWarmerConfig(point_config));
+        system->runToMeasurementStart();
+        return std::shared_ptr<const System>(std::move(system));
+    });
 }
 
 /**
@@ -545,14 +473,14 @@ enum class TapeUse
 };
 
 /**
- * Execute one point with timing and failure capture. It forks from
- * its group's warm snapshot when `allow_fork` is set and the point is
- * eligible (see forkEligible and SweepOptions::fork); a forked point
- * then records its measured region into `tape`, or replays it from
- * there, as `tape_use` says (see stream_tape.hh).
+ * Execute one sub-job with timing and failure capture. A forked
+ * sub-job clones its group's warm snapshot and then records its
+ * measured region into `tape`, or replays it from there, as `tape_use`
+ * says (see stream_tape.hh); any other sub-job runs fresh, with its
+ * trace, metrics and spans attached.
  */
 SweepPointResult
-executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
+executePoint(const SweepPoint &point, std::size_t index, bool fork,
              TapeUse tape_use, const std::shared_ptr<StreamTape> &tape)
 {
     SweepPointResult result;
@@ -566,7 +494,7 @@ executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
         // instead of exiting, so one poisoned point cannot take down
         // the rest of the sweep.
         ScopedFatalThrows fatal_throws;
-        if (allow_fork && forkEligible(point)) {
+        if (fork) {
             // Fork path: clone the group's shared warm snapshot, swap
             // in this point's measurement configuration, and resume
             // through the measured region only.
@@ -606,13 +534,6 @@ executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
                 result.spansPath = point.spansPath;
             }
         }
-        if (point.normalize) {
-            const SimResults base =
-                ExperimentRunner::baselineResults(point.config);
-            oscar_assert(base.throughput > 0.0);
-            result.normalized =
-                result.results.throughput / base.throughput;
-        }
         result.ok = true;
     } catch (const std::exception &e) {
         result.ok = false;
@@ -629,21 +550,21 @@ executePoint(const SweepPoint &point, std::size_t index, bool allow_fork,
 SweepPointResult
 ParallelSweepRunner::runPoint(const SweepPoint &point, std::size_t index)
 {
-    return executePoint(point, index, /*allow_fork=*/false, TapeUse::None,
-                        nullptr);
+    SweepPointResult result = std::move(
+        ParallelSweepRunner({1, /*fork=*/false}).run({point}).front());
+    result.index = index;
+    return result;
 }
 
 void
 ParallelSweepRunner::clearWarmSnapshotCache()
 {
-    std::lock_guard<std::mutex> lock(snapshotMutex);
     snapshotCache.clear();
 }
 
 std::size_t
 ParallelSweepRunner::cachedWarmSnapshots()
 {
-    std::lock_guard<std::mutex> lock(snapshotMutex);
     return snapshotCache.size();
 }
 
@@ -723,25 +644,35 @@ namespace
 {
 
 /**
- * Claim order, stream-tape bookkeeping and group baselines of one
- * run() call.
+ * What each sub-job of one run() call does, and in which order the
+ * workers claim them: the only place that decides whether a sub-job
+ * forks, whether it records or replays a stream tape, and which
+ * baseline sub-job normalises it.
  *
- * Fork-eligible sub-jobs that share a warm-up key form a group. A
- * tapeable group gains one Baseline sub-job per distinct horizon among
- * its normalising sub-jobs: the group's warm snapshot reconfigured to
- * sweepWarmerConfig() at that horizon. Its OS cores stay idle, so its
- * throughput equals the uni-core baseline's bit for bit, and
- * normalize() divides by it once the pool has drained. A tapeable
- * group of two or more sub-jobs, baselines included, is taped: its
- * point with the longest horizon runs first and records the
+ * Fork-eligible sub-jobs that share a warm-up key form a group and
+ * fork from its warm snapshot; every other sub-job runs fresh. Every
+ * normalising point gets a baseline sub-job, appended after the
+ * points. In a tapeable group it is one Baseline sub-job per distinct
+ * horizon among the group's normalising points: the group's warm
+ * snapshot reconfigured to sweepWarmerConfig() at that horizon. Its OS
+ * cores stay idle, so its throughput equals the uni-core baseline's
+ * bit for bit. Any other point gets a fresh ExperimentRunner::run of
+ * baselineVariant(), one per baselineCacheKey(), which is exactly
+ * what ExperimentRunner::baselineResults computes. normalize() divides
+ * each point by its baseline once the pool has drained.
+ *
+ * A tapeable group of two or more sub-jobs, baselines included, is
+ * taped: its point with the longest horizon runs first and records the
  * measured-region stream, and the others replay it. Taped groups are
  * claimed as a block at the position of their first sub-job; every
- * other sub-job keeps its index position. A worker never waits for a
- * tape: while a group's tape is being recorded it claims later work,
- * and when nothing else is left it runs the group's next sub-job live.
- * When a group's last sub-job finishes, its tape and warm snapshot are
- * dropped. Which worker runs what never changes a result: replay is
- * byte-identical to live, and results land by index.
+ * other sub-job keeps its index position, so fresh baselines come
+ * last. A worker never waits for a tape: while a group's tape is being
+ * recorded it claims later work, and when nothing else is left it runs
+ * the group's next sub-job live. If the recorder fails, the group's
+ * other sub-jobs run live too. When a group's last sub-job finishes,
+ * its tape and warm snapshot are dropped. Which worker runs what never
+ * changes a result: replay is byte-identical to live, and results land
+ * by index.
  */
 class SweepSchedule
 {
@@ -752,18 +683,19 @@ class SweepSchedule
     struct Claim
     {
         std::size_t job = kNone;
+        bool fork = false;
         TapeUse use = TapeUse::None;
         std::shared_ptr<StreamTape> tape;
     };
 
     /** Schedule `points`, which become sub-jobs 0 .. points.size()-1;
-     *  group baselines are appended after them. */
+     *  their baselines are appended after them. */
     SweepSchedule(std::vector<SweepPoint> points, bool fork)
-        : subs(std::move(points)), pointJobs(subs.size()),
-          groupOf(subs.size(), kNone), baselineOf(subs.size(), kNone)
+        : subs(std::move(points)), groupOf(subs.size(), kNone),
+          baselineOf(subs.size(), kNone)
     {
         std::map<std::string, std::size_t> index;
-        for (std::size_t j = 0; j < pointJobs; ++j) {
+        for (std::size_t j = 0; j < subs.size(); ++j) {
             if (!fork || !forkEligible(subs[j]))
                 continue;
             const std::string key = sweepWarmupKey(subs[j].config);
@@ -771,31 +703,33 @@ class SweepSchedule
             if (fresh) {
                 groups.emplace_back();
                 groups.back().key = key;
+                groups.back().tapeable = tapeable(subs[j].config);
             }
             groupOf[j] = it->second;
             groups[it->second].members.push_back(j);
         }
 
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            Group &group = groups[g];
-            if (tapeable(subs[group.members.front()].config)) {
-                // The recorder covers every member's horizon.
-                const auto longest = std::max_element(
-                    group.members.begin(), group.members.end(),
-                    [&](std::size_t a, std::size_t b) {
-                        return subs[a].config.measureInstructions <
-                               subs[b].config.measureInstructions;
-                    });
-                std::rotate(group.members.begin(), longest, longest + 1);
-                addBaselines(g);
-                group.taped = group.members.size() > 1;
-            }
+        for (Group &group : groups) {
+            if (!group.tapeable)
+                continue;
+            // The recorder covers every member's horizon.
+            const auto longest = std::max_element(
+                group.members.begin(), group.members.end(),
+                [&](std::size_t a, std::size_t b) {
+                    return subs[a].config.measureInstructions <
+                           subs[b].config.measureInstructions;
+                });
+            std::rotate(group.members.begin(), longest, longest + 1);
+        }
+        addBaselines();
+        for (Group &group : groups) {
+            group.taped = group.tapeable && group.members.size() > 1;
             group.unfinished = group.members.size();
         }
         claimed.assign(subs.size(), false);
 
         std::vector<bool> placed(groups.size(), false);
-        for (std::size_t j = 0; j < pointJobs; ++j) {
+        for (std::size_t j = 0; j < subs.size(); ++j) {
             const std::size_t g = groupOf[j];
             if (g == kNone || !groups[g].taped) {
                 order.push_back(j);
@@ -807,7 +741,7 @@ class SweepSchedule
         }
     }
 
-    /** Sub-jobs to run, group baselines included. */
+    /** Sub-jobs to run, baselines included. */
     std::size_t size() const { return subs.size(); }
 
     /** The point sub-job `j` runs. */
@@ -859,59 +793,41 @@ class SweepSchedule
             return;
         Group &group = groups[g];
         if (claim.use == TapeUse::Record) {
-            // A recorder that failed leaves an unsealed tape behind.
-            if (claim.tape->finished()) {
-                group.state = TapeState::Ready;
-            } else {
-                group.state = TapeState::Failed;
+            // A recorder that failed leaves an unsealed tape behind,
+            // and the group's other sub-jobs run live.
+            group.state = claim.tape->finished() ? TapeState::Ready
+                                                 : TapeState::Failed;
+            if (group.state == TapeState::Failed)
                 group.tape.reset();
-                // The group's points normalise without its baselines
-                // (see normalize()), so those that have not started
-                // never run.
-                for (const std::size_t j : group.members) {
-                    if (j >= pointJobs && !claimed[j]) {
-                        claimed[j] = true;
-                        --group.unfinished;
-                    }
-                }
-            }
         }
         if (--group.unfinished == 0) {
             group.tape.reset();
-            dropWarmSnapshot(group.key);
+            snapshotCache.erase(group.key);
         }
     }
 
     /**
-     * Once every sub-job has run, normalise each point sub-job that a
-     * group baseline serves. A group whose tape was never sealed, or a
-     * baseline that failed, falls back to
-     * ExperimentRunner::baselineResults, like a point outside any
-     * taped group.
+     * Once every sub-job has run, divide each normalising point by its
+     * baseline sub-job; a failed baseline fails its points with the
+     * baseline's error.
      */
     void
     normalize(std::vector<SweepPointResult> &outcomes) const
     {
-        for (std::size_t j = 0; j < pointJobs; ++j) {
+        for (std::size_t j = 0; j < outcomes.size(); ++j) {
             SweepPointResult &out = outcomes[j];
             const std::size_t b = baselineOf[j];
             if (b == kNone || !out.ok)
                 continue;
-            try {
-                ScopedFatalThrows fatal_throws;
-                const bool own = groups[groupOf[j]].state ==
-                                     TapeState::Ready &&
-                                 outcomes[b].ok;
-                const double base =
-                    own ? outcomes[b].results.throughput
-                        : ExperimentRunner::baselineResults(subs[j].config)
-                              .throughput;
-                oscar_assert(base > 0.0);
-                out.normalized = out.results.throughput / base;
-            } catch (const std::exception &e) {
+            const SweepPointResult &base = outcomes[b];
+            if (!base.ok) {
                 out.ok = false;
-                out.error = e.what();
+                out.error = base.error;
+                continue;
             }
+            oscar_assert(base.results.throughput > 0.0);
+            out.normalized =
+                out.results.throughput / base.results.throughput;
         }
     }
 
@@ -927,41 +843,51 @@ class SweepSchedule
     struct Group
     {
         std::string key;
-        /** Sub-jobs of the group: a taped group's recorder first, its
-         *  baselines last. */
+        /** Sub-jobs of the group: a tapeable group's recorder first,
+         *  its baselines last. */
         std::vector<std::size_t> members;
         std::size_t unfinished = 0;
+        bool tapeable = false;
         bool taped = false;
         TapeState state = TapeState::Unrecorded;
         std::shared_ptr<StreamTape> tape;
     };
 
     /**
-     * Append one Baseline sub-job per distinct horizon among group
-     * `g`'s normalising points, and leave their normalisation to it.
+     * Give every normalising point sub-job a baseline sub-job: its
+     * tapeable group's Baseline replay at its horizon, or else a fresh
+     * baselineVariant() run. Points whose baselines would be
+     * identical share one.
      */
     void
-    addBaselines(std::size_t g)
+    addBaselines()
     {
-        std::map<InstCount, std::size_t> by_horizon;
-        const std::size_t points = groups[g].members.size();
-        for (std::size_t m = 0; m < points; ++m) {
-            const std::size_t j = groups[g].members[m];
+        // (tapeable group or kNone, baselineCacheKey) -> sub-job.
+        std::map<std::pair<std::size_t, std::string>, std::size_t> made;
+        const std::size_t points = subs.size();
+        for (std::size_t j = 0; j < points; ++j) {
             if (!subs[j].normalize)
                 continue;
-            subs[j].normalize = false;
-            const auto [it, fresh] = by_horizon.emplace(
-                subs[j].config.measureInstructions, subs.size());
+            const SystemConfig &config = subs[j].config;
+            const std::size_t g =
+                groupOf[j] != kNone && groups[groupOf[j]].tapeable
+                    ? groupOf[j]
+                    : kNone;
+            const auto [it, added] = made.emplace(
+                std::make_pair(g, baselineCacheKey(baselineVariant(config))),
+                subs.size());
             baselineOf[j] = it->second;
-            if (!fresh)
+            if (!added)
                 continue;
             SweepPoint baseline;
             baseline.normalize = false;
-            baseline.config = sweepWarmerConfig(subs[j].config);
-            subs.push_back(std::move(baseline));
+            baseline.config = g != kNone ? sweepWarmerConfig(config)
+                                         : baselineVariant(config);
+            if (g != kNone)
+                groups[g].members.push_back(subs.size());
             groupOf.push_back(g);
             baselineOf.push_back(kNone);
-            groups[g].members.push_back(it->second);
+            subs.push_back(std::move(baseline));
         }
     }
 
@@ -969,18 +895,16 @@ class SweepSchedule
     take(std::size_t job, TapeUse use, std::shared_ptr<StreamTape> tape)
     {
         claimed[job] = true;
-        return Claim{job, use, std::move(tape)};
+        return Claim{job, groupOf[job] != kNone, use, std::move(tape)};
     }
 
-    /** Point sub-jobs, then group baselines. */
+    /** Point sub-jobs, then baselines. */
     std::vector<SweepPoint> subs;
-    /** Sub-jobs below this index are points; the rest are baselines. */
-    std::size_t pointJobs;
     std::mutex mutex;
     std::vector<Group> groups;
-    /** Group of each sub-job; kNone when it does not fork. */
+    /** Group of each sub-job; kNone when it runs fresh. */
     std::vector<std::size_t> groupOf;
-    /** Baseline sub-job normalising each point sub-job, or kNone. */
+    /** Baseline sub-job normalising each sub-job, or kNone. */
     std::vector<std::size_t> baselineOf;
     /** Claim order over sub-jobs. */
     std::vector<std::size_t> order;
@@ -1018,7 +942,7 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
                 return;
             outcomes[claim.job] =
                 executePoint(schedule.job(claim.job), claim.job,
-                             opts.fork, claim.use, claim.tape);
+                             claim.fork, claim.use, claim.tape);
             schedule.complete(claim);
         }
     };
@@ -1039,8 +963,7 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
     // Sub-results land by sub-job index regardless of which worker ran
     // them, and a point's replicas are consecutive sub-jobs, folded in
     // listed order: the output is independent of the job count and
-    // claim order. Results are moved, not default-constructed: each
-    // SimResults owns a 15 KB latency histogram.
+    // claim order.
     std::vector<SweepPointResult> results;
     results.reserve(points.size());
     auto sub = std::make_move_iterator(outcomes.begin());
@@ -1100,22 +1023,7 @@ SweepReport::toJson() const
 bool
 SweepReport::writeTo(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        oscar_warn("cannot open sweep report file '%s'", path.c_str());
-        return false;
-    }
-    const std::string doc = toJson();
-    out.write(doc.data(),
-              static_cast<std::streamsize>(doc.size()));
-    out << '\n';
-    out.flush();
-    if (!out) {
-        oscar_warn("short write on sweep report file '%s'",
-                   path.c_str());
-        return false;
-    }
-    return true;
+    return writeArtifactFile(path, toJson() + '\n', "sweep report");
 }
 
 std::string

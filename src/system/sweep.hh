@@ -42,10 +42,12 @@ struct SweepPoint
     SystemConfig config;
     /**
      * True to also obtain the uni-processor baseline and report
-     * variant/baseline normalized throughput. A point of a taped fork
-     * group normalises against its group's Baseline replay (see
-     * ParallelSweepRunner::run); any other point uses
-     * ExperimentRunner::baselineResults. Both give the same value.
+     * variant/baseline normalized throughput. The sweep runs the
+     * baseline as a sub-job of its own (see ParallelSweepRunner::run):
+     * a Baseline replay of the point's fork group when the group is
+     * taped, a fresh run of baselineVariant(config) otherwise. Both
+     * equal ExperimentRunner::baselineResults(config) bit for bit in
+     * throughput; a failed baseline fails the point with its error.
      */
     bool normalize = true;
     /**
@@ -193,8 +195,11 @@ struct SweepOptions
      * are still fully deterministic — independent of job count and of
      * which point warmed the group. Points that stream traces or
      * metrics always take the fresh path so golden artifacts stay
-     * byte-identical; set fork=false (or pass --no-fork to a bench)
-     * to force the fresh path for every point.
+     * byte-identical, and so do span points, whose recorder must see
+     * every request of the measured region from a cold start. Points
+     * with an empty warm-up have no prefix to share and run fresh
+     * too. Set fork=false (or pass --no-fork to a bench) to force the
+     * fresh path for every point.
      */
     bool fork = true;
 };
@@ -213,11 +218,13 @@ class ParallelSweepRunner
      * Workers claim points dynamically, in index order except that
      * the single-thread points of one fork group are claimed as a
      * block: the group's longest-horizon point records a stream tape
-     * that the others replay (see system/stream_tape.hh). Such a
-     * group also replays the tape once per normalising horizon under
-     * the Baseline policy, and its points normalise against that run:
-     * with its OS cores idle, it equals the uni-core baseline bit for
-     * bit. The output vector is indexed by point, and a replay is
+     * that the others replay (see system/stream_tape.hh). Normalising
+     * points add baseline sub-jobs, one per distinct baseline: such a
+     * group replays its tape once per normalising horizon under the
+     * Baseline policy (with its OS cores idle, that equals the
+     * uni-core baseline bit for bit), and every other point gets a
+     * fresh uni-core run. Points are normalised once the pool drains.
+     * The output vector is indexed by point, and a replay is
      * byte-identical to a live run, so the results are independent of
      * the job count and of worker timing.
      */
@@ -227,7 +234,8 @@ class ParallelSweepRunner
     /**
      * Execute one point with timing and failure capture, on the
      * fresh (non-forked) path: this is the golden-trace-stable
-     * entry point.
+     * entry point. The same as run({point}) with fork off, with the
+     * result's index set to `index`.
      */
     static SweepPointResult runPoint(const SweepPoint &point,
                                      std::size_t index);

@@ -23,6 +23,8 @@
 namespace oscar
 {
 
+class JsonWriter;
+
 /**
  * Everything needed to build and run a System.
  */
@@ -156,6 +158,27 @@ struct SystemConfig
     /** Sanity-check the configuration; fatal on user error. */
     void validate() const;
 };
+
+/*
+ * The config echo of every artifact (sweep report, trace header,
+ * metrics and spans meta lines): one writer per run of fields the
+ * artifacts share, each adding its fields to the object `w` has open.
+ */
+
+/**
+ * workload, policy, predictor, user_cores, offload_enabled,
+ * dynamic_threshold, static_threshold, migration_one_way_cycles, seed.
+ */
+void writeConfigIdentity(JsonWriter &w, const SystemConfig &config);
+
+/** warmup_instructions and measure_instructions. */
+void writeConfigHorizons(JsonWriter &w, const SystemConfig &config);
+
+/**
+ * The "topology" block, written only off the paper's one-OS-core
+ * machine so that artifacts of that machine keep their bytes.
+ */
+void writeConfigTopology(JsonWriter &w, const SystemConfig &config);
 
 } // namespace oscar
 

@@ -20,36 +20,9 @@ traceHeaderJson(const SystemConfig &config)
     w.field("schema", kTraceSchema);
     w.key("config");
     w.beginObject();
-    w.field("workload", workloadName(config.workload));
-    w.field("policy", policyShortName(config.policy));
-    w.field("predictor", predictorShortName(config.predictor));
-    w.field("user_cores", config.userCores);
-    w.field("offload_enabled", config.offloadEnabled);
-    w.field("dynamic_threshold", config.dynamicThreshold);
-    w.field("static_threshold", config.staticThreshold);
-    w.field("migration_one_way_cycles", config.migrationOneWayCycles);
-    w.field("seed", config.seed);
-    w.field("warmup_instructions", config.warmupInstructions);
-    w.field("measure_instructions", config.measureInstructions);
-    // Emitted only off the paper's one-OS-core default so the legacy
-    // golden traces keep their exact header bytes.
-    if (config.offloadEnabled && !config.topology.isDefault()) {
-        w.key("topology");
-        w.beginObject();
-        w.field("os_cores", config.topology.osCores);
-        w.field("numa_nodes", config.topology.numaNodes);
-        w.field("placement",
-                osPlacementName(config.topology.placement));
-        w.field("dispatch",
-                osDispatchPolicyName(config.topology.dispatch));
-        w.field("intra_node_hop_cycles",
-                config.topology.intraNodeHopCycles);
-        w.field("inter_node_hop_cycles",
-                config.topology.interNodeHopCycles);
-        w.field("spill_depth", static_cast<std::uint64_t>(
-                                   config.topology.spillDepth));
-        w.endObject();
-    }
+    writeConfigIdentity(w, config);
+    writeConfigHorizons(w, config);
+    writeConfigTopology(w, config);
     w.endObject();
     w.endObject();
     oscar_assert(w.complete());

@@ -328,6 +328,34 @@ TEST(LatencyHistogram, MergeWithEmptyIsIdentity)
     EXPECT_DOUBLE_EQ(empty.mean(), 150.0);
 }
 
+TEST(LatencyHistogram, EmptyMergesLikeFilledBothWays)
+{
+    // A histogram allocates its slots on the first sample, so an empty
+    // one merged into a filled one, or a filled one into an empty one,
+    // must give exactly the filled one's distribution; a reset, never
+    // filled histogram stays empty too.
+    LatencyHistogram filled;
+    Rng rng(91);
+    for (int i = 0; i < 2000; ++i)
+        filled.add(rng.next64() >> rng.nextBounded(56));
+    LatencyHistogram into = filled;
+    into.merge(LatencyHistogram());
+    LatencyHistogram outof;
+    outof.reset();
+    outof.merge(filled);
+    for (const LatencyHistogram *h : {&into, &outof}) {
+        EXPECT_EQ(h->count(), filled.count());
+        EXPECT_EQ(h->sum(), filled.sum());
+        EXPECT_EQ(h->sumWrapCount(), filled.sumWrapCount());
+        EXPECT_EQ(h->min(), filled.min());
+        EXPECT_EQ(h->max(), filled.max());
+        EXPECT_DOUBLE_EQ(h->mean(), filled.mean());
+        for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+            EXPECT_EQ(h->quantile(q), filled.quantile(q)) << "q=" << q;
+        EXPECT_EQ(h->toString(), filled.toString());
+    }
+}
+
 TEST(LatencyHistogram, MergeEmptyWithEmpty)
 {
     LatencyHistogram a;

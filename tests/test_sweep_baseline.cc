@@ -6,14 +6,15 @@
  * cores stay idle, so it must equal the uni-core baseline bit for bit
  * in throughput, retired instructions and makespan — over the
  * Figure 4, dynamic-N and K=2 / coupled / 512 KB-L2 configurations
- * and several seeds. A sweep's normalized throughput must then equal
- * ExperimentRunner's at any job count, with or without forking, and
- * the group-derived results — a different machine — must never enter
- * ExperimentRunner's baseline cache.
+ * and several seeds. Every other normalising point divides by a fresh
+ * uni-core baseline sub-job. A sweep's normalized throughput must then
+ * equal ExperimentRunner's at any job count, with or without forking,
+ * and no sweep may touch ExperimentRunner's baseline cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,8 +177,8 @@ TEST(SweepBaseline, MixedSweepNormalizesLikeTheRunner)
     // An Apache group with two normalising horizons and one point that
     // does not normalise, a single-point Derby group (taped only
     // because of its baseline), a lone non-normalising Mcf point (not
-    // taped) and a two-thread point, which normalises through
-    // ExperimentRunner.
+    // taped) and a two-thread point, which normalises against a fresh
+    // uni-core baseline sub-job.
     std::vector<SweepPoint> points = {
         point("apache/0", WorkloadKind::Apache, 0),
         point("derby/100", WorkloadKind::Derby, 100),
@@ -198,8 +199,8 @@ TEST(SweepBaseline, MixedSweepNormalizesLikeTheRunner)
         ParallelSweepRunner::clearWarmSnapshotCache();
         const auto results = ParallelSweepRunner({jobs}).run(points);
         const std::string what = "jobs " + std::to_string(jobs);
-        // Only the two-thread point asked the runner for a baseline.
-        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 1u) << what;
+        // The sweep computes its baselines itself.
+        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 0u) << what;
         EXPECT_EQ(StreamTape::live(), 0u) << what;
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u) << what;
         expectRunnerNormalization(points, results, what);
@@ -216,6 +217,7 @@ TEST(SweepBaseline, MixedSweepNormalizesLikeTheRunner)
         ExperimentRunner::clearBaselineCache();
         const auto fresh =
             ParallelSweepRunner({jobs, /*fork=*/false}).run(points);
+        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 0u);
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u);
         expectRunnerNormalization(points, fresh,
                                   "no-fork jobs " + std::to_string(jobs));
@@ -249,12 +251,12 @@ TEST(SweepBaseline, ReplicasNormalizeAgainstTheirOwnSeed)
     ExperimentRunner::clearBaselineCache();
 }
 
-TEST(SweepBaseline, FailedTapeFallsBackToTheRunnerBaseline)
+TEST(SweepBaseline, FailedTapeStillNormalizesItsGroup)
 {
     // The group's longest-horizon point records the tape; an SI point
     // without a profile fails as it reconfigures, so the tape is never
-    // sealed. The group's other point still normalises, through
-    // ExperimentRunner.
+    // sealed. The group's baseline then runs live from the snapshot,
+    // and the group's other point still normalises bit for bit.
     SweepPoint bad = point("apache/si", WorkloadKind::Apache, 100, 180'000);
     bad.config.policy = PolicyKind::StaticInstrumentation;
     const std::vector<SweepPoint> points = {
@@ -265,11 +267,38 @@ TEST(SweepBaseline, FailedTapeFallsBackToTheRunnerBaseline)
         const std::string what = "jobs " + std::to_string(jobs);
         ASSERT_EQ(results.size(), 2u);
         EXPECT_FALSE(results[1].ok) << what;
-        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 1u) << what;
+        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 0u) << what;
         EXPECT_EQ(StreamTape::live(), 0u) << what;
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u) << what;
         expectRunnerNormalization({points[0]}, {results[0]}, what);
     }
+    ExperimentRunner::clearBaselineCache();
+}
+
+TEST(SweepBaseline, FreshTracedPointNormalizesLikeTheRunner)
+{
+    // Without forking, a traced single-thread point and an untraced
+    // two-thread point both normalise against fresh baseline sub-jobs.
+    const std::string trace =
+        testing::TempDir() + "sweep_baseline_fresh.trace.jsonl";
+    SweepPoint traced = point("apache/traced", WorkloadKind::Apache, 100);
+    traced.tracePath = trace;
+    SweepPoint dual = point("derby/dual", WorkloadKind::Derby, 1000);
+    dual.config.userCores = 2;
+    const std::vector<SweepPoint> points = {traced, dual};
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        ExperimentRunner::clearBaselineCache();
+        std::filesystem::remove(trace);
+        const auto results =
+            ParallelSweepRunner({jobs, /*fork=*/false}).run(points);
+        const std::string what = "jobs " + std::to_string(jobs);
+        EXPECT_EQ(ExperimentRunner::cachedBaselines(), 0u) << what;
+        EXPECT_EQ(StreamTape::live(), 0u) << what;
+        EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u) << what;
+        EXPECT_GT(std::filesystem::file_size(trace), 0u) << what;
+        expectRunnerNormalization(points, results, what);
+    }
+    std::filesystem::remove(trace);
     ExperimentRunner::clearBaselineCache();
 }
 

@@ -490,5 +490,71 @@ TEST(TraceContent, DynamicRunEmitsEpochAndThresholdEvents)
     EXPECT_EQ(records, switches + 1); // plus the initial N record
 }
 
+/** The `fb` of every `epoch` record and the `n` each one ended with. */
+void
+epochRecords(const TraceCapture &capture, std::vector<double> &feedback,
+             std::vector<InstCount> &thresholds)
+{
+    for (const std::string &line : capture.lines) {
+        if (line.find("\"k\":\"epoch\"") == std::string::npos)
+            continue;
+        const std::size_t fb = line.find("\"fb\":");
+        const std::size_t n = line.find("\"n\":");
+        ASSERT_NE(fb, std::string::npos) << line;
+        ASSERT_NE(n, std::string::npos) << line;
+        feedback.push_back(std::stod(line.substr(fb + 5)));
+        thresholds.push_back(std::stoull(line.substr(n + 4)));
+    }
+}
+
+TEST(TraceContent, L2HitRateFeedbackDrivesTheController)
+{
+    // The paper's own feedback metric: HI dynamic-N fed the pooled L2
+    // hit rate of the epoch that just ended.
+    SystemConfig config = ExperimentRunner::hardwareDynamicConfig(
+        WorkloadKind::Derby, 100);
+    config.warmupInstructions = 10'000;
+    config.measureInstructions = 200'000;
+    config.thresholdConfig.epochScale = 0.0004;
+    // A 2-point delta, on hit rates of 0.2-0.6 in this short run, is
+    // where comparing additively and relatively part ways.
+    config.thresholdConfig.improvementDelta = 0.02;
+    SystemConfig ipc = config;
+    config.thresholdFeedback = SystemConfig::ThresholdFeedback::L2HitRate;
+    ipc.thresholdFeedback = SystemConfig::ThresholdFeedback::WindowIpc;
+    const TraceCapture capture = captureTrace(config);
+
+    std::vector<double> feedback, ipc_feedback;
+    std::vector<InstCount> thresholds, ipc_thresholds;
+    epochRecords(capture, feedback, thresholds);
+    epochRecords(captureTrace(ipc), ipc_feedback, ipc_thresholds);
+    ASSERT_GE(feedback.size(), 4u);
+    for (double fb : feedback) {
+        EXPECT_GE(fb, 0.0);
+        EXPECT_LE(fb, 1.0);
+    }
+    EXPECT_NE(feedback, ipc_feedback);
+
+    // A controller that compares hit rates additively ("1 % better L2
+    // hit rate"), fed the same feedback, takes every decision the
+    // system's controller took; one that compares relatively does not.
+    ASSERT_FALSE(config.thresholdConfig.relativeImprovement);
+    ThresholdConfig relative_config = config.thresholdConfig;
+    relative_config.relativeImprovement = true;
+    ThresholdController additive(config.thresholdConfig);
+    ThresholdController relative(relative_config);
+    additive.begin(capture.results.warmupPrivFraction);
+    relative.begin(capture.results.warmupPrivFraction);
+    bool diverged = false;
+    for (std::size_t e = 0; e < feedback.size(); ++e) {
+        additive.onEpochEnd(feedback[e]);
+        relative.onEpochEnd(feedback[e]);
+        EXPECT_EQ(additive.currentThreshold(), thresholds[e]) << "epoch " << e;
+        diverged |= relative.currentThreshold() != thresholds[e];
+    }
+    EXPECT_TRUE(diverged);
+    EXPECT_EQ(additive.switches(), capture.results.thresholdSwitches);
+}
+
 } // namespace
 } // namespace oscar
