@@ -143,13 +143,15 @@ main(int argc, char **argv)
                 "gets costlier; N=0 underperforms N=100 even at zero "
                 "overhead (window-trap coherence).\n");
 
+    bool report_written = true;
     if (!opts.jsonPath.empty()) {
         SweepReport report("fig4_threshold_sweep",
                            runner.effectiveJobs(points.size()));
         report.addAll(results);
-        if (report.writeTo(opts.jsonPath))
+        report_written = report.writeTo(opts.jsonPath);
+        if (report_written)
             std::printf("report: %s (%zu points)\n",
                         opts.jsonPath.c_str(), report.size());
     }
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

@@ -166,13 +166,15 @@ main(int argc, char **argv)
                 "achievable latencies; the gap over software grows as "
                 "migration gets faster.\n");
 
+    bool report_written = true;
     if (!opts.jsonPath.empty()) {
         SweepReport report("fig5_policy_comparison",
                            runner.effectiveJobs(points.size()));
         report.addAll(results);
-        if (report.writeTo(opts.jsonPath))
+        report_written = report.writeTo(opts.jsonPath);
+        if (report_written)
             std::printf("report: %s (%zu points)\n",
                         opts.jsonPath.c_str(), report.size());
     }
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

@@ -270,14 +270,16 @@ main(int argc, char **argv)
                 "queue slack,\nand stealing converts the idle remote "
                 "core into overflow capacity for bursts.\n");
 
+    bool report_written = true;
     if (!opts.jsonPath.empty()) {
         SweepReport report("numa_topology",
                            runner.effectiveJobs(points.size()));
         report.addAll(results);
-        if (report.writeTo(opts.jsonPath)) {
+        report_written = report.writeTo(opts.jsonPath);
+        if (report_written) {
             std::printf("sweep report: %s (%zu points)\n",
                         opts.jsonPath.c_str(), report.size());
         }
     }
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

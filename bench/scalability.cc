@@ -105,13 +105,15 @@ main(int argc, char **argv)
                 "aggregate), >25,000 cycles at 4:1 (throughput loss); "
                 "conclusion: provision OS cores 1:1.\n");
 
+    bool report_written = true;
     if (!opts.jsonPath.empty()) {
         SweepReport report("scalability",
                            runner.effectiveJobs(points.size()));
         report.addAll(results);
-        if (report.writeTo(opts.jsonPath))
+        report_written = report.writeTo(opts.jsonPath);
+        if (report_written)
             std::printf("report: %s (%zu points)\n",
                         opts.jsonPath.c_str(), report.size());
     }
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

@@ -247,14 +247,16 @@ main(int argc, char **argv)
                 "load and migration cost — exactly the sensitivity "
                 "this sweep exposes.\n");
 
+    bool report_written = true;
     if (!opts.jsonPath.empty()) {
         SweepReport report("serving_tail_latency",
                            runner.effectiveJobs(points.size()));
         report.addAll(results);
-        if (report.writeTo(opts.jsonPath)) {
+        report_written = report.writeTo(opts.jsonPath);
+        if (report_written) {
             std::printf("sweep report: %s (%zu points)\n",
                         opts.jsonPath.c_str(), report.size());
         }
     }
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

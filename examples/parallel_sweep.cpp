@@ -62,7 +62,8 @@ main(int argc, char **argv)
     SweepReport report("parallel_sweep_example",
                        runner.effectiveJobs(points.size()));
     report.addAll(results);
-    if (report.writeTo(report_path))
+    const bool report_written = report.writeTo(report_path);
+    if (report_written)
         std::printf("\nwrote %s\n", report_path.c_str());
-    return 0;
+    return sweepExitStatus(results, report_written);
 }

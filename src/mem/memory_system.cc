@@ -42,8 +42,7 @@ CoreMemStats::operator-(const CoreMemStats &mark) const
 MemorySystem::MemorySystem(unsigned num_cores,
                            const HierarchyGeometry &geometry,
                            const MemTimings &timings)
-    : coreStats(num_cores), dir(num_cores),
-      fabric(timings.interconnectHop), lat(timings)
+    : coreStats(num_cores), dir(num_cores), lat(timings)
 {
     if (num_cores == 0)
         oscar_fatal("memory system needs at least one core");
@@ -176,7 +175,6 @@ MemorySystem::invalidateSharers(const DirEntry &entry, Addr line_addr,
         cores[c].l1d.invalidate(line_addr);
         cores[c].l1i.invalidate(line_addr);
         ++coreStats[c].invalidationsReceived;
-        fabric.countMessage();
         ++invalidated;
     }
     return invalidated;
@@ -217,8 +215,7 @@ MemorySystem::upgradeLine(CoreId core, Addr line_addr)
     // S->M upgrade: request to directory, invalidations to sharers,
     // acks back to the requester. The entry is read once for the
     // sharer set and then rewritten in place.
-    fabric.countMessage();
-    Cycle latency = fabric.requestResponse() + lat.directoryLookup;
+    Cycle latency = 2 * lat.interconnectHop + lat.directoryLookup;
     const Directory::Slot slot = dir.findOrInsert(line_addr);
     const DirEntry entry = dir.entryAt(slot);
     // The requester holds the line (Shared) in its L2, so the entry
@@ -242,8 +239,7 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
 {
     (void)ctx;
     AccessResult result;
-    fabric.countMessage();
-    result.latency = fabric.requestResponse() + lat.directoryLookup;
+    result.latency = 2 * lat.interconnectHop + lat.directoryLookup;
 
     // The entry is read once and rewritten in place by the arm taken.
     const Directory::Slot slot = dir.findOrInsert(line_addr);
@@ -254,7 +250,6 @@ MemorySystem::handleL2Miss(CoreId core, Addr line_addr, bool is_write,
     if (remote_exclusive) {
         // Another core owns the line in E or M: cache-to-cache supply.
         const CoreId owner = entry.owner();
-        fabric.countMessage();
         result.latency += lat.cacheToCache;
         result.source = AccessSource::RemoteCache;
         ++coreStats[core].c2cTransfers;

@@ -1,8 +1,10 @@
 /**
  * @file
  * The full memory hierarchy: per-core private L1I/L1D/L2 tag stores, a
- * MESI directory, a point-to-point interconnect, and uniform-latency
- * main memory (Table II of the paper).
+ * MESI directory behind a fixed-latency point-to-point interconnect
+ * (a request to the directory and its response each cross one
+ * MemTimings::interconnectHop), and uniform-latency main memory
+ * (Table II of the paper).
  *
  * Accesses resolve atomically: state is updated and the full latency of
  * the access is returned to the caller, which stalls the in-order core
@@ -21,7 +23,6 @@
 
 #include "mem/cache.hh"
 #include "mem/directory.hh"
-#include "mem/interconnect.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -267,7 +268,7 @@ class MemorySystem
 
     /**
      * Invalidate every cached copy of a line outside @p except,
-     * charging per-sharer fabric messages and invalidation stats.
+     * charging per-sharer invalidation stats.
      * Directory bookkeeping is the caller's: it holds the line's slot
      * and rewrites the sharer set in one shot afterwards.
      */
@@ -295,7 +296,6 @@ class MemorySystem
     std::vector<CoreCaches> cores;
     std::vector<CoreMemStats> coreStats;
     Directory dir;
-    Interconnect fabric;
     MemTimings lat;
     unsigned lineShift;
     /** Full-hierarchy invalidations (thread-migration flushes). */

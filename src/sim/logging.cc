@@ -10,7 +10,6 @@
 #include <cstdarg>
 #include <atomic>
 #include <mutex>
-#include <vector>
 
 namespace oscar
 {
@@ -21,7 +20,6 @@ namespace
 std::string *captureSink = nullptr;
 /** Serializes appends to the capture sink across sweep workers. */
 std::mutex captureMutex;
-std::atomic<LogSink *> structuredSink{nullptr};
 std::atomic<std::uint64_t> warnCounter{0};
 std::atomic<std::uint64_t> informCounter{0};
 thread_local bool fatalThrows = false;
@@ -59,15 +57,6 @@ emit(LogLevel level, const char *file, int line, const char *fmt,
         warnCounter.fetch_add(1, std::memory_order_relaxed);
     else if (level == LogLevel::Inform)
         informCounter.fetch_add(1, std::memory_order_relaxed);
-
-    if (LogSink *sink = structuredSink.load(std::memory_order_acquire)) {
-        LogRecord rec;
-        rec.level = level;
-        rec.message = body;
-        rec.file = file;
-        rec.line = line;
-        sink->record(rec);
-    }
 
     std::lock_guard<std::mutex> lock(captureMutex);
     if (captureSink != nullptr) {
@@ -140,12 +129,6 @@ ScopedFatalThrows::ScopedFatalThrows()
 ScopedFatalThrows::~ScopedFatalThrows()
 {
     fatalThrows = previous;
-}
-
-void
-setLogSink(LogSink *sink)
-{
-    structuredSink.store(sink, std::memory_order_release);
 }
 
 std::uint64_t

@@ -71,41 +71,6 @@ void logMessage(LogLevel level, const char *file, int line,
 
 } // namespace detail
 
-/** One formatted log record handed to a structured sink. */
-struct LogRecord
-{
-    LogLevel level = LogLevel::Inform;
-    /** Rendered message body (no level prefix, no trailing newline). */
-    std::string message;
-    /** Source location of the emitting macro. */
-    const char *file = "";
-    int line = 0;
-};
-
-/**
- * Receives every warn()/inform() record before text rendering.
- *
- * A sink observes records but does not consume them: the textual form
- * still goes to the capture string or stderr as before, so attaching
- * one (e.g. to mirror per-level counts into a MetricRegistry) never
- * changes what the user sees. Must be thread-safe if simulations run
- * on multiple sweep workers while attached.
- */
-class LogSink
-{
-  public:
-    virtual ~LogSink() = default;
-
-    /** Called once per warn()/inform() record. */
-    virtual void record(const LogRecord &rec) = 0;
-};
-
-/**
- * Attach a structured sink observing every warn()/inform() record, or
- * nullptr to detach. The sink must outlive its attachment.
- */
-void setLogSink(LogSink *sink);
-
 /**
  * Redirect warn()/inform() output capture for tests.
  *

@@ -199,8 +199,8 @@ class MemoryTraceSink : public TraceSink
 
 /**
  * Streaming JSONL writer: one header line (supplied by the caller,
- * typically via traceHeader() in system/trace_capture.hh) followed by
- * one line per event.
+ * typically via traceHeaderJson() in system/trace_capture.hh)
+ * followed by one line per event.
  *
  * Lines accumulate in an in-memory buffer that is written out in
  * kBufferBytes-sized chunks: a busy trace emits tens of events per

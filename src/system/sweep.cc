@@ -512,6 +512,10 @@ executePoint(const SweepPoint &point, std::size_t index, bool fork,
             if (!point.tracePath.empty()) {
                 trace = std::make_unique<JsonlTraceSink>(
                     point.tracePath, traceHeaderJson(point.config));
+                if (!trace->ok()) {
+                    oscar_fatal("cannot open trace file '%s'",
+                                point.tracePath.c_str());
+                }
             }
             std::unique_ptr<MetricRegistry> metrics;
             if (!point.metricsPath.empty()) {
@@ -523,14 +527,28 @@ executePoint(const SweepPoint &point, std::size_t index, bool fork,
                 spans = std::make_unique<SpanRecorder>(point.spanExemplars);
             result.results = ExperimentRunner::run(
                 point.config, trace.get(), metrics.get(), spans.get());
-            if (metrics &&
-                writeMetricsFile(*metrics, point.config,
-                                 point.metricsPath)) {
+            // An artifact that is not all on disk fails the point.
+            if (trace) {
+                trace->flush();
+                if (!trace->ok()) {
+                    oscar_fatal("short write to trace file '%s'",
+                                point.tracePath.c_str());
+                }
+            }
+            if (metrics) {
+                if (!writeMetricsFile(*metrics, point.config,
+                                      point.metricsPath)) {
+                    oscar_fatal("cannot write metrics file '%s'",
+                                point.metricsPath.c_str());
+                }
                 result.metricsPath = point.metricsPath;
             }
-            if (spans && !point.spansPath.empty() &&
-                writeSpansFile(spans->results(), point.config,
-                               point.spansPath)) {
+            if (spans && !point.spansPath.empty()) {
+                if (!writeSpansFile(spans->results(), point.config,
+                                    point.spansPath)) {
+                    oscar_fatal("cannot write spans file '%s'",
+                                point.spansPath.c_str());
+                }
                 result.spansPath = point.spansPath;
             }
         }
@@ -1024,6 +1042,21 @@ bool
 SweepReport::writeTo(const std::string &path) const
 {
     return writeArtifactFile(path, toJson() + '\n', "sweep report");
+}
+
+int
+sweepExitStatus(const std::vector<SweepPointResult> &results,
+                bool report_written)
+{
+    int status = report_written ? 0 : 1;
+    for (const SweepPointResult &result : results) {
+        if (!result.ok) {
+            std::fprintf(stderr, "error: point '%s' failed: %s\n",
+                         result.label.c_str(), result.error.c_str());
+            status = 1;
+        }
+    }
+    return status;
 }
 
 std::string

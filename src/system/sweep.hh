@@ -344,6 +344,14 @@ class SweepReport
 };
 
 /**
+ * Exit status of a sweep binary: 1 when any point failed (each failed
+ * point's error goes to stderr) or the sweep report was not written,
+ * else 0.
+ */
+int sweepExitStatus(const std::vector<SweepPointResult> &results,
+                    bool report_written);
+
+/**
  * Serialize one point's simulation results (excluding wall-clock, the
  * only nondeterministic field) — the byte-comparison hook used by the
  * determinism tests.

@@ -30,43 +30,55 @@ controllerConfig(const SystemConfig &config)
     return tc;
 }
 
+/** A validated copy of `config`. */
+SystemConfig
+validated(const SystemConfig &config)
+{
+    config.validate();
+    return config;
+}
+
 } // namespace
 
-System::System(const SystemConfig &config)
-    : cfg(config), services(std::make_shared<const ServiceTable>()),
+namespace detail
+{
+
+SystemState::SystemState(const SystemConfig &config)
+    : cfg(validated(config)),
+      services(std::make_shared<const ServiceTable>()),
+      mem(cfg.totalCores(), cfg.geometry, cfg.timings),
       interrupts(cfg.interrupts, *services,
                  Rng(cfg.seed ^ 0xA5A5A5A5ULL)),
-      controller(controllerConfig(config)),
+      controller(controllerConfig(cfg)),
       staticThreshold(cfg.staticThreshold),
-      dynamicThreshold(controller)
+      // Offload-disabled systems still get a (trivial) topology so
+      // node queries are always answerable; the configured one only
+      // matters when OS cores exist.
+      topo(cfg.userCores,
+           cfg.offloadEnabled ? cfg.topology : TopologyConfig{},
+           cfg.migrationOneWayCycles),
+      cores(cfg.totalCores())
 {
-    cfg.validate();
-    events.setPayloadHandler(&System::eventTrampoline, this);
+}
 
-    // Offload-disabled systems still get a (trivial) topology so node
-    // queries are always answerable; the configured one only matters
-    // when OS cores exist.
-    topo = Topology(cfg.userCores,
-                    cfg.offloadEnabled ? cfg.topology : TopologyConfig{},
-                    cfg.migrationOneWayCycles);
+} // namespace detail
+
+System::System(const SystemConfig &config)
+    : SystemState(config), dynamicThreshold(controller)
+{
+    events.setPayloadHandler(&System::eventTrampoline, this);
     queues.build(topo);
+    // The all-zero mark: until measurement starts, "measured" views
+    // cover the whole run.
+    mark.mem.resize(cores.size());
+    mark.cycles.resize(cores.size());
+    mark.queues.resize(queues.size());
 
     WorkloadSpec spec = makeWorkloadSpec(cfg.workload);
     spec.osCouplingScale = cfg.osCouplingScale;
     pools = OsPools::build(space, *services, spec);
 
-    mem = std::make_unique<MemorySystem>(cfg.totalCores(), cfg.geometry,
-                                         cfg.timings);
-
     Rng root(cfg.seed);
-    cores.reserve(cfg.totalCores());
-    for (unsigned c = 0; c < cfg.userCores; ++c)
-        cores.emplace_back(c, CoreRole::User);
-    if (cfg.offloadEnabled) {
-        for (unsigned k = 0; k < topo.osCoreCount(); ++k)
-            cores.emplace_back(topo.osCoreId(k), CoreRole::Os);
-    }
-
     threads.resize(cfg.userCores);
     for (unsigned t = 0; t < cfg.userCores; ++t) {
         Thread &thread = threads[t];
@@ -77,27 +89,17 @@ System::System(const SystemConfig &config)
             spec, *services, space, pools, cfg.geometry.l2.lineBytes);
         buildPolicy(thread);
     }
-    // The all-zero mark: until measurement starts, "measured" views
-    // cover the whole run.
-    mark.mem.resize(cfg.totalCores());
-    mark.cycles.resize(cores.size());
-    mark.queues.resize(queues.size());
 }
 
 System::System(const System &other)
-    : cfg(other.cfg), services(other.services), space(other.space),
-      mem(std::make_unique<MemorySystem>(*other.mem)),
-      events(other.events), interrupts(other.interrupts),
-      controller(other.controller),
-      staticThreshold(other.staticThreshold),
-      dynamicThreshold(controller), // rebound to OUR controller
-      topo(other.topo), cores(other.cores), profile(other.profile)
+    : SystemState(other),
+      dynamicThreshold(controller) // bound to OUR controller
 {
     // The copied EventQueue carries no handler; install ours.
     events.setPayloadHandler(&System::eventTrampoline, this);
     queues.cloneFrom(other.queues, topo);
 
-    // Rebind every region pointer into our deep-copied address space.
+    // Rebind every region pointer into our copied address space.
     const RegionRemap remap(other.space, space);
     pools = other.pools.remapped(remap);
 
@@ -105,11 +107,10 @@ System::System(const System &other)
     for (std::size_t i = 0; i < threads.size(); ++i) {
         Thread &thread = threads[i];
         const Thread &theirs = other.threads[i];
-        thread.id = theirs.id;
-        thread.core = theirs.core;
+        // pendingInv's service pointer targets the shared table, so
+        // it survives the copy verbatim.
+        static_cast<ThreadState &>(thread) = theirs;
         thread.workload = theirs.workload->clone(*services, remap);
-        thread.arch = theirs.arch;
-        thread.rng = theirs.rng;
         if (theirs.predictor != nullptr)
             thread.predictor = theirs.predictor->clone();
         buildPolicy(thread);
@@ -117,51 +118,9 @@ System::System(const System &other)
             theirs.predictive != nullptr) {
             thread.predictive->stats() = theirs.predictive->stats();
         }
-        thread.measuredRetired = theirs.measuredRetired;
-        thread.quotaReached = theirs.quotaReached;
-        thread.finishCycle = theirs.finishCycle;
-        // pendingInv's service pointer targets the shared table, so
-        // it survives the copy verbatim.
-        thread.pendingInv = theirs.pendingInv;
-        thread.pendingDecision = theirs.pendingDecision;
-        thread.offloadArrival = theirs.offloadArrival;
-        thread.pendingQueue = theirs.pendingQueue;
-        thread.spilled = theirs.spilled;
-        thread.servingOsCore = theirs.servingOsCore;
-        thread.currentRequest = theirs.currentRequest;
-        thread.segmentsLeft = theirs.segmentsLeft;
-        thread.servingRequest = theirs.servingRequest;
-        thread.idle = theirs.idle;
     }
-
-    // Phase machinery, lifetime counters and the measurement mark.
-    counts = other.counts;
-    mark = other.mark;
-    started = other.started;
-    measuring = other.measuring;
-    warmupPrivFraction = other.warmupPrivFraction;
-    measureStart = other.measureStart;
-    finishedThreads = other.finishedThreads;
-    nextEpochBoundary = other.nextEpochBoundary;
-    windowStartInstr = other.windowStartInstr;
-    windowStartCycle = other.windowStartCycle;
-    thresholdTrajectory = other.thresholdTrajectory;
-    invocationLength = other.invocationLength;
-    for (std::size_t i = 0; i < 4; ++i)
-        osInstrAboveTail[i] = other.osInstrAboveTail[i];
-
-    // Serving-mode state.
-    if (other.requests != nullptr)
-        requests = std::make_unique<RequestStream>(*other.requests);
-    requestQueues = other.requestQueues;
-    pendingArrival = other.pendingArrival;
-    requestLatency = other.requestLatency;
-    requestDispatchWait = other.requestDispatchWait;
-    servingDone = other.servingDone;
-    servingEndCycle = other.servingEndCycle;
-
-    // trace/metrics/spans pointers keep their null defaults: the clone
-    // starts uninstrumented by contract.
+    // Trace, metrics, span and tape members keep their empty
+    // defaults: the clone starts uninstrumented by contract.
 }
 
 std::unique_ptr<System>
@@ -183,30 +142,16 @@ System::reconfigureForMeasurement(const SystemConfig &config)
     // Policies are rebuilt below; a registry would poll the old ones.
     oscar_assert(metrics == nullptr &&
                  "reconfigure requires a system without a registry");
-    // The warm prefix is only shareable across configurations that
-    // agree on everything that shaped it; spot-check the load-bearing
-    // fields. Policy/threshold/predictor/horizon fields may differ.
-    oscar_assert(config.workload == cfg.workload);
-    oscar_assert(config.seed == cfg.seed);
-    oscar_assert(config.userCores == cfg.userCores);
-    oscar_assert(config.offloadEnabled == cfg.offloadEnabled);
-    oscar_assert(config.warmupInstructions == cfg.warmupInstructions);
-    oscar_assert(config.osCouplingScale == cfg.osCouplingScale);
-    oscar_assert((config.serving == nullptr) == (cfg.serving == nullptr));
-    oscar_assert(config.serving == nullptr ||
-                 config.serving->warmupRequests ==
-                     cfg.serving->warmupRequests);
-    oscar_assert(!cfg.offloadEnabled ||
-                 (config.topology.osCores == cfg.topology.osCores &&
-                  config.topology.numaNodes == cfg.topology.numaNodes &&
-                  config.topology.placement == cfg.topology.placement &&
-                  config.topology.dispatch == cfg.topology.dispatch));
+    // The warm prefix is shared only within its fork group; policy,
+    // threshold, predictor, decision-cost, migration-latency and
+    // horizon fields may differ.
+    oscar_assert(sweepWarmupKey(config) == sweepWarmupKey(cfg));
 
     cfg = config;
     cfg.validate();
     // The topology bakes the one-way migration latency into its
-    // distance maps, so rebuild it in place: same shape (asserted
-    // above), possibly a different latency. Reassignment keeps the
+    // distance maps, so rebuild it in place: same shape (the key
+    // covers it), possibly a different latency. Reassignment keeps the
     // object's address, so the queue set's topology pointer stays
     // valid.
     topo = Topology(cfg.userCores,
@@ -343,7 +288,7 @@ System::setMetricRegistry(MetricRegistry *registry)
                         [this] { return counts.invocations; });
     registry->counterFn("sys.offloads", [this] { return counts.offloads; });
 
-    mem->registerMetrics(*registry);
+    mem.registerMetrics(*registry);
     if (cfg.offloadEnabled) {
         queues.registerMetrics(*registry);
         registry->counterFn("numa.migrations.intra",
@@ -542,9 +487,9 @@ System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
     // A segment costs one cycle per instruction plus its probes'
     // stalls, so a replay needs only the probes.
     if (tapeIn != nullptr)
-        return instructions + tapeReader.replaySegment(*mem, core, ctx);
+        return instructions + tapeReader.replaySegment(mem, core, ctx);
     if (tapeOut == nullptr) {
-        return ExecEngine::execute(*mem, core, ctx, instructions, profile,
+        return ExecEngine::execute(mem, core, ctx, instructions, profile,
                                    thread.rng)
             .cycles;
     }
@@ -568,7 +513,7 @@ System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
             stall += mem.accessBatch(core, ctx, refs, count);
             tape.recordRefs(refs, count);
         }
-    } sink(*mem, core, ctx, *tapeOut);
+    } sink(mem, core, ctx, *tapeOut);
     return ExecEngine::generate(instructions, profile, thread.rng, sink)
                .cycles +
            sink.stall;
@@ -625,7 +570,7 @@ System::retire(Thread &thread, InstCount count, bool privileged)
             }
             thresholdTrajectory.push_back(
                 {measured, controller.currentThreshold()});
-            mem->resetWindow();
+            mem.resetWindow();
             windowStartInstr = measured;
             windowStartCycle = events.now();
             nextEpochBoundary = measured + controller.epochLength();
@@ -696,14 +641,14 @@ System::resetMeasuredRegion()
     measureStart = events.now();
     mark.system = counts;
     for (CoreId c = 0; c < mark.mem.size(); ++c)
-        mark.mem[c] = mem->stats(c);
+        mark.mem[c] = mem.stats(c);
     for (std::size_t c = 0; c < cores.size(); ++c)
-        mark.cycles[c] = cores[c].cycles();
+        mark.cycles[c] = cores[c];
     for (unsigned k = 0; k < queues.size(); ++k)
         mark.queues[k] = queues.queue(k).counters();
 
     // What cannot be subtracted is cleared instead.
-    mem->resetWindow();
+    mem.resetWindow();
     queues.resetStats();
     for (Thread &thread : threads) {
         if (thread.predictive != nullptr)
@@ -731,7 +676,7 @@ System::epochFeedback()
 {
     if (cfg.thresholdFeedback ==
         SystemConfig::ThresholdFeedback::L2HitRate) {
-        return mem->windowL2HitRate();
+        return mem.windowL2HitRate();
     }
     const Cycle cycles = events.now() - windowStartCycle;
     if (cycles == 0)
@@ -771,8 +716,7 @@ System::threadStep(std::uint32_t tid)
         const Cycle cycles = executeSegment(
             thread, thread.core, ExecContext::User, token.burstLength,
             thread.workload->userProfile());
-        cores[thread.core].cycles().user += cycles;
-        cores[thread.core].retireUser(token.burstLength);
+        cores[thread.core].user += cycles;
         retire(thread, token.burstLength, false);
         if (spans != nullptr)
             spans->segment(tid, SpanPhase::User, now, cycles);
@@ -812,7 +756,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         event.threshold = decision.threshold;
         emitTrace(event);
     }
-    cores[thread.core].cycles().decision += decision.cost;
+    cores[thread.core].decision += decision.cost;
     if (spans != nullptr) {
         spans->segment(tid, SpanPhase::Decision, now, decision.cost,
                        static_cast<std::uint16_t>(inv.service->id));
@@ -838,8 +782,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         const Cycle cycles = executeSegment(
             thread, thread.core, ExecContext::Os, length,
             thread.workload->serviceProfile(inv.service->id));
-        cores[thread.core].cycles().os += cycles;
-        cores[thread.core].retireOs(length);
+        cores[thread.core].os += cycles;
         thread.policy->observe(inv, decision, length);
         profile.observe(inv.service->id, length);
         recordInvocationLength(length);
@@ -873,7 +816,7 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     const unsigned target = queues.dispatchQueue(thread.core);
     const CoreId os_core = topo.osCoreId(target);
     const Cycle one_way = topo.migrationOneWay(thread.core, os_core);
-    cores[thread.core].cycles().migration += one_way;
+    cores[thread.core].migration += one_way;
     countMigration(thread.core, os_core);
     if (trace != nullptr) {
         TraceEvent event;
@@ -919,7 +862,7 @@ System::osCoreArrival(std::uint32_t tid)
             const CoreId to_core = topo.osCoreId(spill);
             const Cycle transfer =
                 topo.migrationOneWay(from_core, to_core);
-            cores[thread.core].cycles().migration += transfer;
+            cores[thread.core].migration += transfer;
             countMigration(from_core, to_core);
             queues.queue(home).countSpillOut();
             queues.queue(spill).countSpillIn();
@@ -983,7 +926,7 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
 
     oscar_assert(start >= thread.offloadArrival);
     const Cycle waited = start - thread.offloadArrival;
-    cores[thread.core].cycles().queueWait += waited;
+    cores[thread.core].queueWait += waited;
     if (spans != nullptr)
         spans->queueWait(tid, start, waited, target);
 
@@ -991,8 +934,7 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
     const Cycle cycles = executeSegment(
         thread, os_core, ExecContext::Os, length,
         thread.workload->serviceProfile(thread.pendingInv.service->id));
-    cores[os_core].cycles().os += cycles;
-    cores[os_core].retireOs(length);
+    cores[os_core].os += cycles;
     if (spans != nullptr) {
         spans->segment(tid, SpanPhase::OsExec, start, cycles,
                        static_cast<std::uint16_t>(
@@ -1032,7 +974,7 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
     // Migrate back to the user core.
     const Cycle one_way =
         topo.migrationOneWay(thread.servingOsCore, thread.core);
-    cores[thread.core].cycles().migration += one_way;
+    cores[thread.core].migration += one_way;
     countMigration(thread.servingOsCore, thread.core);
     if (trace != nullptr) {
         TraceEvent event;
@@ -1084,7 +1026,7 @@ System::maybeSteal(unsigned thief, Cycle now)
     const CoreId from_core = topo.osCoreId(victim);
     const CoreId to_core = topo.osCoreId(thief);
     const Cycle transfer = topo.migrationOneWay(from_core, to_core);
-    cores[thread.core].cycles().migration += transfer;
+    cores[thread.core].migration += transfer;
     countMigration(from_core, to_core);
     if (trace != nullptr) {
         TraceEvent event;
@@ -1259,8 +1201,7 @@ System::beginRun()
         // The stream's seed is decorrelated from the simulator's root
         // so attaching the front-end perturbs no workload/interrupt
         // stream.
-        requests = std::make_unique<RequestStream>(
-            *cfg.serving, cfg.seed ^ 0x5245515354ULL);
+        requests.emplace(*cfg.serving, cfg.seed ^ 0x5245515354ULL);
         requestQueues.resize(threads.size());
         for (Thread &thread : threads)
             thread.idle = true;
@@ -1351,8 +1292,8 @@ System::resumeRun()
     return finishRun();
 }
 
-System::Counters
-System::Counters::operator-(const Counters &m) const
+detail::SystemState::Counters
+detail::SystemState::Counters::operator-(const Counters &m) const
 {
     Counters since;
     since.retiredUser = retiredUser - m.retiredUser;
@@ -1376,14 +1317,14 @@ CoreMemStats
 System::measuredMemStats(CoreId core) const
 {
     oscar_assert(core < mark.mem.size());
-    return mem->stats(core) - mark.mem[core];
+    return mem.stats(core) - mark.mem[core];
 }
 
 CycleBreakdown
 System::measuredCycles(CoreId core) const
 {
     oscar_assert(core < cores.size());
-    return cores[core].cycles() - mark.cycles[core];
+    return cores[core] - mark.cycles[core];
 }
 
 SimResults
@@ -1500,18 +1441,13 @@ System::collectResults() const
         results.numaMigrationsIntra = measured.migIntra;
         results.numaMigrationsInter = measured.migInter;
         results.osCoreUtilization = total_util / K;
-        if (K == 1) {
-            // Bit-exact legacy path: no merge round-off for the
-            // golden single-OS-core experiments.
-            results.meanQueueDelay = queues.queue(0).queueDelay().mean();
-            results.maxQueueDelay = queues.queue(0).queueDelay().max();
-        } else {
-            RunningStat pooled;
-            for (unsigned k = 0; k < K; ++k)
-                pooled.merge(queues.queue(k).queueDelay());
-            results.meanQueueDelay = pooled.mean();
-            results.maxQueueDelay = pooled.max();
-        }
+        // Merging into an empty stat copies it, so one queue keeps
+        // its own bits.
+        RunningStat pooled;
+        for (unsigned k = 0; k < K; ++k)
+            pooled.merge(queues.queue(k).queueDelay());
+        results.meanQueueDelay = pooled.mean();
+        results.maxQueueDelay = pooled.max();
     }
 
     for (std::size_t c = 0; c < cores.size(); ++c) {

@@ -11,7 +11,9 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +27,6 @@
 #include "mem/memory_system.hh"
 #include "os/interrupts.hh"
 #include "os/invocation.hh"
-#include "os/migration.hh"
 #include "os/numa_topology.hh"
 #include "os/os_core_queue.hh"
 #include "os/os_queue_set.hh"
@@ -39,8 +40,6 @@
 #include "workload/address_space.hh"
 #include "workload/request_stream.hh"
 #include "workload/workload.hh"
-
-#include <deque>
 
 namespace oscar
 {
@@ -216,10 +215,116 @@ struct SimResults
     std::shared_ptr<SpanResults> spans;
 };
 
+namespace detail
+{
+
+/**
+ * The plain simulated state of a System: everything a snapshot takes
+ * over as it is. System inherits it privately, and its clone copies it
+ * with this struct's one defaulted copy, so a member added here is
+ * cloned without further code. What a copy must re-point or reset (a
+ * pointer into its owner, a workload bound to an address space,
+ * predictors and policies, instrumentation) belongs to System itself.
+ */
+struct SystemState
+{
+    /** Validate `config` and build the cold machine it describes. */
+    explicit SystemState(const SystemConfig &config);
+    SystemState(const SystemState &) = default;
+
+    /** Lifetime event counters owned by the System (never reset). */
+    struct Counters
+    {
+        InstCount retiredUser = 0;
+        InstCount retiredOs = 0;
+        std::uint64_t invocations = 0;
+        std::uint64_t offloads = 0;
+        std::array<std::uint64_t, kNumServices> invocationsByService{};
+        std::array<std::uint64_t, kNumServices> offloadsByService{};
+        /** Migrations (incl. steal/spill transfers) within a node. */
+        std::uint64_t migIntra = 0;
+        /** Migrations that crossed nodes. */
+        std::uint64_t migInter = 0;
+        std::uint64_t requestsOffered = 0;
+        std::uint64_t requestsCompleted = 0;
+
+        /** Events counted since `mark`, an earlier copy. */
+        Counters operator-(const Counters &mark) const;
+    };
+
+    /**
+     * Copy of every lifetime counter — the System's own, each core's
+     * cache statistics and cycle breakdown, each OS-core queue's
+     * counts — taken when the measured region starts. Results are
+     * lifetime minus this mark.
+     */
+    struct Mark
+    {
+        Counters system;
+        std::vector<CoreMemStats> mem;
+        std::vector<CycleBreakdown> cycles;
+        std::vector<OsQueueCounters> queues;
+    };
+
+    SystemConfig cfg;
+    /**
+     * Shared (immutable) between a system and its clones, so the
+     * OsService pointers inside in-flight OsInvocations — and the
+     * references held by workloads and the interrupt source — stay
+     * valid across snapshots.
+     */
+    std::shared_ptr<const ServiceTable> services;
+    AddressSpace space;
+    MemorySystem mem;
+    /** Copied without its handler; the owner installs its own. */
+    EventQueue events;
+    InterruptSource interrupts;
+    ThresholdController controller;
+    StaticThreshold staticThreshold;
+    Topology topo;
+    /** Each core's lifetime cycle accounting, by core id. */
+    std::vector<CycleBreakdown> cores;
+    ServiceProfile profile; ///< filled continuously; used for SI profiling
+
+    /** Lifetime counters; the registry polls these. */
+    Counters counts;
+    /** counts (and the components' counters) at measurement start. */
+    Mark mark;
+
+    // Phase machinery.
+    /** beginRun() has seeded the event queue. */
+    bool started = false;
+    bool measuring = false;
+    double warmupPrivFraction = 0.0;
+    Cycle measureStart = 0;
+    unsigned finishedThreads = 0;
+    InstCount nextEpochBoundary = 0;
+    InstCount windowStartInstr = 0;
+    Cycle windowStartCycle = 0;
+    std::vector<ThresholdSample> thresholdTrajectory;
+
+    // Measured-region invocation-length distribution.
+    RunningStat invocationLength;
+    InstCount osInstrAboveTail[4] = {0, 0, 0, 0};
+
+    // Serving-mode state (empty / unused in classic segment mode).
+    std::optional<RequestStream> requests;
+    /** Per-thread dispatch queues. */
+    std::vector<std::deque<Request>> requestQueues;
+    /** Open loop: the committed arrival the next event delivers. */
+    Request pendingArrival;
+    LatencyHistogram requestLatency;
+    RunningStat requestDispatchWait;
+    bool servingDone = false;
+    Cycle servingEndCycle = 0;
+};
+
+} // namespace detail
+
 /**
  * One simulated CMP running one benchmark.
  */
-class System
+class System : private detail::SystemState
 {
   public:
     /** Build the system; the configuration is validated here. */
@@ -339,7 +444,7 @@ class System
     const SystemConfig &config() const { return cfg; }
 
     /** Memory hierarchy (inspection). */
-    const MemorySystem &memory() const { return *mem; }
+    const MemorySystem &memory() const { return mem; }
 
     /**
      * One core's cache statistics over the measured region: its
@@ -358,12 +463,6 @@ class System
         return controller;
     }
 
-    /** OS-core queue k (inspection); default the first. */
-    const OsCoreQueue &osQueue(unsigned k = 0) const
-    {
-        return queues.queue(k);
-    }
-
     /** The queue set (inspection). */
     const OsQueueSet &osQueues() const { return queues; }
 
@@ -377,50 +476,13 @@ class System
     /** Snapshot copy backing clone(); see clone() for the contract. */
     System(const System &other);
 
-    /** Lifetime event counters owned by the System (never reset). */
-    struct Counters
-    {
-        InstCount retiredUser = 0;
-        InstCount retiredOs = 0;
-        std::uint64_t invocations = 0;
-        std::uint64_t offloads = 0;
-        std::array<std::uint64_t, kNumServices> invocationsByService{};
-        std::array<std::uint64_t, kNumServices> offloadsByService{};
-        /** Migrations (incl. steal/spill transfers) within a node. */
-        std::uint64_t migIntra = 0;
-        /** Migrations that crossed nodes. */
-        std::uint64_t migInter = 0;
-        std::uint64_t requestsOffered = 0;
-        std::uint64_t requestsCompleted = 0;
-
-        /** Events counted since `mark`, an earlier copy. */
-        Counters operator-(const Counters &mark) const;
-    };
-
-    /**
-     * Copy of every lifetime counter — the System's own, each core's
-     * cache statistics and cycle breakdown, each OS-core queue's
-     * counts — taken when the measured region starts. Results are
-     * lifetime minus this mark.
-     */
-    struct Mark
-    {
-        Counters system;
-        std::vector<CoreMemStats> mem;
-        std::vector<CycleBreakdown> cycles;
-        std::vector<OsQueueCounters> queues;
-    };
-
-    struct Thread
+    /** A thread's plain state: a snapshot copies it as it is. */
+    struct ThreadState
     {
         std::uint32_t id = 0;
         CoreId core = 0;
-        std::unique_ptr<Workload> workload;
         ArchState arch;
         Rng rng;
-        std::unique_ptr<RunLengthPredictor> predictor;
-        std::unique_ptr<OffloadPolicy> policy;
-        PredictivePolicy *predictive = nullptr; ///< non-owning view
 
         InstCount measuredRetired = 0;
         bool quotaReached = false;
@@ -446,6 +508,16 @@ class System
         bool servingRequest = false;
         /** No request in service and none queued; a dispatch wakes. */
         bool idle = false;
+    };
+
+    /** A thread: its plain state plus what a snapshot must rebuild. */
+    struct Thread : ThreadState
+    {
+        /** Bound to its system's address space and pools. */
+        std::unique_ptr<Workload> workload;
+        std::unique_ptr<RunLengthPredictor> predictor;
+        std::unique_ptr<OffloadPolicy> policy;
+        PredictivePolicy *predictive = nullptr; ///< non-owning view
     };
 
     /**
@@ -587,7 +659,7 @@ class System
 
     // --- Serving mode (see workload/request_stream.hh) ---------------
     /** True when the run is driven by the request front-end. */
-    bool servingMode() const { return requests != nullptr; }
+    bool servingMode() const { return requests.has_value(); }
 
     /** Open loop: commit and schedule the next fleet arrival. */
     void scheduleNextArrival();
@@ -607,37 +679,29 @@ class System
     /** The request in service on a thread finished its last segment. */
     void completeRequest(std::uint32_t tid, Cycle now);
 
-    SystemConfig cfg;
-    /**
-     * Shared (immutable) between a system and its clones, so the
-     * OsService pointers inside in-flight OsInvocations — and the
-     * references held by workloads and the interrupt source — stay
-     * valid across snapshots.
-     */
-    std::shared_ptr<const ServiceTable> services;
-    AddressSpace space;
-    OsPools pools;
-    std::unique_ptr<MemorySystem> mem;
-    EventQueue events;
-    InterruptSource interrupts;
-    ThresholdController controller;
-    StaticThreshold staticThreshold;
-    DynamicThreshold dynamicThreshold;
-    Topology topo;
-    OsQueueSet queues;
+    /** The configured dynamic-N feedback value for the ending epoch. */
+    double epochFeedback();
 
-    std::vector<Core> cores;
+    /** Tail accounting for one completed invocation. */
+    void recordInvocationLength(InstCount length);
+
+    /** Re-pointed by the copy: it holds the controller's address. */
+    DynamicThreshold dynamicThreshold;
+    /** Re-pointed by the copy: it holds the topology's address. */
+    OsQueueSet queues;
+    /** Re-pointed by the copy: regions of the clone's address space. */
+    OsPools pools;
+    /** Workloads, predictors and policies are rebuilt by the copy. */
     std::vector<Thread> threads;
-    ServiceProfile profile; ///< filled continuously; used for SI profiling
+
+    // Instrumentation and tapes: a clone starts without them.
     TraceSink *trace = nullptr; ///< optional; null = tracing off
     SpanRecorder *spans = nullptr; ///< optional; null = spans off
-
     /** Tape this live run records into; null when not recording. */
     std::shared_ptr<StreamTape> tapeOut;
     /** Tape the run replays; null when the stream is generated. */
     std::shared_ptr<const StreamTape> tapeIn;
     StreamTape::Reader tapeReader;
-
     // Metrics (optional; null = metrics off).
     MetricRegistry *metrics = nullptr;
     /** Cached registry sampling interval; 0 = periodic sampling off. */
@@ -645,43 +709,6 @@ class System
     /** Next total-retired instant to sample at. */
     InstCount nextMetricsSample = 0;
 
-    /** Lifetime counters; the registry polls these. */
-    Counters counts;
-    /** counts (and the components' counters) at measurement start. */
-    Mark mark;
-
-    // Phase machinery.
-    /** beginRun() has seeded the event queue. */
-    bool started = false;
-    bool measuring = false;
-    double warmupPrivFraction = 0.0;
-    Cycle measureStart = 0;
-    unsigned finishedThreads = 0;
-    InstCount nextEpochBoundary = 0;
-    InstCount windowStartInstr = 0;
-    Cycle windowStartCycle = 0;
-    std::vector<ThresholdSample> thresholdTrajectory;
-
-    /** The configured dynamic-N feedback value for the ending epoch. */
-    double epochFeedback();
-
-    // Measured-region invocation-length distribution.
-    RunningStat invocationLength;
-    InstCount osInstrAboveTail[4] = {0, 0, 0, 0};
-
-    // Serving-mode state (null / unused in classic segment mode).
-    std::unique_ptr<RequestStream> requests;
-    /** Per-thread dispatch queues. */
-    std::vector<std::deque<Request>> requestQueues;
-    /** Open loop: the committed arrival the next event delivers. */
-    Request pendingArrival;
-    LatencyHistogram requestLatency;
-    RunningStat requestDispatchWait;
-    bool servingDone = false;
-    Cycle servingEndCycle = 0;
-
-    /** Tail accounting for one completed invocation. */
-    void recordInvocationLength(InstCount length);
 };
 
 } // namespace oscar

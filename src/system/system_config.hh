@@ -15,7 +15,6 @@
 #include "core/threshold_controller.hh"
 #include "mem/memory_system.hh"
 #include "os/interrupts.hh"
-#include "os/migration.hh"
 #include "os/numa_topology.hh"
 #include "workload/profiles.hh"
 #include "workload/request_stream.hh"
@@ -151,9 +150,6 @@ struct SystemConfig
     {
         return userCores + (offloadEnabled ? topology.osCores : 0u);
     }
-
-    /** Core id of the first OS core; offload must be enabled. */
-    CoreId osCoreId() const { return userCores; }
 
     /** Sanity-check the configuration; fatal on user error. */
     void validate() const;

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/logging.hh"
 
 namespace oscar
@@ -61,48 +59,6 @@ TEST_F(LoggingTest, ResetZeroesBothCounters)
     resetLogCounts();
     EXPECT_EQ(warnCount(), 0u);
     EXPECT_EQ(informCount(), 0u);
-}
-
-/** Test sink recording every structured record it observes. */
-class RecordingSink : public LogSink
-{
-  public:
-    void record(const LogRecord &rec) override
-    {
-        records.push_back(rec);
-    }
-
-    std::vector<LogRecord> records;
-};
-
-TEST_F(LoggingTest, StructuredSinkObservesRecords)
-{
-    RecordingSink sink;
-    setLogSink(&sink);
-    oscar_warn("approximated %d", 3);
-    oscar_inform("status %s", "ok");
-    setLogSink(nullptr);
-
-    ASSERT_EQ(sink.records.size(), 2u);
-    EXPECT_EQ(sink.records[0].level, LogLevel::Warn);
-    EXPECT_EQ(sink.records[0].message, "approximated 3");
-    EXPECT_NE(sink.records[0].line, 0);
-    EXPECT_EQ(sink.records[1].level, LogLevel::Inform);
-    EXPECT_EQ(sink.records[1].message, "status ok");
-
-    // The sink observes; the textual path still runs unchanged.
-    EXPECT_NE(captured.find("warn: approximated 3"),
-              std::string::npos);
-    EXPECT_NE(captured.find("info: status ok"), std::string::npos);
-}
-
-TEST_F(LoggingTest, DetachedSinkSeesNothing)
-{
-    RecordingSink sink;
-    setLogSink(&sink);
-    setLogSink(nullptr);
-    oscar_warn("after detach");
-    EXPECT_TRUE(sink.records.empty());
 }
 
 TEST_F(LoggingTest, AssertPassesOnTrue)

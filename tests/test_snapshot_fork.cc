@@ -194,6 +194,34 @@ TEST(SnapshotFork, OneSnapshotForkedTwiceIsDeterministic)
 }
 
 /**
+ * A warm snapshot forks only within its fork group: reconfiguring it
+ * to a config of another sweepWarmupKey — here another L2 size or
+ * another interrupt rate, both of which shaped the warm prefix — is a
+ * simulator bug, not a user error.
+ */
+TEST(SnapshotForkDeath, ReconfigureAcrossForkGroupsPanics)
+{
+    const SystemConfig config = withHorizons(
+        ExperimentRunner::hardwareConfig(WorkloadKind::Apache, 1000,
+                                         100));
+    System warm(sweepWarmerConfig(config));
+    warm.runToMeasurementStart();
+
+    SystemConfig other_l2 = config;
+    other_l2.geometry.l2.sizeBytes /= 2;
+    EXPECT_DEATH(warm.clone()->reconfigureForMeasurement(other_l2),
+                 "sweepWarmupKey");
+
+    SystemConfig other_irq = config;
+    other_irq.interrupts.meanInterarrivalCycles += 100'000.0;
+    EXPECT_DEATH(warm.clone()->reconfigureForMeasurement(other_irq),
+                 "sweepWarmupKey");
+
+    // Within the group the same snapshot reconfigures silently.
+    warm.clone()->reconfigureForMeasurement(config);
+}
+
+/**
  * Forked sweeps must not depend on the job count: whichever worker
  * warms the shared snapshot, every point forks from the same state.
  */

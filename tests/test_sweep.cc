@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep runner, the baseline cache's
- * concurrency behavior, and the JSON report artifact.
+ * concurrency behavior, the JSON report artifact, and the failure of
+ * a point whose trace, metrics or spans file cannot be written.
  */
 
 #include <gtest/gtest.h>
@@ -645,6 +646,83 @@ TEST(SweepReport, WriteToBadPathFailsGracefully)
     EXPECT_FALSE(report.writeTo("/nonexistent-dir/report.json"));
     setLogCapture(nullptr);
     EXPECT_NE(captured.find("sweep report"), std::string::npos);
+}
+
+/**
+ * Aim point 1 of a three-point sweep at a file that cannot be opened
+ * (in a missing directory) and at one that opens but cannot be written
+ * (/dev/full): at --jobs 1 and 4 that point fails with an error naming
+ * the file, and the other two run exactly as they do without it.
+ */
+void
+expectUnwritableArtifactFailsOnlyItsPoint(
+    const std::vector<SweepPoint> &points,
+    void (*aim)(SweepPoint &point, const std::string &path))
+{
+    ASSERT_EQ(points.size(), 3u);
+    const auto reference = ParallelSweepRunner({1}).run(points);
+    for (const std::string path :
+         {"/nonexistent-dir/artifact.jsonl", "/dev/full"}) {
+        std::vector<SweepPoint> aimed = points;
+        aim(aimed[1], path);
+        for (unsigned jobs : {1u, 4u}) {
+            std::string captured;
+            setLogCapture(&captured);
+            const auto results = ParallelSweepRunner({jobs}).run(aimed);
+            setLogCapture(nullptr);
+            ASSERT_EQ(results.size(), 3u);
+            EXPECT_FALSE(results[1].ok) << path << " at jobs=" << jobs;
+            EXPECT_NE(results[1].error.find(path), std::string::npos)
+                << results[1].error;
+            for (std::size_t i : {0u, 2u}) {
+                ASSERT_TRUE(results[i].ok) << results[i].error;
+                EXPECT_EQ(sweepPointResultsJson(results[i]),
+                          sweepPointResultsJson(reference[i]))
+                    << "point " << i << " at jobs=" << jobs;
+            }
+        }
+    }
+}
+
+std::vector<SweepPoint>
+threeSegmentPoints()
+{
+    std::vector<SweepPoint> points = sampleGrid();
+    points.resize(3);
+    return points;
+}
+
+TEST(SweepArtifacts, UnwritableTraceFailsItsPoint)
+{
+    expectUnwritableArtifactFailsOnlyItsPoint(
+        threeSegmentPoints(),
+        [](SweepPoint &point, const std::string &path) {
+            point.tracePath = path;
+        });
+}
+
+TEST(SweepArtifacts, UnwritableMetricsFailItsPoint)
+{
+    expectUnwritableArtifactFailsOnlyItsPoint(
+        threeSegmentPoints(),
+        [](SweepPoint &point, const std::string &path) {
+            point.metricsPath = path;
+        });
+}
+
+TEST(SweepArtifacts, UnwritableSpansFailTheirPoint)
+{
+    std::vector<SweepPoint> points;
+    for (std::uint64_t seed : {42u, 7u, 9u}) {
+        SweepPoint point = shardedServingPoint({seed});
+        point.label = std::string("s").append(std::to_string(seed));
+        point.replicaSeeds.clear();
+        points.push_back(std::move(point));
+    }
+    expectUnwritableArtifactFailsOnlyItsPoint(
+        points, [](SweepPoint &point, const std::string &path) {
+            point.spansPath = path;
+        });
 }
 
 TEST(ScopedFatalThrows, ConvertsFatalToException)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Multi-OS-core NUMA topology tests: the resolved core→node maps, the
- * K=1 differential against the legacy single-OS-core path, and the
- * conservation / starvation / merge-pooling properties of the
- * work-stealing queue fabric.
+ * Multi-OS-core NUMA topology tests: the resolved core→node maps and
+ * migration distances, the K=1 differential against the legacy
+ * single-OS-core path, the conservation / starvation / merge-pooling
+ * properties of the work-stealing queue fabric, and the per-core cycle
+ * breakdown the utilizations are built from.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "cpu/core.hh"
 #include "os/numa_topology.hh"
 #include "os/os_queue_set.hh"
 #include "sim/metrics.hh"
@@ -455,6 +457,82 @@ TEST(QueueSetDispatch, StealVictimIsTheDeepestQueue)
     set.queue(1).offer({3, 0}, 0); // depth 1
     set.queue(1).offer({4, 0}, 0); // depth 2 — deepest
     EXPECT_EQ(set.stealVictim(2), 1u);
+}
+
+TEST(TopologyDistance, DefaultDegeneratesToTheFlatModel)
+{
+    // The paper's machine: every distance is the plain one-way
+    // migration latency, at the conservative (5,000-cycle), aggressive
+    // (100-cycle) and zero-overhead design points alike.
+    for (const Cycle one_way : {Cycle{5000}, Cycle{100}, Cycle{0}}) {
+        const Topology topo(2, TopologyConfig{}, one_way);
+        for (CoreId from = 0; from < 3; ++from) {
+            for (CoreId to = 0; to < 3; ++to)
+                EXPECT_EQ(topo.migrationOneWay(from, to), one_way);
+        }
+    }
+}
+
+TEST(TopologyDistance, SymmetricAndDistanceDependent)
+{
+    TopologyConfig cfg;
+    cfg.osCores = 3;
+    cfg.numaNodes = 3;
+    cfg.placement = OsPlacement::Spread;
+    cfg.intraNodeHopCycles = 20;
+    cfg.interNodeHopCycles = 400;
+    const Topology topo(3, cfg, 1000);
+    // Users 0/1/2 on nodes 0/1/2; OS cores 3/4/5 on nodes 0/1/2.
+    // Same node: base + intra hop.
+    EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(0)), 1020u);
+    // One node apart: base + one inter-node hop.
+    EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(1)), 1400u);
+    // Two nodes apart: the linear distance scales the hop cost.
+    EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(2)), 1800u);
+    // Symmetric in its arguments, including OS-to-OS transfers.
+    for (CoreId a = 0; a < 6; ++a) {
+        for (CoreId b = 0; b < 6; ++b) {
+            EXPECT_EQ(topo.migrationOneWay(a, b),
+                      topo.migrationOneWay(b, a));
+        }
+    }
+    EXPECT_EQ(topo.hops(topo.osCoreId(0), topo.osCoreId(2)), 2u);
+}
+
+TEST(TopologyDistance, ComposesWithTheInterconnectModel)
+{
+    // An inter-node hop of 20 cycles — the coherence fabric's round
+    // trip, two 10-cycle MemTimings::interconnectHop crossings — is
+    // charged once per node crossing.
+    TopologyConfig cfg;
+    cfg.osCores = 2;
+    cfg.numaNodes = 2;
+    cfg.placement = OsPlacement::Spread;
+    cfg.interNodeHopCycles = 20;
+    const Topology topo(2, cfg, 100);
+    // User 0 (node 0) to OS core 1 (node 1): one crossing.
+    EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(1)), 120u);
+    // Same-node migration pays no crossing at all.
+    EXPECT_EQ(topo.migrationOneWay(0, topo.osCoreId(0)), 100u);
+}
+
+TEST(Core, CycleBreakdownTotals)
+{
+    CycleBreakdown cycles;
+    cycles.user = 100;
+    cycles.os = 50;
+    cycles.decision = 5;
+    cycles.migration = 20;
+    cycles.queueWait = 25;
+    EXPECT_EQ(cycles.total(), 200u);
+}
+
+TEST(Core, UtilizationFraction)
+{
+    CycleBreakdown cycles;
+    cycles.os = 250;
+    EXPECT_DOUBLE_EQ(cycles.utilization(1000), 0.25);
+    EXPECT_DOUBLE_EQ(cycles.utilization(0), 0.0);
 }
 
 } // namespace
