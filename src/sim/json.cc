@@ -62,21 +62,14 @@ jsonNumber(double value)
 }
 
 bool
-writeArtifactFile(const std::string &path, const std::string &doc,
-                  const char *what)
+writeArtifactFile(const std::string &path, const std::string &doc)
 {
     std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr) {
-        oscar_warn("cannot open %s file '%s'", what, path.c_str());
+    if (file == nullptr)
         return false;
-    }
     const std::size_t written =
         std::fwrite(doc.data(), 1, doc.size(), file);
-    if (std::fclose(file) != 0 || written != doc.size()) {
-        oscar_warn("short write to %s file '%s'", what, path.c_str());
-        return false;
-    }
-    return true;
+    return std::fclose(file) == 0 && written == doc.size();
 }
 
 void

@@ -173,11 +173,8 @@ JsonlTraceSink::JsonlTraceSink(const std::string &path,
                                const std::string &header_line)
     : out(path, std::ios::binary | std::ios::trunc)
 {
-    if (!out) {
-        oscar_warn("cannot open trace file '%s'; tracing disabled",
-                   path.c_str());
+    if (!out)
         return;
-    }
     buffer.reserve(kBufferBytes + 512);
     if (!header_line.empty()) {
         buffer += header_line;

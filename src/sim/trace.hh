@@ -225,7 +225,10 @@ class JsonlTraceSink : public TraceSink
 
     ~JsonlTraceSink() override;
 
-    /** False when the file could not be opened (a warning was issued). */
+    /**
+     * False when the file could not be opened or a write failed; the
+     * sink itself reports nothing, so its owner checks and reports.
+     */
     bool ok() const { return static_cast<bool>(out); }
 
     /** Flush buffered lines to disk. */

@@ -219,6 +219,40 @@ sweepWarmupKey(const SystemConfig &config)
 }
 
 std::string
+sweepPlacementKey(const SystemConfig &config)
+{
+    if (config.userCores != 1 || config.serving != nullptr ||
+        config.dynamicThreshold ||
+        config.policy == PolicyKind::StaticInstrumentation)
+        return {};
+    std::string key = sweepWarmupKey(config);
+    key += " place";
+    appendKey(key, "pol", std::uint64_t(static_cast<int>(config.policy)));
+    appendKey(key, "pred",
+              std::uint64_t(static_cast<int>(config.predictor)));
+    appendKey(key, "fb",
+              std::uint64_t(static_cast<int>(config.thresholdFeedback)));
+    appendKey(key, "n", config.staticThreshold);
+    const ThresholdConfig &tc = config.thresholdConfig;
+    for (const InstCount rung : tc.ladder)
+        appendKey(key, "rung", rung);
+    appendKey(key, "nhi", tc.initialHighPriv);
+    appendKey(key, "nlo", tc.initialLowPriv);
+    appendKey(key, "pb", tc.privFractionBoundary);
+    appendKey(key, "dlt", tc.improvementDelta);
+    appendKey(key, "rel", std::uint64_t(tc.relativeImprovement));
+    appendKey(key, "se", tc.sampleEpoch);
+    appendKey(key, "re", tc.runEpoch);
+    appendKey(key, "mre", tc.maxRunEpoch);
+    appendKey(key, "es", tc.epochScale);
+    appendKey(key, "c.si", config.siDecisionCost);
+    appendKey(key, "c.di", config.diDecisionCost);
+    appendKey(key, "c.hi", config.hiDecisionCost);
+    appendKey(key, "meas", config.measureInstructions);
+    return key;
+}
+
+std::string
 baselineCacheKey(const SystemConfig &baseline)
 {
     std::string key = "baseline";

@@ -165,6 +165,19 @@ void appendConfigEnvironmentKey(std::string &key,
  */
 std::string sweepWarmupKey(const SystemConfig &config);
 
+/**
+ * Placement class of a point inside its fork group: the warm-up key
+ * plus every other configuration field the point reads, except the
+ * one-way migration latency. Points of one class place every segment of their shared
+ * stream on the same core, so one of them probes the memory system
+ * and the rest reuse its stalls (see StallTape). Empty — the point
+ * shares with no one — unless the point has one user thread, serves
+ * no requests, and decides without reading latency or timing: SI
+ * instruments services by comparing them with the latency, and the
+ * dynamic-N controller steers N by measured IPC or hit rate.
+ */
+std::string sweepPlacementKey(const SystemConfig &config);
+
 } // namespace oscar
 
 #endif // OSCAR_SYSTEM_EXPERIMENT_HH_

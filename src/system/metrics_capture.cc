@@ -107,8 +107,7 @@ bool
 writeMetricsFile(const MetricRegistry &registry,
                  const SystemConfig &config, const std::string &path)
 {
-    return writeArtifactFile(path, metricsDocument(registry, config),
-                             "metrics");
+    return writeArtifactFile(path, metricsDocument(registry, config));
 }
 
 } // namespace oscar

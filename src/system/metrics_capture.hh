@@ -43,8 +43,9 @@ std::string metricsDocument(const MetricRegistry &registry,
 /**
  * Write the document to `path`.
  *
- * @return true when the file was written; false (with a warning) when
- *         it could not be opened.
+ * @return true when the file was written; false, silently, when it
+ *         could not be opened or was written short (the caller
+ *         reports it).
  */
 bool writeMetricsFile(const MetricRegistry &registry,
                       const SystemConfig &config,

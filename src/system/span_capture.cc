@@ -110,7 +110,7 @@ bool
 writeSpansFile(const SpanResults &results, const SystemConfig &config,
                const std::string &path)
 {
-    return writeArtifactFile(path, spansDocument(results, config), "spans");
+    return writeArtifactFile(path, spansDocument(results, config));
 }
 
 } // namespace oscar

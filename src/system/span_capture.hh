@@ -52,8 +52,9 @@ std::string spansDocument(const SpanResults &results,
 /**
  * Write the document to `path`.
  *
- * @return true when the file was written; false (with a warning) when
- *         it could not be opened.
+ * @return true when the file was written; false, silently, when it
+ *         could not be opened or was written short (the caller
+ *         reports it).
  */
 bool writeSpansFile(const SpanResults &results, const SystemConfig &config,
                     const std::string &path);

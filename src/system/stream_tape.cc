@@ -148,4 +148,105 @@ StreamTape::Reader::replaySegment(MemorySystem &mem, CoreId core,
     return stall;
 }
 
+void
+StreamTape::Reader::skipSegment()
+{
+    oscar_assert(expect == Expect::Segment);
+    expect = Expect::Token;
+    ref += tape->entries[entry++].refs;
+}
+
+// ---------------------------------------------------------------------
+// StallTape
+
+std::atomic<std::size_t> StallTape::liveRecords{0};
+std::atomic<std::uint64_t> StallTape::replayCount{0};
+
+StallTape::StallTape()
+{
+    ++liveRecords;
+}
+
+StallTape::~StallTape()
+{
+    --liveRecords;
+}
+
+void
+StallTape::recordSegment(CoreId core, ExecContext ctx,
+                         InstCount instructions, Cycle stall)
+{
+    oscar_assert(!sealed);
+    segments.push_back(Segment{stall, instructions, core, ctx});
+}
+
+void
+StallTape::finish(std::vector<CoreMemStats> final_stats)
+{
+    oscar_assert(!sealed);
+    segments.shrink_to_fit();
+    finalStats = std::move(final_stats);
+    sealed = true;
+}
+
+const CoreMemStats &
+StallTape::stats(CoreId core) const
+{
+    oscar_assert(sealed && core < finalStats.size());
+    return finalStats[core];
+}
+
+StallTape::Reader::Reader(const StallTape &tape, std::string point)
+    : tape(&tape), point(std::move(point))
+{
+    ++replayCount;
+}
+
+namespace
+{
+
+/** "core 1, os, 2400 instructions": one segment in a panic message. */
+std::string
+describeSegment(CoreId core, ExecContext ctx, InstCount instructions)
+{
+    return "core " + std::to_string(core) +
+           (ctx == ExecContext::Os ? ", os, " : ", user, ") +
+           std::to_string(instructions) + " instructions";
+}
+
+} // namespace
+
+Cycle
+StallTape::Reader::next(CoreId core, ExecContext ctx,
+                        InstCount instructions)
+{
+    const std::vector<Segment> &recorded = tape->segments;
+    if (segment == recorded.size()) {
+        oscar_panic("stall tape of point '%s' ends after %zu segments, "
+                    "but the point runs another (%s)",
+                    point.c_str(), recorded.size(),
+                    describeSegment(core, ctx, instructions).c_str());
+    }
+    const Segment &s = recorded[segment];
+    if (s.core != core || s.ctx != ctx || s.instructions != instructions) {
+        oscar_panic("stall tape of point '%s' diverges at segment %zu: "
+                    "recorded %s, but the point runs %s",
+                    point.c_str(), segment,
+                    describeSegment(s.core, s.ctx, s.instructions).c_str(),
+                    describeSegment(core, ctx, instructions).c_str());
+    }
+    ++segment;
+    return s.stall;
+}
+
+void
+StallTape::Reader::expectEnd() const
+{
+    if (segment != tape->segments.size()) {
+        oscar_panic("stall tape of point '%s' holds %zu segments, but the "
+                    "point ran only %zu",
+                    point.c_str(), tape->segments.size(), segment);
+    }
+}
+
 } // namespace oscar

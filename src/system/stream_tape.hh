@@ -12,6 +12,12 @@
  * lengths and every line-granular reference — so the group's other
  * points replay it and only probe the memory system. DESIGN.md §14a
  * has the eligibility argument, the format and the memory budget.
+ *
+ * A StallTape is the second layer: when a group's points differ only
+ * in migration latency, every one of them places each segment on the
+ * same core, so each segment stalls the same. One of them probes and
+ * records every segment's stall; the others walk the stream tape's
+ * tokens and read the stalls back.
  */
 
 #ifndef OSCAR_SYSTEM_STREAM_TAPE_HH_
@@ -111,6 +117,9 @@ class StreamTape
         Cycle replaySegment(MemorySystem &mem, CoreId core,
                             ExecContext ctx);
 
+        /** Pass the current token's references by, unprobed. */
+        void skipSegment();
+
       private:
         enum class Expect : std::uint8_t
         {
@@ -149,6 +158,110 @@ class StreamTape
     bool sealed = false;
 
     static std::atomic<std::size_t> liveTapes;
+};
+
+/**
+ * One placement class's measured-region stalls, recorded by the
+ * class's first point and read back by the rest.
+ *
+ * The placement class of a point is its sweepPlacementKey(): its
+ * whole configuration except the migration latency. Such points
+ * decide every off-load alike, so they run each segment of the
+ * stream tape on the same core in the same context, and the memory
+ * system, driven by the same probes in the same order, answers each
+ * with the same stall. The record keeps each segment's core, context,
+ * instruction count and stall, plus every core's CoreMemStats at the
+ * end of the run; a reader checks each segment it consumes against
+ * the record.
+ *
+ * Written by one system (System::recordStallTape) and immutable once
+ * finish() has run; after that any number of readers may share it.
+ */
+class StallTape
+{
+  public:
+    StallTape();
+    ~StallTape();
+
+    StallTape(const StallTape &) = delete;
+    StallTape &operator=(const StallTape &) = delete;
+
+    // --- Recording (one writer, before finish()) --------------------
+
+    /** Append one segment and the stall cycles its probes took. */
+    void recordSegment(CoreId core, ExecContext ctx,
+                       InstCount instructions, Cycle stall);
+
+    /** Seal the record with every core's lifetime cache statistics. */
+    void finish(std::vector<CoreMemStats> final_stats);
+
+    /** True once finish() has run. */
+    bool finished() const { return sealed; }
+
+    // --- Inspection --------------------------------------------------
+
+    /** Segments on the record. */
+    std::size_t segmentCount() const { return segments.size(); }
+
+    /** Cores whose final statistics the record holds. */
+    std::size_t coreCount() const { return finalStats.size(); }
+
+    /** A core's lifetime cache statistics when the recording ended. */
+    const CoreMemStats &stats(CoreId core) const;
+
+    /** Records alive in this process (tests check lifetime with it). */
+    static std::size_t live() { return liveRecords.load(); }
+
+    /**
+     * Readers ever attached in this process: the runs that read their
+     * stalls instead of probing (tests count them).
+     */
+    static std::uint64_t replays() { return replayCount.load(); }
+
+    /**
+     * Sequential reader with a per-segment check: the segment a
+     * replaying system runs must be the recorded one, or the record
+     * does not describe its run.
+     */
+    class Reader
+    {
+      public:
+        Reader() = default;
+
+        /** @param point Names the replaying point in a panic. */
+        Reader(const StallTape &tape, std::string point);
+
+        /**
+         * The stall of the next segment. Panics, naming the point
+         * and the segment, unless the record's next segment ran on
+         * `core` in `ctx` over `instructions`.
+         */
+        Cycle next(CoreId core, ExecContext ctx, InstCount instructions);
+
+        /** Panics unless every recorded segment was read. */
+        void expectEnd() const;
+
+      private:
+        const StallTape *tape = nullptr;
+        std::string point;
+        std::size_t segment = 0;
+    };
+
+  private:
+    struct Segment
+    {
+        Cycle stall;
+        InstCount instructions;
+        CoreId core;
+        ExecContext ctx;
+    };
+
+    std::vector<Segment> segments;
+    std::vector<CoreMemStats> finalStats;
+    bool sealed = false;
+
+    static std::atomic<std::size_t> liveRecords;
+    static std::atomic<std::uint64_t> replayCount;
 };
 
 } // namespace oscar

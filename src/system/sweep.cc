@@ -464,7 +464,7 @@ ParallelSweepRunner::effectiveJobs(std::size_t point_count) const
 namespace
 {
 
-/** What a forked point does with its group's stream tape. */
+/** What a forked point does with a tape. */
 enum class TapeUse
 {
     None,
@@ -473,15 +473,26 @@ enum class TapeUse
 };
 
 /**
+ * The tapes a forked sub-job records or replays: its group's stream
+ * tape and its placement class's stall tape (see stream_tape.hh).
+ */
+struct TapePlan
+{
+    TapeUse stream = TapeUse::None;
+    std::shared_ptr<StreamTape> streamTape;
+    TapeUse stall = TapeUse::None;
+    std::shared_ptr<StallTape> stallTape;
+};
+
+/**
  * Execute one sub-job with timing and failure capture. A forked
- * sub-job clones its group's warm snapshot and then records its
- * measured region into `tape`, or replays it from there, as `tape_use`
- * says (see stream_tape.hh); any other sub-job runs fresh, with its
- * trace, metrics and spans attached.
+ * sub-job clones its group's warm snapshot and then records or
+ * replays the tapes `tapes` names; any other sub-job runs fresh, with
+ * its trace, metrics and spans attached.
  */
 SweepPointResult
 executePoint(const SweepPoint &point, std::size_t index, bool fork,
-             TapeUse tape_use, const std::shared_ptr<StreamTape> &tape)
+             const TapePlan &tapes)
 {
     SweepPointResult result;
     result.index = index;
@@ -502,10 +513,14 @@ executePoint(const SweepPoint &point, std::size_t index, bool fork,
                 warmSnapshot(point.config);
             const std::unique_ptr<System> forked = snapshot->clone();
             forked->reconfigureForMeasurement(point.config);
-            if (tape_use == TapeUse::Record)
-                forked->recordStreamTape(tape);
-            else if (tape_use == TapeUse::Replay)
-                forked->replayStreamTape(tape);
+            if (tapes.stream == TapeUse::Record)
+                forked->recordStreamTape(tapes.streamTape);
+            else if (tapes.stream == TapeUse::Replay)
+                forked->replayStreamTape(tapes.streamTape);
+            if (tapes.stall == TapeUse::Record)
+                forked->recordStallTape(tapes.stallTape);
+            else if (tapes.stall == TapeUse::Replay)
+                forked->replayStallTape(tapes.stallTape);
             result.results = forked->resumeRun();
         } else {
             std::unique_ptr<JsonlTraceSink> trace;
@@ -664,8 +679,8 @@ namespace
 /**
  * What each sub-job of one run() call does, and in which order the
  * workers claim them: the only place that decides whether a sub-job
- * forks, whether it records or replays a stream tape, and which
- * baseline sub-job normalises it.
+ * forks, whether it records or replays a stream tape or a stall tape,
+ * and which baseline sub-job normalises it.
  *
  * Fork-eligible sub-jobs that share a warm-up key form a group and
  * fork from its warm snapshot; every other sub-job runs fresh. Every
@@ -681,16 +696,26 @@ namespace
  *
  * A tapeable group of two or more sub-jobs, baselines included, is
  * taped: its point with the longest horizon runs first and records the
- * measured-region stream, and the others replay it. Taped groups are
- * claimed as a block at the position of their first sub-job; every
- * other sub-job keeps its index position, so fresh baselines come
- * last. A worker never waits for a tape: while a group's tape is being
- * recorded it claims later work, and when nothing else is left it runs
- * the group's next sub-job live. If the recorder fails, the group's
- * other sub-jobs run live too. When a group's last sub-job finishes,
- * its tape and warm snapshot are dropped. Which worker runs what never
- * changes a result: replay is byte-identical to live, and results land
- * by index.
+ * measured-region stream, and the others replay it. Inside a taped
+ * group, sub-jobs with one non-empty sweepPlacementKey() form a
+ * placement class: its first sub-job (the recorder, when the recorder
+ * belongs to it) is the class's prober, which probes the memory system
+ * and records a stall tape, and the class's other sub-jobs, its
+ * siblings, walk the stream tape's tokens and read their stalls from
+ * that record. Taped groups are claimed as a block at the position of
+ * their first sub-job: the recorder, then the group's other probing
+ * sub-jobs, then the siblings. Every other sub-job keeps its index
+ * position, so fresh baselines come last.
+ *
+ * A worker never waits for a tape: while a group's stream tape, or a
+ * sibling's stall tape, is being recorded it claims later work, and
+ * when nothing else is left it runs the first such sub-job without the
+ * missing tape (live, or replaying the stream tape with probes). If a
+ * stream-tape recorder fails, the group's other sub-jobs run live; if
+ * a prober fails, its siblings run as plain stream-tape replays. When
+ * a group's last sub-job finishes, its tapes and warm snapshot are
+ * dropped. Which worker runs what never changes a result: either
+ * replay is byte-identical to a live run, and results land by index.
  */
 class SweepSchedule
 {
@@ -702,8 +727,7 @@ class SweepSchedule
     {
         std::size_t job = kNone;
         bool fork = false;
-        TapeUse use = TapeUse::None;
-        std::shared_ptr<StreamTape> tape;
+        TapePlan tapes;
     };
 
     /** Schedule `points`, which become sub-jobs 0 .. points.size()-1;
@@ -740,9 +764,12 @@ class SweepSchedule
             std::rotate(group.members.begin(), longest, longest + 1);
         }
         addBaselines();
+        classOf.assign(subs.size(), kNone);
         for (Group &group : groups) {
             group.taped = group.tapeable && group.members.size() > 1;
             group.unfinished = group.members.size();
+            if (group.taped)
+                addPlacementClasses(group);
         }
         claimed.assign(subs.size(), false);
 
@@ -776,28 +803,36 @@ class SweepSchedule
                 continue;
             const std::size_t g = groupOf[j];
             if (g == kNone || !groups[g].taped)
-                return take(j, TapeUse::None, nullptr);
+                return take(j, TapeUse::None);
             Group &group = groups[g];
             switch (group.state) {
               case TapeState::Unrecorded:
                 oscar_assert(j == group.members.front());
                 group.state = TapeState::Recording;
                 group.tape = std::make_shared<StreamTape>(subs[j].config);
-                return take(j, TapeUse::Record, group.tape);
+                return take(j, TapeUse::Record);
               case TapeState::Ready:
-                return take(j, TapeUse::Replay, group.tape);
+                // A sibling waits while its class's prober probes.
+                if (classOf[j] == kNone ||
+                    placementClass(j).state != TapeState::Recording)
+                    return take(j, TapeUse::Replay);
+                break;
               case TapeState::Failed:
-                return take(j, TapeUse::None, nullptr);
+                return take(j, TapeUse::None);
               case TapeState::Recording:
-                if (waiting == kNone)
-                    waiting = j;
-                continue;
+                break;
             }
+            if (waiting == kNone)
+                waiting = j;
         }
-        // Only sub-jobs awaiting a tape remain: run one live rather
-        // than leave this worker idle.
-        if (waiting != kNone)
-            return take(waiting, TapeUse::None, nullptr);
+        // Only sub-jobs awaiting a tape remain: run one without it
+        // rather than leave this worker idle.
+        if (waiting != kNone) {
+            const bool replay =
+                groups[groupOf[waiting]].state == TapeState::Ready;
+            return take(waiting,
+                        replay ? TapeUse::Replay : TapeUse::None);
+        }
         return Claim{};
     }
 
@@ -810,16 +845,19 @@ class SweepSchedule
         if (g == kNone)
             return;
         Group &group = groups[g];
-        if (claim.use == TapeUse::Record) {
-            // A recorder that failed leaves an unsealed tape behind,
-            // and the group's other sub-jobs run live.
-            group.state = claim.tape->finished() ? TapeState::Ready
-                                                 : TapeState::Failed;
-            if (group.state == TapeState::Failed)
-                group.tape.reset();
+        // A recorder that failed leaves an unsealed tape behind: the
+        // group's other sub-jobs then run live, a class's siblings
+        // probe.
+        if (claim.tapes.stream == TapeUse::Record)
+            settle(group.state, group.tape);
+        if (claim.tapes.stall == TapeUse::Record) {
+            PlacementClass &cls = placementClass(claim.job);
+            settle(cls.state, cls.tape);
         }
         if (--group.unfinished == 0) {
             group.tape.reset();
+            for (PlacementClass &cls : group.classes)
+                cls.tape.reset();
             snapshotCache.erase(group.key);
         }
     }
@@ -858,17 +896,28 @@ class SweepSchedule
         Failed,
     };
 
+    /** Sub-jobs of a taped group that share a placement key. */
+    struct PlacementClass
+    {
+        /** The sub-job that probes and records the stall tape. */
+        std::size_t prober = kNone;
+        TapeState state = TapeState::Unrecorded;
+        std::shared_ptr<StallTape> tape;
+    };
+
     struct Group
     {
         std::string key;
-        /** Sub-jobs of the group: a tapeable group's recorder first,
-         *  its baselines last. */
+        /** Sub-jobs of the group: a tapeable group's recorder first;
+         *  a taped group's siblings last. */
         std::vector<std::size_t> members;
         std::size_t unfinished = 0;
         bool tapeable = false;
         bool taped = false;
         TapeState state = TapeState::Unrecorded;
         std::shared_ptr<StreamTape> tape;
+        /** Placement classes of two or more sub-jobs. */
+        std::vector<PlacementClass> classes;
     };
 
     /**
@@ -909,11 +958,87 @@ class SweepSchedule
         }
     }
 
+    /**
+     * Split a taped group into placement classes and move each
+     * class's siblings behind every sub-job that probes, so a class's
+     * prober is claimed before its siblings.
+     */
+    void
+    addPlacementClasses(Group &group)
+    {
+        std::map<std::string, std::vector<std::size_t>> byKey;
+        for (const std::size_t j : group.members) {
+            std::string key = sweepPlacementKey(subs[j].config);
+            if (!key.empty())
+                byKey[std::move(key)].push_back(j);
+        }
+        for (const auto &entry : byKey) {
+            const std::vector<std::size_t> &members = entry.second;
+            if (members.size() < 2)
+                continue;
+            for (const std::size_t j : members)
+                classOf[j] = group.classes.size();
+            group.classes.emplace_back();
+            group.classes.back().prober = members.front();
+        }
+        std::stable_partition(group.members.begin(), group.members.end(),
+                              [&](std::size_t j) {
+                                  return classOf[j] == kNone || isProber(j);
+                              });
+    }
+
+    /** The placement class of a sub-job that has one. */
+    PlacementClass &
+    placementClass(std::size_t job)
+    {
+        return groups[groupOf[job]].classes[classOf[job]];
+    }
+
+    /** True when `job` probes for its placement class. */
+    bool
+    isProber(std::size_t job)
+    {
+        return placementClass(job).prober == job;
+    }
+
+    /** A finished recording's tape is Ready if it was sealed. */
+    template <typename Tape>
+    static void
+    settle(TapeState &state, std::shared_ptr<Tape> &tape)
+    {
+        state = tape->finished() ? TapeState::Ready : TapeState::Failed;
+        if (state == TapeState::Failed)
+            tape.reset();
+    }
+
+    /**
+     * Claim `job` with the stream-tape use `stream`. A prober also
+     * records its class's stall tape, however it runs; a sibling
+     * replaying the stream tape reads the stall tape once it is ready.
+     */
     Claim
-    take(std::size_t job, TapeUse use, std::shared_ptr<StreamTape> tape)
+    take(std::size_t job, TapeUse stream)
     {
         claimed[job] = true;
-        return Claim{job, groupOf[job] != kNone, use, std::move(tape)};
+        Claim claim{job, groupOf[job] != kNone, {}};
+        if (stream != TapeUse::None) {
+            claim.tapes.stream = stream;
+            claim.tapes.streamTape = groups[groupOf[job]].tape;
+        }
+        if (classOf[job] == kNone)
+            return claim;
+        PlacementClass &cls = placementClass(job);
+        if (cls.prober == job) {
+            cls.state = TapeState::Recording;
+            cls.tape = std::make_shared<StallTape>();
+            claim.tapes.stall = TapeUse::Record;
+            claim.tapes.stallTape = cls.tape;
+        } else if (stream == TapeUse::Replay &&
+                   cls.state == TapeState::Ready) {
+            claim.tapes.stall = TapeUse::Replay;
+            claim.tapes.stallTape = cls.tape;
+        }
+        return claim;
     }
 
     /** Point sub-jobs, then baselines. */
@@ -922,6 +1047,8 @@ class SweepSchedule
     std::vector<Group> groups;
     /** Group of each sub-job; kNone when it runs fresh. */
     std::vector<std::size_t> groupOf;
+    /** Placement class of each sub-job within its group, or kNone. */
+    std::vector<std::size_t> classOf;
     /** Baseline sub-job normalising each sub-job, or kNone. */
     std::vector<std::size_t> baselineOf;
     /** Claim order over sub-jobs. */
@@ -960,7 +1087,7 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
                 return;
             outcomes[claim.job] =
                 executePoint(schedule.job(claim.job), claim.job,
-                             claim.fork, claim.use, claim.tape);
+                             claim.fork, claim.tapes);
             schedule.complete(claim);
         }
     };
@@ -1041,14 +1168,18 @@ SweepReport::toJson() const
 bool
 SweepReport::writeTo(const std::string &path) const
 {
-    return writeArtifactFile(path, toJson() + '\n', "sweep report");
+    return writeArtifactFile(path, toJson() + '\n');
 }
 
 int
 sweepExitStatus(const std::vector<SweepPointResult> &results,
                 bool report_written)
 {
-    int status = report_written ? 0 : 1;
+    int status = 0;
+    if (!report_written) {
+        std::fprintf(stderr, "error: the sweep report was not written\n");
+        status = 1;
+    }
     for (const SweepPointResult &result : results) {
         if (!result.ok) {
             std::fprintf(stderr, "error: point '%s' failed: %s\n",

@@ -134,7 +134,13 @@ struct SweepPointResult
     /** Variant/baseline throughput; 0 when not normalized. */
     double normalized = 0.0;
 
-    /** Host wall-clock the point took, in milliseconds. */
+    /**
+     * Host wall-clock the point took, in milliseconds. A point that
+     * read its placement class's stall tape (see ParallelSweepRunner::
+     * run) only walked its tokens, so its wall clock is a small
+     * fraction of the class's prober's and says nothing about the
+     * cost of simulating it.
+     */
     double wallMs = 0.0;
 };
 
@@ -218,7 +224,10 @@ class ParallelSweepRunner
      * Workers claim points dynamically, in index order except that
      * the single-thread points of one fork group are claimed as a
      * block: the group's longest-horizon point records a stream tape
-     * that the others replay (see system/stream_tape.hh). Normalising
+     * that the others replay (see system/stream_tape.hh), and of the
+     * points that differ only in migration latency (one
+     * sweepPlacementKey()) the first probes the memory system and
+     * records a stall tape whose stalls the rest reuse. Normalising
      * points add baseline sub-jobs, one per distinct baseline: such a
      * group replays its tape once per normalising horizon under the
      * Baseline policy (with its OS cores idle, that equals the
@@ -333,7 +342,8 @@ class SweepReport
     /**
      * Write the JSON document to a file.
      *
-     * @return true on success; warns and returns false on I/O error.
+     * @return true on success; false on I/O error, which
+     *         sweepExitStatus() then reports.
      */
     bool writeTo(const std::string &path) const;
 
@@ -344,9 +354,9 @@ class SweepReport
 };
 
 /**
- * Exit status of a sweep binary: 1 when any point failed (each failed
- * point's error goes to stderr) or the sweep report was not written,
- * else 0.
+ * Exit status of a sweep binary: 1 when any point failed or the sweep
+ * report was not written, else 0. Each failed point's error, and a
+ * report that was not written, is printed to stderr once.
  */
 int sweepExitStatus(const std::vector<SweepPointResult> &results,
                     bool report_written);

@@ -126,9 +126,9 @@ System::System(const System &other)
 std::unique_ptr<System>
 System::clone() const
 {
-    if (tapeIn != nullptr) {
-        oscar_fatal("cannot clone a system replaying a stream tape: its "
-                    "workload generators have not advanced");
+    if (tapeIn != nullptr || stallIn != nullptr) {
+        oscar_fatal("cannot clone a system replaying a stream or stall "
+                    "tape: its workload generators have not advanced");
     }
     return std::unique_ptr<System>(new System(*this));
 }
@@ -221,6 +221,52 @@ System::replayStreamTape(std::shared_ptr<const StreamTape> tape)
         oscar_fatal("stream tape replay needs a finished tape");
     tapeIn = std::move(tape);
     tapeReader = StreamTape::Reader(*tapeIn);
+}
+
+void
+System::checkStallAttach() const
+{
+    if (!started || !measuring || measuredRetired() != 0)
+        oscar_fatal("a stall tape attaches only at measurement start");
+    if (stallIn != nullptr || stallOut != nullptr)
+        oscar_fatal("a stall tape is already attached");
+}
+
+void
+System::recordStallTape(std::shared_ptr<StallTape> tape)
+{
+    oscar_assert(tape != nullptr);
+    checkStallAttach();
+    if (tape->finished() || tape->segmentCount() != 0)
+        oscar_fatal("stall tape recording needs an empty tape");
+    stallOut = std::move(tape);
+}
+
+void
+System::replayStallTape(std::shared_ptr<const StallTape> tape)
+{
+    oscar_assert(tape != nullptr);
+    checkStallAttach();
+    if (tapeIn == nullptr)
+        oscar_fatal("a stall tape replays only over a replayed stream "
+                    "tape");
+    if (sweepPlacementKey(cfg).empty()) {
+        oscar_fatal("stall tapes need a point whose placement cannot "
+                    "read latency or timing (not SI, not dynamic N)");
+    }
+    if (!tape->finished() || tape->coreCount() != cores.size())
+        oscar_fatal("stall tape replay needs a finished tape of a "
+                    "%zu-core system", cores.size());
+    stallIn = std::move(tape);
+    char point[160];
+    std::snprintf(point, sizeof(point), "%s/%s/N=%llu/lat=%llu/seed=%llu",
+                  makeWorkloadSpec(cfg.workload).name.c_str(),
+                  policyShortName(cfg.policy),
+                  static_cast<unsigned long long>(cfg.staticThreshold),
+                  static_cast<unsigned long long>(
+                      cfg.migrationOneWayCycles),
+                  static_cast<unsigned long long>(cfg.seed));
+    stallReader = StallTape::Reader(*stallIn, point);
 }
 
 System::~System()
@@ -485,38 +531,50 @@ System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
                        const SegmentProfile &profile)
 {
     // A segment costs one cycle per instruction plus its probes'
-    // stalls, so a replay needs only the probes.
-    if (tapeIn != nullptr)
-        return instructions + tapeReader.replaySegment(mem, core, ctx);
-    if (tapeOut == nullptr) {
-        return ExecEngine::execute(mem, core, ctx, instructions, profile,
-                                   thread.rng)
-            .cycles;
+    // stalls, so a replay needs only the probes, and a stall replay
+    // not even those.
+    if (stallIn != nullptr) {
+        tapeReader.skipSegment();
+        return instructions + stallReader.next(core, ctx, instructions);
     }
-    struct RecordSink final : RefBlockSink
-    {
-        MemorySystem &mem;
-        CoreId core;
-        ExecContext ctx;
-        StreamTape &tape;
-        Cycle stall = 0;
-
-        RecordSink(MemorySystem &m, CoreId c, ExecContext x,
-                   StreamTape &t)
-            : mem(m), core(c), ctx(x), tape(t)
+    Cycle cycles = 0;
+    if (tapeIn != nullptr) {
+        cycles = instructions + tapeReader.replaySegment(mem, core, ctx);
+    } else if (tapeOut == nullptr) {
+        cycles = ExecEngine::execute(mem, core, ctx, instructions, profile,
+                                     thread.rng)
+                     .cycles;
+    } else {
+        struct RecordSink final : RefBlockSink
         {
-        }
+            MemorySystem &mem;
+            CoreId core;
+            ExecContext ctx;
+            StreamTape &tape;
+            Cycle stall = 0;
 
-        void
-        consume(const std::uint64_t *refs, std::size_t count) override
-        {
-            stall += mem.accessBatch(core, ctx, refs, count);
-            tape.recordRefs(refs, count);
-        }
-    } sink(mem, core, ctx, *tapeOut);
-    return ExecEngine::generate(instructions, profile, thread.rng, sink)
-               .cycles +
-           sink.stall;
+            RecordSink(MemorySystem &m, CoreId c, ExecContext x,
+                       StreamTape &t)
+                : mem(m), core(c), ctx(x), tape(t)
+            {
+            }
+
+            void
+            consume(const std::uint64_t *refs, std::size_t count) override
+            {
+                stall += mem.accessBatch(core, ctx, refs, count);
+                tape.recordRefs(refs, count);
+            }
+        } sink(mem, core, ctx, *tapeOut);
+        cycles = ExecEngine::generate(instructions, profile, thread.rng,
+                                      sink)
+                     .cycles +
+                 sink.stall;
+    }
+    if (stallOut != nullptr)
+        stallOut->recordSegment(core, ctx, instructions,
+                                cycles - instructions);
+    return cycles;
 }
 
 double
@@ -1258,6 +1316,15 @@ System::finishRun()
         tapeOut->finish();
         tapeOut.reset();
     }
+    if (stallOut != nullptr) {
+        std::vector<CoreMemStats> stats;
+        for (CoreId c = 0; c < cores.size(); ++c)
+            stats.push_back(mem.stats(c));
+        stallOut->finish(std::move(stats));
+        stallOut.reset();
+    }
+    if (stallIn != nullptr)
+        stallReader.expectEnd();
     // Forced final sample so the exported series always ends at the
     // run's true end state (refreshing an equal-instant periodic row).
     if (metrics != nullptr) {
@@ -1317,7 +1384,9 @@ CoreMemStats
 System::measuredMemStats(CoreId core) const
 {
     oscar_assert(core < mark.mem.size());
-    return mem.stats(core) - mark.mem[core];
+    const CoreMemStats &lifetime =
+        stallIn != nullptr ? stallIn->stats(core) : mem.stats(core);
+    return lifetime - mark.mem[core];
 }
 
 CycleBreakdown

@@ -403,6 +403,28 @@ class System : private detail::SystemState
     void replayStreamTape(std::shared_ptr<const StreamTape> tape);
 
     /**
+     * Record every measured segment's core, context, instruction
+     * count and stall into an empty `tape`, and, when the run reaches
+     * its horizon, every core's final cache statistics, then seal it
+     * (see StallTape). Call at measurement start; works live,
+     * recording a stream tape, or replaying one.
+     */
+    void recordStallTape(std::shared_ptr<StallTape> tape);
+
+    /**
+     * Take each segment's stall from a sealed `tape` instead of
+     * probing the memory system, which then stays as it was at
+     * measurement start; measuredMemStats() and the results report
+     * the record's final statistics. Needs a replayed stream tape
+     * (tokens still come from it), a point of its recorder's
+     * placement class (a non-empty sweepPlacementKey()) and
+     * measurement start. Each segment is checked against the record:
+     * a segment that differs, or a record not read to its end, is a
+     * panic. The system can no longer be cloned.
+     */
+    void replayStallTape(std::shared_ptr<const StallTape> tape);
+
+    /**
      * Attach an invocation-level trace recorder (see sim/trace.hh).
      *
      * Must be called before run(). The system is the trace's only
@@ -451,6 +473,7 @@ class System : private detail::SystemState
      * lifetime MemorySystem::stats() minus the copy taken at
      * measurement start — the view SimResults' hit rates are built
      * from. Before measurement starts it covers the whole run so far.
+     * A stall replay reports its record's final statistics instead.
      */
     CoreMemStats measuredMemStats(CoreId core) const;
 
@@ -604,6 +627,9 @@ class System : private detail::SystemState
     /** Fatal unless `tape` may be attached to this system now. */
     void checkTapeAttach(const StreamTape &tape) const;
 
+    /** Fatal unless a stall tape may be attached to this system now. */
+    void checkStallAttach() const;
+
     /** Switch from warmup to the measured region. */
     void enterMeasurement();
 
@@ -702,6 +728,11 @@ class System : private detail::SystemState
     /** Tape the run replays; null when the stream is generated. */
     std::shared_ptr<const StreamTape> tapeIn;
     StreamTape::Reader tapeReader;
+    /** Stall record this run writes; null when not recording. */
+    std::shared_ptr<StallTape> stallOut;
+    /** Stall record the run reads; null when it probes. */
+    std::shared_ptr<const StallTape> stallIn;
+    StallTape::Reader stallReader;
     // Metrics (optional; null = metrics off).
     MetricRegistry *metrics = nullptr;
     /** Cached registry sampling interval; 0 = periodic sampling off. */

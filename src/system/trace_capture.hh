@@ -55,8 +55,9 @@ TraceCapture captureTrace(const SystemConfig &config);
 /**
  * Run `config` streaming the trace straight to `path` (JSONL).
  *
- * @return true when the file was written; false (with a warning) when
- *         it could not be opened.
+ * @return true when the file was written; false, silently, when it
+ *         could not be opened or was written short (the caller
+ *         reports it).
  */
 bool writeTraceFile(const SystemConfig &config, const std::string &path);
 

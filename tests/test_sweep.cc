@@ -538,16 +538,21 @@ TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
     // interleaved by index, one Apache point with a longer horizon so
     // the recorder is not the group's first point) run beside points
     // that never take a tape: two user threads, a sharded serving
-    // point and a traced point. Group-ordered claiming and replay must
-    // leave every result byte-identical at any job count, equal to
-    // each point forked on its own, and leave no tape or snapshot
-    // behind.
+    // point and a traced point. Latency siblings share stall tapes:
+    // the grid's (workload, N) pairs come at two latencies, and the
+    // longer point, which records the stream tape, at three, so it
+    // probes for its class too. Group-ordered claiming and replay
+    // must leave every result byte-identical at any job count, equal
+    // to each point forked on its own, and leave no tape, stall
+    // record or snapshot behind.
     std::vector<SweepPoint> points = sampleGrid();
-    SweepPoint longer;
-    longer.label = "longer";
-    longer.config = quickConfig(WorkloadKind::Apache, 500, 500);
-    longer.config.measureInstructions = 200'000;
-    points.push_back(longer);
+    for (Cycle latency : {Cycle(500), Cycle(0), Cycle(5000)}) {
+        SweepPoint longer;
+        longer.label = std::string("longer").append(std::to_string(latency));
+        longer.config = quickConfig(WorkloadKind::Apache, 500, latency);
+        longer.config.measureInstructions = 200'000;
+        points.push_back(longer);
+    }
     SweepPoint dual;
     dual.label = "dual";
     dual.config = quickConfig(WorkloadKind::Apache, 1000, 100);
@@ -581,8 +586,15 @@ TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
     for (unsigned jobs : {1u, 2u, 4u}) {
         ExperimentRunner::clearBaselineCache();
         ParallelSweepRunner::clearWarmSnapshotCache();
+        const std::uint64_t replays = StallTape::replays();
         const auto results = ParallelSweepRunner({jobs}).run(points);
         EXPECT_EQ(StreamTape::live(), 0u) << "jobs " << jobs;
+        EXPECT_EQ(StallTape::live(), 0u) << "jobs " << jobs;
+        // One sibling per grid pair and two of the longer point's,
+        // unless a worker ran one while its prober was still probing.
+        if (jobs == 1) {
+            EXPECT_EQ(StallTape::replays() - replays, 6u);
+        }
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u)
             << "jobs " << jobs;
         ASSERT_EQ(results.size(), points.size());
@@ -603,6 +615,7 @@ TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
     ParallelSweepRunner::clearWarmSnapshotCache();
     EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u);
     EXPECT_EQ(StreamTape::live(), 0u);
+    EXPECT_EQ(StallTape::live(), 0u);
     std::remove(traced.tracePath.c_str());
 }
 
@@ -640,19 +653,27 @@ TEST(SweepReplicas, ReplicaPathDerivation)
 
 TEST(SweepReport, WriteToBadPathFailsGracefully)
 {
+    // The writer only returns the failure; sweepExitStatus reports it,
+    // once.
     SweepReport report("unwritable", 1);
-    std::string captured;
-    setLogCapture(&captured);
+    const std::uint64_t warnings = warnCount();
     EXPECT_FALSE(report.writeTo("/nonexistent-dir/report.json"));
-    setLogCapture(nullptr);
-    EXPECT_NE(captured.find("sweep report"), std::string::npos);
+    EXPECT_EQ(warnCount(), warnings);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(sweepExitStatus({}, /*report_written=*/false), 1);
+    const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(stderr_text.find("sweep report was not written"),
+              std::string::npos)
+        << stderr_text;
+    EXPECT_EQ(sweepExitStatus({}, /*report_written=*/true), 0);
 }
 
 /**
  * Aim point 1 of a three-point sweep at a file that cannot be opened
  * (in a missing directory) and at one that opens but cannot be written
  * (/dev/full): at --jobs 1 and 4 that point fails with an error naming
- * the file, and the other two run exactly as they do without it.
+ * the file, and the other two run exactly as they do without it. The
+ * writer itself warns nothing: the point's error is the one report.
  */
 void
 expectUnwritableArtifactFailsOnlyItsPoint(
@@ -668,7 +689,10 @@ expectUnwritableArtifactFailsOnlyItsPoint(
         for (unsigned jobs : {1u, 4u}) {
             std::string captured;
             setLogCapture(&captured);
+            const std::uint64_t warnings = warnCount();
             const auto results = ParallelSweepRunner({jobs}).run(aimed);
+            EXPECT_EQ(warnCount(), warnings)
+                << path << " at jobs=" << jobs << ": " << captured;
             setLogCapture(nullptr);
             ASSERT_EQ(results.size(), 3u);
             EXPECT_FALSE(results[1].ok) << path << " at jobs=" << jobs;
