@@ -11,6 +11,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,7 +21,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "sim/compute_once.hh"
@@ -671,11 +674,6 @@ mergeReplicaPoint(const SweepPoint &point, std::size_t index,
     return merged;
 }
 
-} // namespace
-
-namespace
-{
-
 /**
  * What each sub-job of one run() call does, and in which order the
  * workers claim them: the only place that decides whether a sub-job
@@ -694,28 +692,25 @@ namespace
  * what ExperimentRunner::baselineResults computes. normalize() divides
  * each point by its baseline once the pool has drained.
  *
- * A tapeable group of two or more sub-jobs, baselines included, is
- * taped: its point with the longest horizon runs first and records the
- * measured-region stream, and the others replay it. Inside a taped
- * group, sub-jobs with one non-empty sweepPlacementKey() form a
- * placement class: its first sub-job (the recorder, when the recorder
- * belongs to it) is the class's prober, which probes the memory system
- * and records a stall tape, and the class's other sub-jobs, its
- * siblings, walk the stream tape's tokens and read their stalls from
- * that record. Taped groups are claimed as a block at the position of
- * their first sub-job: the recorder, then the group's other probing
- * sub-jobs, then the siblings. Every other sub-job keeps its index
- * position, so fresh baselines come last.
+ * Sub-jobs share inputs, each made by one producer sub-job and dropped
+ * when its last reader completes. A group's warm snapshot is read by
+ * its members; snapshotCache computes it, so it has no producer. A
+ * tapeable group of two or more sub-jobs, baselines included, is taped:
+ * its longest-horizon point records the stream tape that its other
+ * members replay. Inside it, sub-jobs with one non-empty
+ * sweepPlacementKey() form a placement class, whose first sub-job (the
+ * recorder, if it belongs) probes and records the stall tape that the
+ * others, its siblings, read instead of probing.
  *
- * A worker never waits for a tape: while a group's stream tape, or a
- * sibling's stall tape, is being recorded it claims later work, and
- * when nothing else is left it runs the first such sub-job without the
- * missing tape (live, or replaying the stream tape with probes). If a
- * stream-tape recorder fails, the group's other sub-jobs run live; if
- * a prober fails, its siblings run as plain stream-tape replays. When
- * a group's last sub-job finishes, its tapes and warm snapshot are
- * dropped. Which worker runs what never changes a result: either
- * replay is byte-identical to a live run, and results land by index.
+ * Taped groups are claimed as a block at the position of their first
+ * sub-job: the recorder, then the other probing sub-jobs, then the
+ * siblings; every other sub-job keeps its index position. A worker
+ * claims the first sub-job in that order whose inputs have all
+ * settled, and waits for a completion when none has. A tape whose
+ * producer failed is unsealed and not used, and a stall replay needs a
+ * stream replay, so which tapes a sub-job uses depends only on the
+ * points. Either replay is byte-identical to a live run, and results
+ * land by index, so which worker runs what never changes a result.
  */
 class SweepSchedule
 {
@@ -730,108 +725,111 @@ class SweepSchedule
         TapePlan tapes;
     };
 
-    /** Schedule `points`, which become sub-jobs 0 .. points.size()-1;
-     *  their baselines are appended after them. */
-    SweepSchedule(std::vector<SweepPoint> points, bool fork)
-        : subs(std::move(points)), groupOf(subs.size(), kNone),
-          baselineOf(subs.size(), kNone)
+    /**
+     * Schedule `points`, which become sub-jobs 0 .. points.size()-1;
+     * their baselines are appended after them. At most `jobs` workers
+     * claim from it (see workers()).
+     */
+    SweepSchedule(std::vector<SweepPoint> points, bool fork, unsigned jobs)
+        : subs(std::move(points)), baselineOf(subs.size(), kNone)
     {
-        std::map<std::string, std::size_t> index;
+        // Fork groups, each listing its sub-jobs in index order.
+        std::map<std::string, std::vector<std::size_t>> groups;
+        std::vector<std::string> warmKey(subs.size());
         for (std::size_t j = 0; j < subs.size(); ++j) {
             if (!fork || !forkEligible(subs[j]))
                 continue;
-            const std::string key = sweepWarmupKey(subs[j].config);
-            auto [it, fresh] = index.emplace(key, groups.size());
-            if (fresh) {
-                groups.emplace_back();
-                groups.back().key = key;
-                groups.back().tapeable = tapeable(subs[j].config);
-            }
-            groupOf[j] = it->second;
-            groups[it->second].members.push_back(j);
+            warmKey[j] = sweepWarmupKey(subs[j].config);
+            groups[warmKey[j]].push_back(j);
         }
+        addBaselines(groups, warmKey);
+        workerCount = static_cast<unsigned>(
+            std::min<std::size_t>(std::max(jobs, 1u), subs.size()));
+        reads.resize(subs.size());
 
-        for (Group &group : groups) {
-            if (!group.tapeable)
+        // Claim position (block, rank, index): a taped group's block is
+        // its first sub-job's index, and rank puts its recorder first
+        // and its siblings last.
+        std::vector<std::pair<std::size_t, int>> position(subs.size());
+        for (std::size_t j = 0; j < subs.size(); ++j)
+            position[j] = {j, 1};
+        // A sub-job reads its snapshot, then its stream tape, then its
+        // stall tape: take() relies on that order.
+        for (const auto &[key, members] : groups) {
+            addInput(InputKind::Snapshot, kNone, members, key);
+            if (members.size() < 2 || !tapeable(subs[members[0]].config))
                 continue;
             // The recorder covers every member's horizon.
-            const auto longest = std::max_element(
-                group.members.begin(), group.members.end(),
+            const std::size_t recorder = *std::max_element(
+                members.begin(), members.end(),
                 [&](std::size_t a, std::size_t b) {
                     return subs[a].config.measureInstructions <
                            subs[b].config.measureInstructions;
                 });
-            std::rotate(group.members.begin(), longest, longest + 1);
-        }
-        addBaselines();
-        classOf.assign(subs.size(), kNone);
-        for (Group &group : groups) {
-            group.taped = group.tapeable && group.members.size() > 1;
-            group.unfinished = group.members.size();
-            if (group.taped)
-                addPlacementClasses(group);
-        }
-        claimed.assign(subs.size(), false);
-
-        std::vector<bool> placed(groups.size(), false);
-        for (std::size_t j = 0; j < subs.size(); ++j) {
-            const std::size_t g = groupOf[j];
-            if (g == kNone || !groups[g].taped) {
-                order.push_back(j);
-            } else if (!placed[g]) {
-                placed[g] = true;
-                order.insert(order.end(), groups[g].members.begin(),
-                             groups[g].members.end());
+            std::map<std::string, std::vector<std::size_t>> classes;
+            for (const std::size_t j : members) {
+                position[j].first = members[0];
+                std::string placement = sweepPlacementKey(subs[j].config);
+                if (!placement.empty())
+                    classes[std::move(placement)].push_back(j);
+            }
+            position[recorder].second = 0;
+            addInput(InputKind::Stream, recorder, members);
+            for (const auto &entry : classes) {
+                const std::vector<std::size_t> &cls = entry.second;
+                if (cls.size() < 2)
+                    continue;
+                // The recorder probes for its own class.
+                const std::size_t prober =
+                    std::find(cls.begin(), cls.end(), recorder) != cls.end()
+                        ? recorder
+                        : cls[0];
+                for (const std::size_t j : cls) {
+                    if (j != prober)
+                        position[j].second = 2;
+                }
+                addInput(InputKind::Stall, prober, cls);
             }
         }
+        order.resize(subs.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return std::tie(position[a], a) <
+                             std::tie(position[b], b);
+                  });
     }
 
     /** Sub-jobs to run, baselines included. */
     std::size_t size() const { return subs.size(); }
 
+    /** Workers that claim from this schedule. */
+    unsigned workers() const { return workerCount; }
+
     /** The point sub-job `j` runs. */
     const SweepPoint &job(std::size_t j) const { return subs[j]; }
 
-    /** The next sub-job to run; job == kNone when none is left. */
+    /**
+     * The first unclaimed sub-job in claim order whose inputs have all
+     * settled, waiting for a sub-job to complete while none has;
+     * job == kNone when every sub-job is claimed.
+     */
     Claim
     claim()
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        std::size_t waiting = kNone;
-        for (const std::size_t j : order) {
-            if (claimed[j])
-                continue;
-            const std::size_t g = groupOf[j];
-            if (g == kNone || !groups[g].taped)
-                return take(j, TapeUse::None);
-            Group &group = groups[g];
-            switch (group.state) {
-              case TapeState::Unrecorded:
-                oscar_assert(j == group.members.front());
-                group.state = TapeState::Recording;
-                group.tape = std::make_shared<StreamTape>(subs[j].config);
-                return take(j, TapeUse::Record);
-              case TapeState::Ready:
-                // A sibling waits while its class's prober probes.
-                if (classOf[j] == kNone ||
-                    placementClass(j).state != TapeState::Recording)
-                    return take(j, TapeUse::Replay);
-                break;
-              case TapeState::Failed:
-                return take(j, TapeUse::None);
-              case TapeState::Recording:
-                break;
+        std::unique_lock<std::mutex> lock(mutex);
+        while (!order.empty()) {
+            for (auto it = order.begin(); it != order.end(); ++it) {
+                if (settled(*it)) {
+                    const std::size_t job = *it;
+                    order.erase(it);
+                    return take(job);
+                }
             }
-            if (waiting == kNone)
-                waiting = j;
-        }
-        // Only sub-jobs awaiting a tape remain: run one without it
-        // rather than leave this worker idle.
-        if (waiting != kNone) {
-            const bool replay =
-                groups[groupOf[waiting]].state == TapeState::Ready;
-            return take(waiting,
-                        replay ? TapeUse::Replay : TapeUse::None);
+            // Producers precede their readers in claim order, so a lone
+            // worker always finds one ready.
+            oscar_assert(workerCount > 1);
+            inputSettled.wait(lock);
         }
         return Claim{};
     }
@@ -840,26 +838,23 @@ class SweepSchedule
     void
     complete(const Claim &claim)
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        const std::size_t g = groupOf[claim.job];
-        if (g == kNone)
-            return;
-        Group &group = groups[g];
-        // A recorder that failed leaves an unsealed tape behind: the
-        // group's other sub-jobs then run live, a class's siblings
-        // probe.
-        if (claim.tapes.stream == TapeUse::Record)
-            settle(group.state, group.tape);
-        if (claim.tapes.stall == TapeUse::Record) {
-            PlacementClass &cls = placementClass(claim.job);
-            settle(cls.state, cls.tape);
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            for (Input &in : inputs) {
+                if (in.producer != claim.job)
+                    continue;
+                in.pending = false;
+                // A producer that failed leaves its tape unsealed.
+                if (in.stream ? !in.stream->finished()
+                              : !in.stall->finished())
+                    drop(in);
+            }
+            for (const std::size_t i : reads[claim.job]) {
+                if (--inputs[i].readers == 0)
+                    drop(inputs[i]);
+            }
         }
-        if (--group.unfinished == 0) {
-            group.tape.reset();
-            for (PlacementClass &cls : group.classes)
-                cls.tape.reset();
-            snapshotCache.erase(group.key);
-        }
+        inputSettled.notify_all();
     }
 
     /**
@@ -888,36 +883,31 @@ class SweepSchedule
     }
 
   private:
-    enum class TapeState
+    enum class InputKind
     {
-        Unrecorded,
-        Recording,
-        Ready,
-        Failed,
+        Snapshot,
+        Stream,
+        Stall,
     };
 
-    /** Sub-jobs of a taped group that share a placement key. */
-    struct PlacementClass
+    /** Something sub-jobs share; see the class comment. */
+    struct Input
     {
-        /** The sub-job that probes and records the stall tape. */
-        std::size_t prober = kNone;
-        TapeState state = TapeState::Unrecorded;
-        std::shared_ptr<StallTape> tape;
-    };
-
-    struct Group
-    {
+        InputKind kind;
+        /** The sub-job that records the tape; kNone for a snapshot. */
+        std::size_t producer;
+        /** True until the producer completes. */
+        bool pending;
+        /** Sub-jobs that have not yet completed reading it. */
+        std::size_t readers;
+        /** A snapshot's warm-up key in snapshotCache. */
         std::string key;
-        /** Sub-jobs of the group: a tapeable group's recorder first;
-         *  a taped group's siblings last. */
-        std::vector<std::size_t> members;
-        std::size_t unfinished = 0;
-        bool tapeable = false;
-        bool taped = false;
-        TapeState state = TapeState::Unrecorded;
-        std::shared_ptr<StreamTape> tape;
-        /** Placement classes of two or more sub-jobs. */
-        std::vector<PlacementClass> classes;
+        /**
+         * The tape, from its producer's claim until the input is
+         * dropped; a failed tape is dropped when its producer completes.
+         */
+        std::shared_ptr<StreamTape> stream;
+        std::shared_ptr<StallTape> stall;
     };
 
     /**
@@ -927,133 +917,132 @@ class SweepSchedule
      * identical share one.
      */
     void
-    addBaselines()
+    addBaselines(std::map<std::string, std::vector<std::size_t>> &groups,
+                 const std::vector<std::string> &warmKey)
     {
-        // (tapeable group or kNone, baselineCacheKey) -> sub-job.
-        std::map<std::pair<std::size_t, std::string>, std::size_t> made;
+        // (tapeable group's warm-up key or "", baselineCacheKey) ->
+        // sub-job.
+        std::map<std::pair<std::string, std::string>, std::size_t> made;
         const std::size_t points = subs.size();
         for (std::size_t j = 0; j < points; ++j) {
             if (!subs[j].normalize)
                 continue;
             const SystemConfig &config = subs[j].config;
-            const std::size_t g =
-                groupOf[j] != kNone && groups[groupOf[j]].tapeable
-                    ? groupOf[j]
-                    : kNone;
+            const std::string group =
+                tapeable(config) ? warmKey[j] : std::string();
             const auto [it, added] = made.emplace(
-                std::make_pair(g, baselineCacheKey(baselineVariant(config))),
+                std::make_pair(group,
+                               baselineCacheKey(baselineVariant(config))),
                 subs.size());
             baselineOf[j] = it->second;
             if (!added)
                 continue;
             SweepPoint baseline;
             baseline.normalize = false;
-            baseline.config = g != kNone ? sweepWarmerConfig(config)
-                                         : baselineVariant(config);
-            if (g != kNone)
-                groups[g].members.push_back(subs.size());
-            groupOf.push_back(g);
+            baseline.config = group.empty() ? baselineVariant(config)
+                                            : sweepWarmerConfig(config);
+            if (!group.empty())
+                groups[group].push_back(subs.size());
             baselineOf.push_back(kNone);
             subs.push_back(std::move(baseline));
         }
     }
 
     /**
-     * Split a taped group into placement classes and move each
-     * class's siblings behind every sub-job that probes, so a class's
-     * prober is claimed before its siblings.
+     * Add an input that `producer` makes (kNone: ready from the start)
+     * and every other sub-job of `users` reads.
      */
     void
-    addPlacementClasses(Group &group)
+    addInput(InputKind kind, std::size_t producer,
+             const std::vector<std::size_t> &users, std::string key = {})
     {
-        std::map<std::string, std::vector<std::size_t>> byKey;
-        for (const std::size_t j : group.members) {
-            std::string key = sweepPlacementKey(subs[j].config);
-            if (!key.empty())
-                byKey[std::move(key)].push_back(j);
+        std::size_t readers = 0;
+        for (const std::size_t j : users) {
+            if (j != producer) {
+                reads[j].push_back(inputs.size());
+                ++readers;
+            }
         }
-        for (const auto &entry : byKey) {
-            const std::vector<std::size_t> &members = entry.second;
-            if (members.size() < 2)
-                continue;
-            for (const std::size_t j : members)
-                classOf[j] = group.classes.size();
-            group.classes.emplace_back();
-            group.classes.back().prober = members.front();
-        }
-        std::stable_partition(group.members.begin(), group.members.end(),
-                              [&](std::size_t j) {
-                                  return classOf[j] == kNone || isProber(j);
-                              });
+        inputs.push_back({kind, producer, producer != kNone, readers,
+                          std::move(key), nullptr, nullptr});
     }
 
-    /** The placement class of a sub-job that has one. */
-    PlacementClass &
-    placementClass(std::size_t job)
-    {
-        return groups[groupOf[job]].classes[classOf[job]];
-    }
-
-    /** True when `job` probes for its placement class. */
+    /** True when no input `job` reads is still being produced. */
     bool
-    isProber(std::size_t job)
+    settled(std::size_t job) const
     {
-        return placementClass(job).prober == job;
+        for (const std::size_t i : reads[job]) {
+            if (inputs[i].pending)
+                return false;
+        }
+        return true;
     }
 
-    /** A finished recording's tape is Ready if it was sealed. */
-    template <typename Tape>
-    static void
-    settle(TapeState &state, std::shared_ptr<Tape> &tape)
+    /** Release an input: its tape, or its warm snapshot. */
+    void
+    drop(Input &in)
     {
-        state = tape->finished() ? TapeState::Ready : TapeState::Failed;
-        if (state == TapeState::Failed)
-            tape.reset();
+        in.stream.reset();
+        in.stall.reset();
+        if (in.kind == InputKind::Snapshot)
+            snapshotCache.erase(in.key);
     }
 
     /**
-     * Claim `job` with the stream-tape use `stream`. A prober also
-     * records its class's stall tape, however it runs; a sibling
-     * replaying the stream tape reads the stall tape once it is ready.
+     * Claim `job`: start the tapes it records and use every tape it
+     * reads that was sealed.
      */
     Claim
-    take(std::size_t job, TapeUse stream)
+    take(std::size_t job)
     {
-        claimed[job] = true;
-        Claim claim{job, groupOf[job] != kNone, {}};
-        if (stream != TapeUse::None) {
-            claim.tapes.stream = stream;
-            claim.tapes.streamTape = groups[groupOf[job]].tape;
+        Claim claim{job, !reads[job].empty(), {}};
+        TapePlan &tapes = claim.tapes;
+        std::size_t streams = 0;
+        for (Input &in : inputs) {
+            streams += in.stream != nullptr;
+            if (in.producer != job)
+                continue;
+            if (in.kind == InputKind::Stream) {
+                in.stream = std::make_shared<StreamTape>(subs[job].config);
+                tapes.stream = TapeUse::Record;
+                tapes.streamTape = in.stream;
+            } else {
+                in.stall = std::make_shared<StallTape>();
+                tapes.stall = TapeUse::Record;
+                tapes.stallTape = in.stall;
+            }
         }
-        if (classOf[job] == kNone)
-            return claim;
-        PlacementClass &cls = placementClass(job);
-        if (cls.prober == job) {
-            cls.state = TapeState::Recording;
-            cls.tape = std::make_shared<StallTape>();
-            claim.tapes.stall = TapeUse::Record;
-            claim.tapes.stallTape = cls.tape;
-        } else if (stream == TapeUse::Replay &&
-                   cls.state == TapeState::Ready) {
-            claim.tapes.stall = TapeUse::Replay;
-            claim.tapes.stallTape = cls.tape;
+        // DESIGN.md §14a's memory budget: each stream tape alive before
+        // this claim has a worker running one of its sub-jobs.
+        oscar_assert(tapes.stream != TapeUse::Record ||
+                     streams < workerCount);
+        for (const std::size_t i : reads[job]) {
+            const Input &in = inputs[i];
+            if (in.stream) {
+                tapes.stream = TapeUse::Replay;
+                tapes.streamTape = in.stream;
+            } else if (in.stall && tapes.stream == TapeUse::Replay) {
+                // A stall replay walks the stream tape's tokens.
+                tapes.stall = TapeUse::Replay;
+                tapes.stallTape = in.stall;
+            }
         }
         return claim;
     }
 
     /** Point sub-jobs, then baselines. */
     std::vector<SweepPoint> subs;
-    std::mutex mutex;
-    std::vector<Group> groups;
-    /** Group of each sub-job; kNone when it runs fresh. */
-    std::vector<std::size_t> groupOf;
-    /** Placement class of each sub-job within its group, or kNone. */
-    std::vector<std::size_t> classOf;
     /** Baseline sub-job normalising each sub-job, or kNone. */
     std::vector<std::size_t> baselineOf;
-    /** Claim order over sub-jobs. */
+    unsigned workerCount = 1;
+    std::vector<Input> inputs;
+    /** The inputs each sub-job reads. */
+    std::vector<std::vector<std::size_t>> reads;
+    /** Unclaimed sub-jobs, in claim order. */
     std::vector<std::size_t> order;
-    std::vector<bool> claimed;
+    std::mutex mutex;
+    /** Signalled whenever a sub-job completes. */
+    std::condition_variable inputSettled;
 };
 
 } // namespace
@@ -1078,7 +1067,10 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
             subs.push_back(replicaSubPoint(points[i], r));
     }
 
-    SweepSchedule schedule(std::move(subs), opts.fork);
+    // The schedule caps the worker count at its sub-job count.
+    SweepSchedule schedule(
+        std::move(subs), opts.fork,
+        effectiveJobs(std::numeric_limits<std::size_t>::max()));
     std::vector<SweepPointResult> outcomes(schedule.size());
     auto worker = [&]() {
         for (;;) {
@@ -1092,17 +1084,13 @@ ParallelSweepRunner::run(const std::vector<SweepPoint> &points) const
         }
     };
 
-    const unsigned jobs = effectiveJobs(schedule.size());
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            threads.emplace_back(worker);
-        for (std::thread &thread : threads)
-            thread.join();
-    }
+    // The calling thread is one of the workers.
+    std::vector<std::thread> threads;
+    for (unsigned t = 1; t < schedule.workers(); ++t)
+        threads.emplace_back(worker);
+    worker();
+    for (std::thread &thread : threads)
+        thread.join();
     schedule.normalize(outcomes);
 
     // Sub-results land by sub-job index regardless of which worker ran

@@ -233,9 +233,11 @@ class ParallelSweepRunner
      * Baseline policy (with its OS cores idle, that equals the
      * uni-core baseline bit for bit), and every other point gets a
      * fresh uni-core run. Points are normalised once the pool drains.
-     * The output vector is indexed by point, and a replay is
-     * byte-identical to a live run, so the results are independent of
-     * the job count and of worker timing.
+     * A point is claimed only once the tapes it reads are recorded (a
+     * worker waits when no other point is ready), and it uses each one
+     * unless its recorder failed, whatever the job count. Results are
+     * indexed by point, and a replay is byte-identical to a live run,
+     * so they are independent of the job count and of worker timing.
      */
     std::vector<SweepPointResult>
     run(const std::vector<SweepPoint> &points) const;

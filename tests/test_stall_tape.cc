@@ -174,9 +174,9 @@ placementClasses(const std::vector<SweepPoint> &points)
 /**
  * Sweep `points` at --jobs 1 and 4 and check every result, bit for
  * bit, against the same point swept on its own. Returns the number of
- * sub-jobs of the --jobs 1 sweep that read a stall tape: there every
- * prober finishes before its siblings are claimed, so each of them
- * reads one.
+ * sub-jobs that read a stall tape, which must not depend on the job
+ * count: a sibling is claimed only once its prober has finished, so
+ * each of them reads one.
  */
 std::uint64_t
 expectSharedSweepEqualsPointsAlone(const std::vector<SweepPoint> &points)
@@ -202,6 +202,9 @@ expectSharedSweepEqualsPointsAlone(const std::vector<SweepPoint> &points)
             ParallelSweepRunner({jobs}).run(points);
         if (jobs == 1)
             replays = StallTape::replays() - before;
+        else
+            EXPECT_EQ(StallTape::replays() - before, replays)
+                << "stall replays at --jobs " << jobs;
         EXPECT_EQ(StallTape::live(), 0u);
         EXPECT_EQ(StreamTape::live(), 0u);
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u);

@@ -590,11 +590,8 @@ TEST(SweepStreamTapes, MixedSweepIsJobsInvariant)
         const auto results = ParallelSweepRunner({jobs}).run(points);
         EXPECT_EQ(StreamTape::live(), 0u) << "jobs " << jobs;
         EXPECT_EQ(StallTape::live(), 0u) << "jobs " << jobs;
-        // One sibling per grid pair and two of the longer point's,
-        // unless a worker ran one while its prober was still probing.
-        if (jobs == 1) {
-            EXPECT_EQ(StallTape::replays() - replays, 6u);
-        }
+        // One sibling per grid pair and two of the longer point's.
+        EXPECT_EQ(StallTape::replays() - replays, 6u) << "jobs " << jobs;
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u)
             << "jobs " << jobs;
         ASSERT_EQ(results.size(), points.size());

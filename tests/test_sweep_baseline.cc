@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -255,22 +256,60 @@ TEST(SweepBaseline, FailedTapeStillNormalizesItsGroup)
 {
     // The group's longest-horizon point records the tape; an SI point
     // without a profile fails as it reconfigures, so the tape is never
-    // sealed. The group's baseline then runs live from the snapshot,
-    // and the group's other point still normalises bit for bit.
+    // sealed. Three N=1000 points that differ only in migration latency
+    // form a placement class: their prober waits on the failed tape and
+    // runs live, and its siblings wait on its stall tape but, with no
+    // stream tape to walk, run live too. The group's baselines run live
+    // from the snapshot, so every other point still equals its solo
+    // run bit for bit and normalises like the runner.
     SweepPoint bad = point("apache/si", WorkloadKind::Apache, 100, 180'000);
     bad.config.policy = PolicyKind::StaticInstrumentation;
-    const std::vector<SweepPoint> points = {
+    std::vector<SweepPoint> points = {
         point("apache/100", WorkloadKind::Apache, 100), bad};
-    for (unsigned jobs : {1u, 2u}) {
+    for (Cycle latency : {Cycle(0), Cycle(1000), Cycle(5000)}) {
+        SweepPoint sibling =
+            point(std::string("apache/1000/lat=").append(
+                      std::to_string(latency)),
+                  WorkloadKind::Apache, 1000);
+        sibling.config.migrationOneWayCycles = latency;
+        points.push_back(sibling);
+    }
+    std::vector<SweepPoint> good;
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i == 1)
+            continue;
+        good.push_back(points[i]);
+        SweepPointResult solo =
+            ParallelSweepRunner({1}).run({points[i]}).front();
+        ASSERT_TRUE(solo.ok) << solo.error;
+        solo.index = i;
+        expected.push_back(sweepPointResultsJson(solo));
+    }
+
+    for (unsigned jobs : {1u, 2u, 4u}) {
         ExperimentRunner::clearBaselineCache();
+        const std::uint64_t replays = StallTape::replays();
         const auto results = ParallelSweepRunner({jobs}).run(points);
         const std::string what = "jobs " + std::to_string(jobs);
-        ASSERT_EQ(results.size(), 2u);
+        ASSERT_EQ(results.size(), points.size());
         EXPECT_FALSE(results[1].ok) << what;
+        EXPECT_EQ(StallTape::replays(), replays) << what;
         EXPECT_EQ(ExperimentRunner::cachedBaselines(), 0u) << what;
         EXPECT_EQ(StreamTape::live(), 0u) << what;
+        EXPECT_EQ(StallTape::live(), 0u) << what;
         EXPECT_EQ(ParallelSweepRunner::cachedWarmSnapshots(), 0u) << what;
-        expectRunnerNormalization({points[0]}, {results[0]}, what);
+        std::vector<SweepPointResult> rest;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (i == 1)
+                continue;
+            ASSERT_TRUE(results[i].ok) << what << ": " << results[i].error;
+            EXPECT_EQ(sweepPointResultsJson(results[i]),
+                      expected[rest.size()])
+                << what << " point " << points[i].label;
+            rest.push_back(results[i]);
+        }
+        expectRunnerNormalization(good, rest, what);
     }
     ExperimentRunner::clearBaselineCache();
 }
