@@ -132,8 +132,7 @@ main(int argc, char **argv)
                 "HI predictor, single-cycle decisions)\n\n");
 
     std::vector<SweepPoint> points = buildPoints();
-    applySweepTracePaths(points, opts.tracePath);
-    applySweepMetricsPaths(points, opts.metricsPath, opts.metricsEvery);
+    applySweepArtifactPaths(points, opts);
     ParallelSweepRunner runner({opts.jobs, opts.fork});
     const auto results = runner.run(points);
     render(results);

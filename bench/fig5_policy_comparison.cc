@@ -155,8 +155,7 @@ main(int argc, char **argv)
         profiles[kind] = ExperimentRunner::profileServices(kind);
 
     std::vector<SweepPoint> points = buildPoints(profiles);
-    applySweepTracePaths(points, opts.tracePath);
-    applySweepMetricsPaths(points, opts.metricsPath, opts.metricsEvery);
+    applySweepArtifactPaths(points, opts);
     ParallelSweepRunner runner({opts.jobs, opts.fork});
     const auto results = runner.run(points);
     render(results);

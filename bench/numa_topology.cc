@@ -205,19 +205,10 @@ main(int argc, char **argv)
             points.push_back(std::move(point));
         }
     }
-    applySweepTracePaths(points, opts.tracePath);
-    applySweepMetricsPaths(points, opts.metricsPath, opts.metricsEvery);
-    applySweepSpanPaths(points, opts.spansPath);
+    applySweepArtifactPaths(points, opts);
 
     const ParallelSweepRunner runner({opts.jobs, opts.fork});
     const auto results = runner.run(points);
-
-    for (const SweepPointResult &result : results) {
-        if (!result.ok) {
-            std::printf("point %s FAILED: %s\n", result.label.c_str(),
-                        result.error.c_str());
-        }
-    }
 
     // Each point already pooled its seed replicas; every percentile
     // is over the merged sample population. The queue-wait column

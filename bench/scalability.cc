@@ -72,8 +72,7 @@ main(int argc, char **argv)
                 "overhead)\n\n");
 
     std::vector<SweepPoint> points = buildPoints();
-    applySweepTracePaths(points, opts.tracePath);
-    applySweepMetricsPaths(points, opts.metricsPath, opts.metricsEvery);
+    applySweepArtifactPaths(points, opts);
     ParallelSweepRunner runner({opts.jobs, opts.fork});
     const auto results = runner.run(points);
 

@@ -183,19 +183,10 @@ main(int argc, char **argv)
             }
         }
     }
-    applySweepTracePaths(points, opts.tracePath);
-    applySweepMetricsPaths(points, opts.metricsPath, opts.metricsEvery);
-    applySweepSpanPaths(points, opts.spansPath);
+    applySweepArtifactPaths(points, opts);
 
     const ParallelSweepRunner runner({opts.jobs, opts.fork});
     const auto results = runner.run(points);
-
-    for (const SweepPointResult &result : results) {
-        if (!result.ok) {
-            std::printf("point %s FAILED: %s\n", result.label.c_str(),
-                        result.error.c_str());
-        }
-    }
 
     // Each point already pooled its seed replicas: percentiles are
     // over the merged sample population (LatencyHistogram::merge),

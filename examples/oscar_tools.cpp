@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/jsonl_scan.hh"
 #include "sim/metrics_reader.hh"
 #include "sim/span_reader.hh"
 #include "sim/trace_diff.hh"
@@ -220,7 +221,18 @@ traceDiff(const Args &args)
 {
     if (args.size() != 2)
         return kUsage;
-    const TraceDiffReport report = diffTraceFiles(args[0], args[1]);
+    std::string text[2];
+    bool readable = true;
+    for (std::size_t i = 0; i < 2; ++i) {
+        if (!jsonl::readFile(args[i], text[i])) {
+            std::fprintf(stderr, "%s: cannot open '%s'\n", args[i].c_str(),
+                         args[i].c_str());
+            readable = false;
+        }
+    }
+    if (!readable)
+        return 2;
+    const TraceDiffReport report = diffTraceText(text[0], text[1]);
     std::printf("%s", report.format().c_str());
     return report.identical ? 0 : 1;
 }

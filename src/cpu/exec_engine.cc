@@ -71,9 +71,9 @@ namespace
 constexpr std::size_t kBatchRefs = 4096;
 
 /**
- * Per-thread block buffer. generate() is a leaf — no sink re-enters
- * the engine — so one buffer per thread suffices, and parallel sweep
- * workers never share it.
+ * Per-thread block buffer. generate() is a leaf — neither the probes
+ * nor a tee re-enter the engine — so one buffer per thread suffices,
+ * and parallel sweep workers never share it.
  */
 std::vector<std::uint64_t> &
 batchBuffer()
@@ -82,25 +82,18 @@ batchBuffer()
     return buffer;
 }
 
-thread_local bool referenceModeFlag = false;
-
-} // namespace
-
-void
-ExecEngine::setReferenceMode(bool on)
-{
-    referenceModeFlag = on;
-}
-
-bool
-ExecEngine::referenceMode()
-{
-    return referenceModeFlag;
-}
-
+/**
+ * The one reference-generation loop. It draws a segment's references
+ * from the RNG into blocks of packed words (see PackedRef) and hands
+ * each block, the last one possibly partial, to `consume` in program
+ * order. Returns the segment's instruction cycles (one per
+ * instruction) and reference counts; the caller adds the stall
+ * cycles of its probes.
+ */
+template <typename Consume>
 ExecResult
-ExecEngine::generate(InstCount instructions, const SegmentProfile &profile,
-                     Rng &rng, RefBlockSink &sink)
+generate(InstCount instructions, const SegmentProfile &profile, Rng &rng,
+         Consume &&consume)
 {
     oscar_assert(profile.finalized());
     ExecResult result;
@@ -119,15 +112,16 @@ ExecEngine::generate(InstCount instructions, const SegmentProfile &profile,
     std::uint64_t *out = block;
 
     const auto flush = [&] {
-        sink.consume(block, static_cast<std::size_t>(out - block));
+        consume(block, static_cast<std::size_t>(out - block));
         out = block;
     };
 
     // Same loop structure and — critically — the same RNG draw
-    // sequence as executeReference(); the only difference is that
-    // references are packed into a block instead of probed one at a
-    // time. A block may flush mid-burst: probing is side-effect-free
-    // with respect to generation, so only the block boundary moves.
+    // sequence as the scalar reference loop (tests/reference_exec.hh);
+    // the only difference is that references are packed into a block
+    // instead of probed one at a time. A block may flush mid-burst:
+    // probing is side-effect-free with respect to generation, so only
+    // the block boundary moves.
     InstCount remaining = instructions;
     while (remaining > 0) {
         InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
@@ -163,89 +157,22 @@ ExecEngine::generate(InstCount instructions, const SegmentProfile &profile,
     return result;
 }
 
+} // namespace
+
 ExecResult
 ExecEngine::execute(MemorySystem &mem, CoreId core, ExecContext ctx,
                     InstCount instructions, const SegmentProfile &profile,
-                    Rng &rng)
+                    Rng &rng, RefBlockSink *tee)
 {
-    if (referenceModeFlag) {
-        return executeReference(mem, core, ctx, instructions, profile,
-                                rng);
-    }
-    struct ProbeSink final : RefBlockSink
-    {
-        MemorySystem &mem;
-        CoreId core;
-        ExecContext ctx;
-        Cycle stall = 0;
-
-        ProbeSink(MemorySystem &m, CoreId c, ExecContext x)
-            : mem(m), core(c), ctx(x)
-        {
-        }
-
-        void
-        consume(const std::uint64_t *refs, std::size_t count) override
-        {
+    Cycle stall = 0;
+    ExecResult result = generate(
+        instructions, profile, rng,
+        [&](const std::uint64_t *refs, std::size_t count) {
             stall += mem.accessBatch(core, ctx, refs, count);
-        }
-    } sink(mem, core, ctx);
-    ExecResult result = generate(instructions, profile, rng, sink);
-    result.cycles += sink.stall;
-    return result;
-}
-
-ExecResult
-ExecEngine::executeReference(MemorySystem &mem, CoreId core,
-                             ExecContext ctx, InstCount instructions,
-                             const SegmentProfile &profile, Rng &rng)
-{
-    oscar_assert(profile.finalized());
-    ExecResult result;
-    if (instructions == 0)
-        return result;
-
-    const FastBound &burst_bound = profile.burstBound();
-    double fetch_accum = 0.0;
-    const double fetch_rate = 1.0 / profile.instrPerFetch();
-
-    InstCount remaining = instructions;
-    while (remaining > 0) {
-        // Instructions until the next data reference: uniform on
-        // [1, 2*instrPerData], preserving the configured mean.
-        InstCount burst = 1 + rng.nextBoundedFast(burst_bound);
-        if (burst > remaining)
-            burst = remaining;
-        result.cycles += burst;
-        remaining -= burst;
-
-        // Instruction-line fetches accrued over the burst.
-        fetch_accum += static_cast<double>(burst) * fetch_rate;
-        while (fetch_accum >= 1.0) {
-            fetch_accum -= 1.0;
-            const Addr pc = profile.code()->nextAccess(rng);
-            const AccessResult fetch =
-                mem.access(core, pc, AccessType::InstrFetch, ctx);
-            ++result.fetches;
-            if (fetch.latency > 1)
-                result.cycles += fetch.latency - 1;
-        }
-
-        if (remaining == 0 || !profile.hasData())
-            continue;
-
-        const RegionAccess &target = profile.sampleData(rng);
-        const bool is_write = rng.nextBool(target.writeFraction);
-        const Addr addr = target.region->nextAccess(rng);
-        const AccessResult access = mem.access(
-            core, addr, is_write ? AccessType::Write : AccessType::Read,
-            ctx);
-        ++result.dataAccesses;
-        // The first cycle of a data reference overlaps the consuming
-        // instruction; only the excess stalls the pipeline.
-        if (access.latency > 1)
-            result.cycles += access.latency - 1;
-    }
+            if (tee != nullptr)
+                tee->consume(refs, count);
+        });
+    result.cycles += stall;
     return result;
 }
 

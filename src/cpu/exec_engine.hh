@@ -122,8 +122,8 @@ struct ExecResult
 };
 
 /**
- * Consumer of the packed-reference blocks ExecEngine::generate()
- * produces (see PackedRef), handed over in program order.
+ * Consumer of the packed-reference blocks (see PackedRef) that
+ * ExecEngine::execute generates, handed over in program order.
  */
 class RefBlockSink
 {
@@ -138,43 +138,30 @@ class RefBlockSink
  * Stateless executor: charges a segment's instructions and memory
  * references against a core's hierarchy.
  *
- * generate() is the one reference-generation loop. It draws a
+ * execute() is the one execution kernel in the simulator. It draws a
  * segment's references from the RNG into blocks of packed words and
- * hands each block to a sink. execute(), the production kernel, is
- * generate() with a sink that runs every block through
- * MemorySystem::accessBatch; recording a stream tape (see
- * system/stream_tape.hh) is generate() with a sink that also keeps
- * the block. executeReference() is the original
- * one-reference-at-a-time loop, kept verbatim as the behavioural
- * reference (the pattern of the memory oracles in
- * tests/reference_cache.hh and tests/reference_directory.hh). The two are interchangeable — identical ExecResult,
- * RNG stream position, memory/directory state and statistics —
- * because reference *generation* never depends on access outcomes:
- * every RNG draw in the loop is conditioned only on the profile and
- * the regions' own generator state, so hoisting generation ahead of
- * the probes reorders nothing observable. The randomized differential
- * test in tests/test_exec_batch.cc holds the two paths together.
+ * runs every block through MemorySystem::accessBatch. An optional tee
+ * sees each block after it is probed; recording a stream tape (see
+ * system/stream_tape.hh) is execute() with the tape as its tee.
+ *
+ * The behavioural contract is the original one-reference-at-a-time
+ * loop, kept verbatim as a test oracle in tests/reference_exec.hh
+ * (the pattern of the memory oracles in tests/reference_cache.hh and
+ * tests/reference_directory.hh). The two are interchangeable —
+ * identical ExecResult, RNG stream position, memory/directory state
+ * and statistics — because reference *generation* never depends on
+ * access outcomes: every RNG draw in the loop is conditioned only on
+ * the profile and the regions' own generator state, so hoisting
+ * generation ahead of the probes reorders nothing observable. The
+ * randomized differential test in tests/test_exec_batch.cc holds the
+ * two together, on synthetic profiles and on every workload's real
+ * user and service profiles.
  */
 class ExecEngine
 {
   public:
     /**
-     * Generate a segment's references without probing them.
-     *
-     * @param instructions Retired-instruction budget of the segment.
-     * @param profile Memory behaviour description.
-     * @param rng Deterministic stream for reference generation.
-     * @param sink Receives every block, the last one possibly partial.
-     * @return The segment's instruction cycles (one per instruction)
-     *         and reference counts; the caller adds the stall cycles
-     *         its sink's probes cost.
-     */
-    static ExecResult generate(InstCount instructions,
-                               const SegmentProfile &profile, Rng &rng,
-                               RefBlockSink &sink);
-
-    /**
-     * Execute a segment (batched kernel).
+     * Execute a segment.
      *
      * @param mem Coherent hierarchy to charge references against.
      * @param core Core the segment runs on.
@@ -182,28 +169,12 @@ class ExecEngine
      * @param instructions Retired-instruction budget of the segment.
      * @param profile Memory behaviour description.
      * @param rng Deterministic stream for reference generation.
+     * @param tee When set, receives every block after it is probed.
      */
     static ExecResult execute(MemorySystem &mem, CoreId core,
                               ExecContext ctx, InstCount instructions,
-                              const SegmentProfile &profile, Rng &rng);
-
-    /** Execute a segment through the scalar reference loop. */
-    static ExecResult executeReference(MemorySystem &mem, CoreId core,
-                                       ExecContext ctx,
-                                       InstCount instructions,
-                                       const SegmentProfile &profile,
-                                       Rng &rng);
-
-    /**
-     * Route execute() through the scalar reference loop on this thread
-     * (differential tests drive whole systems down both paths without
-     * plumbing a flag through every layer). Thread-local so parallel
-     * sweep workers are unaffected.
-     */
-    static void setReferenceMode(bool on);
-
-    /** Current thread's reference-mode flag. */
-    static bool referenceMode();
+                              const SegmentProfile &profile, Rng &rng,
+                              RefBlockSink *tee = nullptr);
 };
 
 } // namespace oscar

@@ -53,6 +53,14 @@ TopologyConfig::validate(unsigned user_cores) const
                     "cores; every node needs at least one",
                     numaNodes, user_cores);
     }
+    if (intraNodeHopCycles > kMaxMigrationCycles ||
+        interNodeHopCycles > kMaxMigrationCycles) {
+        oscar_fatal("topology hop costs must be at most %llu cycles, "
+                    "got intraNodeHopCycles %llu, interNodeHopCycles %llu",
+                    static_cast<unsigned long long>(kMaxMigrationCycles),
+                    static_cast<unsigned long long>(intraNodeHopCycles),
+                    static_cast<unsigned long long>(interNodeHopCycles));
+    }
     if (spillDepth != 0 && dispatch != OsDispatchPolicy::WorkStealing) {
         oscar_fatal("spillDepth is a work-stealing knob; dispatch "
                     "policy '%s' never spills",

@@ -56,6 +56,14 @@ const char *osDispatchPolicyName(OsDispatchPolicy policy);
 const char *osPlacementName(OsPlacement placement);
 
 /**
+ * Largest configurable one-way migration cost, base or per hop: 10^9
+ * cycles, 2 x 10^5 times the paper's largest latency. Even 10^7 round
+ * trips at the largest base and 63 inter-node hops stay below 2^63
+ * cycles, so event times cannot wrap.
+ */
+inline constexpr Cycle kMaxMigrationCycles = 1'000'000'000;
+
+/**
  * Scenario knobs for the multi-OS-core NUMA generalization.
  *
  * User cores are always interleaved across nodes (core c on node

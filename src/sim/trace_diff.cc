@@ -6,10 +6,6 @@
 #include "sim/trace_diff.hh"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
-
-#include "sim/logging.hh"
 
 namespace oscar
 {
@@ -69,33 +65,6 @@ diffTraceText(const std::string &left, const std::string &right,
 {
     return diffTraceLines(splitTraceLines(left), splitTraceLines(right),
                           context_lines);
-}
-
-namespace
-{
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        oscar_warn("cannot read trace file '%s'; treating as empty",
-                   path.c_str());
-        return "";
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-} // namespace
-
-TraceDiffReport
-diffTraceFiles(const std::string &left_path,
-               const std::string &right_path, unsigned context_lines)
-{
-    return diffTraceText(readWholeFile(left_path),
-                         readWholeFile(right_path), context_lines);
 }
 
 std::string

@@ -45,7 +45,7 @@ StreamTape::recordExtendedLength(InstCount length)
 }
 
 void
-StreamTape::recordRefs(const std::uint64_t *block, std::size_t count)
+StreamTape::consume(const std::uint64_t *block, std::size_t count)
 {
     oscar_assert(!sealed && !entries.empty());
     entries.back().refs += static_cast<std::uint32_t>(count);

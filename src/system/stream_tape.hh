@@ -52,7 +52,7 @@ namespace oscar
  * immutable once finish() has run. After that, readers on any number
  * of threads may share it.
  */
-class StreamTape
+class StreamTape final : public RefBlockSink
 {
   public:
     /** An empty tape for the fork group (sweepWarmupKey) of `config`. */
@@ -73,8 +73,11 @@ class StreamTape
     /** Set the interrupt-extended length of the last OsCall token. */
     void recordExtendedLength(InstCount length);
 
-    /** Append references of the last token's segment. */
-    void recordRefs(const std::uint64_t *refs, std::size_t count);
+    /**
+     * Append references of the last token's segment; the tape is the
+     * tee of the segment's ExecEngine::execute call.
+     */
+    void consume(const std::uint64_t *refs, std::size_t count) override;
 
     /** Seal the tape; it is read-only from here on. */
     void finish();

@@ -1218,36 +1218,25 @@ sweepTracePath(const std::string &base, std::size_t index)
 }
 
 void
-applySweepTracePaths(std::vector<SweepPoint> &points,
-                     const std::string &base)
+applySweepArtifactPaths(std::vector<SweepPoint> &points,
+                        const BenchOptions &opts)
 {
-    for (std::size_t i = 0; i < points.size(); ++i)
-        points[i].tracePath = base.empty() ? std::string()
-                                           : sweepTracePath(base, i);
-}
-
-void
-applySweepMetricsPaths(std::vector<SweepPoint> &points,
-                       const std::string &base,
-                       std::uint64_t sample_every)
-{
+    const auto derive = [](const std::string &base, std::size_t index) {
+        return base.empty() ? std::string() : sweepTracePath(base, index);
+    };
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (base.empty()) {
-            points[i].metricsPath.clear();
-            continue;
+        SweepPoint &point = points[i];
+        if (!opts.spansPath.empty() && point.config.serving == nullptr) {
+            oscar_fatal("--spans needs serving points, but point '%s' "
+                        "serves no requests",
+                        point.label.c_str());
         }
-        points[i].metricsPath = sweepTracePath(base, i);
-        points[i].metricsSampleEvery = sample_every;
+        point.tracePath = derive(opts.tracePath, i);
+        point.metricsPath = derive(opts.metricsPath, i);
+        if (!opts.metricsPath.empty())
+            point.metricsSampleEvery = opts.metricsEvery;
+        point.spansPath = derive(opts.spansPath, i);
     }
-}
-
-void
-applySweepSpanPaths(std::vector<SweepPoint> &points,
-                    const std::string &base)
-{
-    for (std::size_t i = 0; i < points.size(); ++i)
-        points[i].spansPath = base.empty() ? std::string()
-                                           : sweepTracePath(base, i);
 }
 
 // ---------------------------------------------------------------------

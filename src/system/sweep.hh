@@ -437,28 +437,15 @@ bool parseNonNegative(const char *text, double &out);
 std::string sweepTracePath(const std::string &base, std::size_t index);
 
 /**
- * Set every point's tracePath from a base path (see sweepTracePath);
- * an empty base clears them all.
+ * Point every point's trace, metrics and spans files at the paths
+ * derived from the options' base paths (see sweepTracePath), and set
+ * its metric sampling period when metrics are on. An empty base path
+ * clears that artifact's paths; the periods and each point's
+ * recordSpans flag are left as they are. Fatal when a spans path
+ * would land on a point that serves no requests.
  */
-void applySweepTracePaths(std::vector<SweepPoint> &points,
-                          const std::string &base);
-
-/**
- * Set every point's metricsPath from a base path (same derivation as
- * sweepTracePath) and its sampling period; an empty base clears the
- * paths and leaves the periods untouched.
- */
-void applySweepMetricsPaths(std::vector<SweepPoint> &points,
-                            const std::string &base,
-                            std::uint64_t sample_every = 1'000'000);
-
-/**
- * Set every point's spansPath from a base path (same derivation as
- * sweepTracePath); an empty base clears the paths but leaves each
- * point's recordSpans flag untouched.
- */
-void applySweepSpanPaths(std::vector<SweepPoint> &points,
-                         const std::string &base);
+void applySweepArtifactPaths(std::vector<SweepPoint> &points,
+                             const BenchOptions &opts);
 
 } // namespace oscar
 

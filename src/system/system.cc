@@ -310,8 +310,11 @@ void
 System::setSpanRecorder(SpanRecorder *recorder)
 {
     oscar_assert(!started && "attach the span recorder before run()");
-    oscar_assert((recorder == nullptr || cfg.serving != nullptr) &&
-                 "span recording requires serving mode");
+    if (recorder != nullptr && cfg.serving == nullptr) {
+        oscar_fatal("span recording needs a serving config: a "
+                    "segment-mode %s run serves no requests",
+                    workloadName(cfg.workload).c_str());
+    }
     spans = recorder;
     if (spans != nullptr)
         spans->bind(threads.size(), cfg.seed);
@@ -537,40 +540,14 @@ System::executeSegment(Thread &thread, CoreId core, ExecContext ctx,
         tapeReader.skipSegment();
         return instructions + stallReader.next(core, ctx, instructions);
     }
-    Cycle cycles = 0;
-    if (tapeIn != nullptr) {
-        cycles = instructions + tapeReader.replaySegment(mem, core, ctx);
-    } else if (tapeOut == nullptr) {
-        cycles = ExecEngine::execute(mem, core, ctx, instructions, profile,
-                                     thread.rng)
-                     .cycles;
-    } else {
-        struct RecordSink final : RefBlockSink
-        {
-            MemorySystem &mem;
-            CoreId core;
-            ExecContext ctx;
-            StreamTape &tape;
-            Cycle stall = 0;
-
-            RecordSink(MemorySystem &m, CoreId c, ExecContext x,
-                       StreamTape &t)
-                : mem(m), core(c), ctx(x), tape(t)
-            {
-            }
-
-            void
-            consume(const std::uint64_t *refs, std::size_t count) override
-            {
-                stall += mem.accessBatch(core, ctx, refs, count);
-                tape.recordRefs(refs, count);
-            }
-        } sink(mem, core, ctx, *tapeOut);
-        cycles = ExecEngine::generate(instructions, profile, thread.rng,
-                                      sink)
-                     .cycles +
-                 sink.stall;
-    }
+    // A live segment is one execute() call; a recorder's tape is its
+    // tee.
+    const Cycle cycles =
+        tapeIn != nullptr
+            ? instructions + tapeReader.replaySegment(mem, core, ctx)
+            : ExecEngine::execute(mem, core, ctx, instructions, profile,
+                                  thread.rng, tapeOut.get())
+                  .cycles;
     if (stallOut != nullptr)
         stallOut->recordSegment(core, ctx, instructions,
                                 cycles - instructions);

@@ -26,6 +26,11 @@ SystemConfig::validate() const
         oscar_fatal("at most 64 cores are supported");
     if (offloadEnabled)
         topology.validate(userCores);
+    if (migrationOneWayCycles > kMaxMigrationCycles) {
+        oscar_fatal("migrationOneWayCycles must be at most %llu, got %llu",
+                    static_cast<unsigned long long>(kMaxMigrationCycles),
+                    static_cast<unsigned long long>(migrationOneWayCycles));
+    }
     if (policy != PolicyKind::Baseline && !offloadEnabled) {
         oscar_fatal("policy %s requires offloadEnabled",
                     policyShortName(policy));

@@ -16,19 +16,36 @@ namespace oscar
 void
 ServingConfig::validate() const
 {
-    oscar_assert(meanInterarrivalCycles >= 1.0);
-    oscar_assert(diurnalAmplitude >= 0.0 && diurnalAmplitude < 1.0);
-    oscar_assert(diurnalPeriodCycles > 0);
-    oscar_assert(burstProbability >= 0.0 && burstProbability <= 1.0);
-    oscar_assert(burstRateMultiplier >= 1.0);
-    oscar_assert(burstMeanRequests >= 1.0);
-    oscar_assert(clientsPerCore >= 1);
-    oscar_assert(meanThinkCycles >= 0.0);
-    oscar_assert(tenants >= 1);
-    oscar_assert(tenantSkew >= 0.0);
-    oscar_assert(meanSegments >= 1.0);
-    oscar_assert(segmentsSigma >= 0.0);
-    oscar_assert(measureRequests >= 1);
+    // Negated comparisons, so a NaN fails every check.
+    const auto require = [](bool ok, const char *field, const char *want,
+                            double value) {
+        if (!ok) {
+            oscar_fatal("serving config: %s must be %s, got %g", field,
+                        want, value);
+        }
+    };
+    require(meanInterarrivalCycles >= 1.0, "meanInterarrivalCycles",
+            ">= 1", meanInterarrivalCycles);
+    require(diurnalAmplitude >= 0.0 && diurnalAmplitude < 1.0,
+            "diurnalAmplitude", "in [0, 1)", diurnalAmplitude);
+    require(diurnalPeriodCycles > 0, "diurnalPeriodCycles", "positive",
+            static_cast<double>(diurnalPeriodCycles));
+    require(burstProbability >= 0.0 && burstProbability <= 1.0,
+            "burstProbability", "in [0, 1]", burstProbability);
+    require(burstRateMultiplier >= 1.0, "burstRateMultiplier", ">= 1",
+            burstRateMultiplier);
+    require(burstMeanRequests >= 1.0, "burstMeanRequests", ">= 1",
+            burstMeanRequests);
+    require(clientsPerCore >= 1, "clientsPerCore", ">= 1",
+            static_cast<double>(clientsPerCore));
+    require(meanThinkCycles >= 0.0, "meanThinkCycles", ">= 0",
+            meanThinkCycles);
+    require(tenants >= 1, "tenants", ">= 1", static_cast<double>(tenants));
+    require(tenantSkew >= 0.0, "tenantSkew", ">= 0", tenantSkew);
+    require(meanSegments >= 1.0, "meanSegments", ">= 1", meanSegments);
+    require(segmentsSigma >= 0.0, "segmentsSigma", ">= 0", segmentsSigma);
+    require(measureRequests >= 1, "measureRequests", ">= 1",
+            static_cast<double>(measureRequests));
 }
 
 RequestStream::RequestStream(const ServingConfig &config,

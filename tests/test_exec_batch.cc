@@ -2,112 +2,76 @@
  * @file
  * Randomized differential tests holding the batched execution kernel
  * (ExecEngine::execute) to the scalar reference loop
- * (ExecEngine::executeReference).
+ * (executeReference, tests/reference_exec.hh).
  *
  * The batched kernel's correctness argument is the draw-order
  * contract: reference *generation* never depends on access outcomes,
  * so bulk-generating a block of references ahead of the probes
- * reorders nothing observable. These tests attack that claim from two
- * sides: a low-level randomized sweep over profiles, core counts and
- * contexts that compares ExecResult, RNG stream position, per-line
- * cache/directory state and every statistic after each segment; and a
- * system-level pass that drives whole experiments (all three decision
- * policies, a K=2 NUMA topology, the serving front-end) down both
- * paths via ExecEngine::setReferenceMode and byte-compares the result
- * JSON and the emitted traces.
+ * reorders nothing observable. Each trial builds twin worlds, runs a
+ * random schedule of segments — batched on one, scalar reference on
+ * the other — and compares ExecResult, RNG stream position, per-line
+ * cache state and every statistic after each segment. The schedules
+ * draw from two inputs: synthetic profiles over random regions, core
+ * counts and contexts; and every workload's real user and service
+ * profiles, built the way System builds them.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cpu/exec_engine.hh"
-#include "sim/trace.hh"
-#include "system/sweep.hh"
-#include "system/trace_capture.hh"
+#include "os/os_service.hh"
+#include "reference_exec.hh"
 #include "workload/address_space.hh"
+#include "workload/profiles.hh"
+#include "workload/workload.hh"
 
 namespace oscar
 {
 namespace
 {
 
-/** Route execute() through the scalar loop for the guard's lifetime. */
-class ScopedReferenceMode
-{
-  public:
-    ScopedReferenceMode() { ExecEngine::setReferenceMode(true); }
-    ~ScopedReferenceMode() { ExecEngine::setReferenceMode(false); }
-};
-
 /** One of the two identical worlds a differential trial runs. */
 struct World
 {
     AddressSpace space;
-    std::vector<AddressRegion *> regions; // [0] = code, rest = data
     std::unique_ptr<MemorySystem> mem;
-    std::vector<SegmentProfile> profiles;
-    Rng rng{0};
+    /** The profiles a schedule picks from, by index. */
+    std::vector<const SegmentProfile *> profiles;
+    /** One generator stream per simulated thread. */
+    std::vector<Rng> rngs;
+
+    // Owners of `profiles`: synthetic profiles, or real workloads.
+    std::vector<SegmentProfile> synthetic;
+    ServiceTable services;
+    OsPools pools;
+    std::vector<std::unique_ptr<Workload>> workloads;
 };
 
-struct RegionSpec
+/** One segment of a differential schedule. */
+struct Segment
 {
-    std::string name;
-    std::uint64_t sizeBytes;
+    CoreId core;
+    ExecContext ctx;
+    InstCount instructions;
+    std::size_t profile;
+    /** Index of the thread whose RNG stream the segment draws from. */
+    std::size_t thread;
 };
-
-struct ProfileSpec
-{
-    double instrPerData;
-    double instrPerFetch;
-    /** (region index, weight, write fraction) per data target. */
-    std::vector<std::tuple<std::size_t, double, double>> data;
-};
-
-struct TrialSpec
-{
-    unsigned cores;
-    std::uint64_t seed;
-    std::vector<RegionSpec> regions;
-    std::vector<ProfileSpec> profiles;
-};
-
-/** Materialize the same trial specification into a fresh world. */
-void
-buildWorld(World &world, const TrialSpec &spec)
-{
-    for (const RegionSpec &r : spec.regions) {
-        RegionParams params;
-        params.name = r.name;
-        params.sizeBytes = r.sizeBytes;
-        world.regions.push_back(world.space.allocate(params));
-    }
-    world.mem = std::make_unique<MemorySystem>(
-        spec.cores, HierarchyGeometry{}, MemTimings{});
-    world.profiles.reserve(spec.profiles.size());
-    for (const ProfileSpec &p : spec.profiles) {
-        world.profiles.emplace_back(world.regions[0], p.instrPerData,
-                                    p.instrPerFetch);
-        for (const auto &[region, weight, wf] : p.data)
-            world.profiles.back().addData(world.regions[region],
-                                          weight, wf);
-        world.profiles.back().finalize();
-    }
-    world.rng = Rng(spec.seed);
-}
 
 /** Every observable the two paths must agree on, per core. */
 void
-expectSameMemoryState(const MemorySystem &a, const MemorySystem &b,
-                      unsigned cores, const TrialSpec &spec,
-                      const World &wa, const World &wb)
+expectSameMemoryState(const World &wa, const World &wb, unsigned cores)
 {
+    const MemorySystem &a = *wa.mem;
+    const MemorySystem &b = *wb.mem;
     ASSERT_EQ(a.directory().trackedLines(), b.directory().trackedLines());
+    ASSERT_EQ(wa.space.regionCount(), wb.space.regionCount());
     for (CoreId core = 0; core < cores; ++core) {
         for (auto pick : {&MemorySystem::l1i, &MemorySystem::l1d,
                           &MemorySystem::l2}) {
@@ -135,11 +99,11 @@ expectSameMemoryState(const MemorySystem &a, const MemorySystem &b,
         EXPECT_EQ(sa.memoryFetches, sb.memoryFetches);
         // Line-by-line MESI comparison over every region: counters
         // can collide, tag state cannot.
-        for (std::size_t r = 0; r < spec.regions.size(); ++r) {
-            const Addr base_a = wa.regions[r]->base() >> 6;
-            const Addr base_b = wb.regions[r]->base() >> 6;
-            const Addr lines =
-                (spec.regions[r].sizeBytes + 63) >> 6;
+        for (std::size_t r = 0; r < wa.space.regionCount(); ++r) {
+            const AddressRegion &ra = wa.space.region(r);
+            const Addr base_a = ra.base() >> 6;
+            const Addr base_b = wb.space.region(r).base() >> 6;
+            const Addr lines = (ra.sizeBytes() + 63) >> 6;
             for (Addr i = 0; i < lines; ++i) {
                 ASSERT_EQ(a.l2(core).probe(base_a + i),
                           b.l2(core).probe(base_b + i))
@@ -154,11 +118,94 @@ expectSameMemoryState(const MemorySystem &a, const MemorySystem &b,
     }
 }
 
+/**
+ * Run `schedule` batched on `batched` and through the scalar oracle
+ * on `scalar`, demanding bit-identical observables after every
+ * segment.
+ */
+void
+runTwins(World &batched, World &scalar, unsigned cores,
+         const std::vector<Segment> &schedule, const std::string &trial)
+{
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        const Segment &seg = schedule[i];
+        Rng &rng_b = batched.rngs[seg.thread];
+        Rng &rng_s = scalar.rngs[seg.thread];
+        const ExecResult rb = ExecEngine::execute(
+            *batched.mem, seg.core, seg.ctx, seg.instructions,
+            *batched.profiles[seg.profile], rng_b);
+        const ExecResult rs = executeReference(
+            *scalar.mem, seg.core, seg.ctx, seg.instructions,
+            *scalar.profiles[seg.profile], rng_s);
+
+        ASSERT_EQ(rb.cycles, rs.cycles) << trial << " segment " << i;
+        ASSERT_EQ(rb.dataAccesses, rs.dataAccesses);
+        ASSERT_EQ(rb.fetches, rs.fetches);
+        // The RNG streams must sit at the same position: probe with
+        // copies so the comparison itself consumes nothing.
+        Rng probe_b = rng_b;
+        Rng probe_s = rng_s;
+        ASSERT_EQ(probe_b.next64(), probe_s.next64())
+            << "RNG streams diverged at " << trial << " segment " << i;
+        expectSameMemoryState(batched, scalar, cores);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Input 1: synthetic profiles.
+
+struct RegionSpec
+{
+    std::string name;
+    std::uint64_t sizeBytes;
+};
+
+struct ProfileSpec
+{
+    double instrPerData;
+    double instrPerFetch;
+    /** (region index, weight, write fraction) per data target. */
+    std::vector<std::tuple<std::size_t, double, double>> data;
+};
+
+struct TrialSpec
+{
+    unsigned cores;
+    std::uint64_t seed;
+    std::vector<RegionSpec> regions;
+    std::vector<ProfileSpec> profiles;
+};
+
+/** Materialize the same trial specification into a fresh world. */
+void
+buildWorld(World &world, const TrialSpec &spec)
+{
+    std::vector<AddressRegion *> regions; // [0] = code, rest = data
+    for (const RegionSpec &r : spec.regions) {
+        RegionParams params;
+        params.name = r.name;
+        params.sizeBytes = r.sizeBytes;
+        regions.push_back(world.space.allocate(params));
+    }
+    world.mem = std::make_unique<MemorySystem>(
+        spec.cores, HierarchyGeometry{}, MemTimings{});
+    world.synthetic.reserve(spec.profiles.size());
+    for (const ProfileSpec &p : spec.profiles) {
+        world.synthetic.emplace_back(regions[0], p.instrPerData,
+                                     p.instrPerFetch);
+        for (const auto &[region, weight, wf] : p.data)
+            world.synthetic.back().addData(regions[region], weight, wf);
+        world.synthetic.back().finalize();
+    }
+    for (const SegmentProfile &profile : world.synthetic)
+        world.profiles.push_back(&profile);
+    world.rngs.assign(1, Rng(spec.seed));
+}
+
 TEST(ExecBatchDifferential, RandomProfilesMatchScalarReference)
 {
-    // Each trial builds two identical worlds, runs a random schedule
-    // of segments — batched on one, scalar reference on the other —
-    // and demands bit-identical observables after every segment.
     for (unsigned trial = 0; trial < 10; ++trial) {
         std::mt19937_64 meta(7919 * trial + 11);
         auto pick = [&meta](std::uint64_t lo, std::uint64_t hi) {
@@ -198,188 +245,103 @@ TEST(ExecBatchDifferential, RandomProfilesMatchScalarReference)
         buildWorld(batched, spec);
         buildWorld(scalar, spec);
 
+        std::vector<Segment> schedule;
         for (unsigned seg = 0; seg < 6; ++seg) {
-            const CoreId core = static_cast<CoreId>(
-                pick(0, spec.cores - 1));
+            const CoreId core =
+                static_cast<CoreId>(pick(0, spec.cores - 1));
             const ExecContext ctx =
                 meta() % 2 == 0 ? ExecContext::User : ExecContext::Os;
             // Spans straddling multiples of the 4096-reference batch
             // exercise the partial-final-block path.
             const InstCount instructions = pick(1, 30'000);
             const std::size_t prof = pick(0, spec.profiles.size() - 1);
+            schedule.push_back({core, ctx, instructions, prof, 0});
+        }
+        runTwins(batched, scalar, spec.cores, schedule,
+                 "trial " + std::to_string(trial));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
 
-            const ExecResult rb = ExecEngine::execute(
-                *batched.mem, core, ctx, instructions,
-                batched.profiles[prof], batched.rng);
-            const ExecResult rs = ExecEngine::executeReference(
-                *scalar.mem, core, ctx, instructions,
-                scalar.profiles[prof], scalar.rng);
+// ---------------------------------------------------------------------
+// Input 2: every workload's real segment profiles.
 
-            ASSERT_EQ(rb.cycles, rs.cycles)
-                << "trial " << trial << " segment " << seg;
-            ASSERT_EQ(rb.dataAccesses, rs.dataAccesses);
-            ASSERT_EQ(rb.fetches, rs.fetches);
-            // The RNG streams must sit at the same position: probe
-            // with copies so the comparison itself consumes nothing.
-            Rng probe_b = batched.rng;
-            Rng probe_s = scalar.rng;
-            ASSERT_EQ(probe_b.next64(), probe_s.next64())
-                << "RNG streams diverged at trial " << trial
-                << " segment " << seg;
-            expectSameMemoryState(*batched.mem, *scalar.mem,
-                                  spec.cores, spec, batched, scalar);
-            if (::testing::Test::HasFailure())
-                return;
+/** Two user threads and one OS core, as in the paper's CMP. */
+constexpr unsigned kWorkloadThreads = 2;
+constexpr unsigned kWorkloadCores = kWorkloadThreads + 1;
+
+/**
+ * Materialize `kind` the way System does: one spec, one set of OS
+ * pools, one Workload per user thread over a shared address space.
+ * Profile 0 of thread t is its user profile; profile 1 + s is its
+ * service s.
+ */
+void
+buildWorkloadWorld(World &world, WorkloadKind kind, std::uint64_t seed)
+{
+    const WorkloadSpec spec = makeWorkloadSpec(kind);
+    const HierarchyGeometry geometry;
+    world.pools = OsPools::build(world.space, world.services, spec);
+    world.mem = std::make_unique<MemorySystem>(kWorkloadCores, geometry,
+                                               MemTimings{});
+    Rng root(seed);
+    for (unsigned t = 0; t < kWorkloadThreads; ++t) {
+        world.workloads.push_back(std::make_unique<Workload>(
+            spec, world.services, world.space, world.pools,
+            geometry.l2.lineBytes));
+        world.rngs.push_back(root.fork());
+        const Workload &workload = *world.workloads.back();
+        world.profiles.push_back(&workload.userProfile());
+        for (std::size_t s = 0; s < kNumServices; ++s) {
+            world.profiles.push_back(
+                &workload.serviceProfile(static_cast<ServiceId>(s)));
         }
     }
 }
 
-TEST(ExecBatchDifferential, ReferenceModeRoutesExecute)
+TEST(ExecBatchDifferential, WorkloadProfilesMatchScalarReference)
 {
-    // Two worlds (regions carry generator state, so they cannot be
-    // shared): the scalar loop called directly must equal execute()
-    // under the thread-local reference-mode flag.
-    auto run = [](bool use_guard) {
-        AddressSpace space;
-        RegionParams params;
-        params.name = "code";
-        params.sizeBytes = 16 * 1024;
-        AddressRegion *code = space.allocate(params);
-        SegmentProfile profile(code, 1e9, 8.0);
-        profile.finalize();
-        MemorySystem mem(1, HierarchyGeometry{}, MemTimings{});
-        Rng rng(3);
-        ExecResult result;
-        if (use_guard) {
-            ScopedReferenceMode guard;
-            EXPECT_TRUE(ExecEngine::referenceMode());
-            result = ExecEngine::execute(mem, 0, ExecContext::User,
-                                         5'000, profile, rng);
-        } else {
-            result = ExecEngine::executeReference(
-                mem, 0, ExecContext::User, 5'000, profile, rng);
+    // User bursts run on their thread's core in the user context; OS
+    // services run in the OS context on the thread's core or the OS
+    // core, so both contexts share and steal lines across cores.
+    constexpr std::size_t kPerThread = 1 + kNumServices;
+    for (const WorkloadKind kind :
+         {WorkloadKind::Apache, WorkloadKind::SpecJbb, WorkloadKind::Derby,
+          WorkloadKind::Blackscholes, WorkloadKind::Canneal,
+          WorkloadKind::FastaProtein, WorkloadKind::Mummer,
+          WorkloadKind::Mcf, WorkloadKind::Hmmer}) {
+        std::mt19937_64 meta(static_cast<std::uint64_t>(kind) * 104729 +
+                             5);
+        auto pick = [&meta](std::uint64_t lo, std::uint64_t hi) {
+            return lo + meta() % (hi - lo + 1);
+        };
+        const std::uint64_t seed = meta();
+
+        World batched;
+        World scalar;
+        buildWorkloadWorld(batched, kind, seed);
+        buildWorkloadWorld(scalar, kind, seed);
+        ASSERT_EQ(batched.profiles.size(), kWorkloadThreads * kPerThread);
+
+        std::vector<Segment> schedule;
+        for (unsigned seg = 0; seg < 8; ++seg) {
+            const std::size_t thread = pick(0, kWorkloadThreads - 1);
+            const bool user = meta() % 2 == 0;
+            Segment s;
+            s.thread = thread;
+            s.profile = thread * kPerThread +
+                        (user ? 0 : 1 + pick(0, kNumServices - 1));
+            s.ctx = user ? ExecContext::User : ExecContext::Os;
+            s.core = static_cast<CoreId>(
+                user || meta() % 2 == 0 ? thread : kWorkloadThreads);
+            s.instructions = pick(1, 30'000);
+            schedule.push_back(s);
         }
-        return std::make_pair(result, rng.next64());
-    };
-
-    EXPECT_FALSE(ExecEngine::referenceMode());
-    const auto [direct, direct_draw] = run(/*use_guard=*/false);
-    const auto [routed, routed_draw] = run(/*use_guard=*/true);
-    EXPECT_FALSE(ExecEngine::referenceMode());
-    EXPECT_EQ(direct.cycles, routed.cycles);
-    EXPECT_EQ(direct.fetches, routed.fetches);
-    EXPECT_EQ(direct_draw, routed_draw);
-}
-
-// ---------------------------------------------------------------------
-// System level: whole experiments down both paths.
-
-std::string
-resultsJson(const SystemConfig &config, const SimResults &results)
-{
-    SweepPointResult wrap;
-    wrap.label = "differential";
-    wrap.config = config;
-    wrap.ok = true;
-    wrap.results = results;
-    return sweepPointResultsJson(wrap);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-}
-
-SimResults
-runTraced(const SystemConfig &config, bool reference,
-          const std::string &trace_path)
-{
-    JsonlTraceSink sink(trace_path, traceHeaderJson(config));
-    if (!reference)
-        return ExperimentRunner::run(config, &sink);
-    ScopedReferenceMode guard;
-    return ExperimentRunner::run(config, &sink);
-}
-
-void
-shrinkHorizon(SystemConfig &config)
-{
-    config.warmupInstructions = 20'000;
-    config.measureInstructions = 30'000;
-}
-
-std::shared_ptr<const ServingConfig>
-tinyServing()
-{
-    auto serving = std::make_shared<ServingConfig>();
-    serving->arrival = ArrivalModel::OpenLoop;
-    serving->dispatch = DispatchPolicy::NodeAffinity;
-    serving->meanInterarrivalCycles = 20'000.0;
-    serving->tenants = 16;
-    serving->tenantSkew = 0.99;
-    serving->warmupRequests = 20;
-    serving->measureRequests = 80;
-    return serving;
-}
-
-TEST(ExecBatchDifferential, WholeSystemsMatchAcrossPoliciesAndTopologies)
-{
-    // SI, DI, HI-dynamic, and a two-OS-core NUMA serving point: every
-    // layer that issues segment executions rides through both kernels.
-    std::vector<std::pair<std::string, SystemConfig>> configs;
-
-    SystemConfig si = ExperimentRunner::staticInstrConfig(
-        WorkloadKind::Apache, 1'000,
-        ExperimentRunner::profileServices(WorkloadKind::Apache));
-    shrinkHorizon(si);
-    configs.emplace_back("si", si);
-
-    SystemConfig di = ExperimentRunner::dynamicInstrConfig(
-        WorkloadKind::SpecJbb, 1'000, 100);
-    shrinkHorizon(di);
-    configs.emplace_back("di", di);
-
-    SystemConfig hi = ExperimentRunner::hardwareDynamicConfig(
-        WorkloadKind::Derby, 1'000);
-    shrinkHorizon(hi);
-    configs.emplace_back("hi", hi);
-
-    SystemConfig numa = ExperimentRunner::hardwareConfig(
-        WorkloadKind::Apache, /*static_n=*/0,
-        /*migration_one_way=*/100);
-    numa.userCores = 4;
-    numa.topology.osCores = 2;
-    numa.topology.numaNodes = 2;
-    numa.topology.placement = OsPlacement::Spread;
-    numa.topology.dispatch = OsDispatchPolicy::WorkStealing;
-    numa.topology.spillDepth = 1;
-    numa.serving = tinyServing();
-    shrinkHorizon(numa);
-    configs.emplace_back("numa-serving", numa);
-
-    for (const auto &[name, config] : configs) {
-        const std::string batched_path =
-            "test_exec_batch." + name + ".batched.jsonl";
-        const std::string scalar_path =
-            "test_exec_batch." + name + ".scalar.jsonl";
-        const SimResults batched =
-            runTraced(config, /*reference=*/false, batched_path);
-        const SimResults scalar =
-            runTraced(config, /*reference=*/true, scalar_path);
-
-        EXPECT_EQ(resultsJson(config, batched),
-                  resultsJson(config, scalar))
-            << "results diverged for " << name;
-        const std::string batched_bytes = readFile(batched_path);
-        EXPECT_FALSE(batched_bytes.empty());
-        EXPECT_EQ(batched_bytes, readFile(scalar_path))
-            << "trace bytes diverged for " << name;
-        std::remove(batched_path.c_str());
-        std::remove(scalar_path.c_str());
+        runTwins(batched, scalar, kWorkloadCores, schedule,
+                 workloadName(kind));
+        if (::testing::Test::HasFailure())
+            return;
     }
 }
 

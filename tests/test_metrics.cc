@@ -606,7 +606,10 @@ TEST(MetricsSystem, SweepMetricsFilesAreIdenticalAcrossJobCounts)
 
     auto run_with = [&](unsigned jobs, const std::string &base) {
         std::vector<SweepPoint> copy = points;
-        applySweepMetricsPaths(copy, base, /*sample_every=*/10'000);
+        BenchOptions opts;
+        opts.metricsPath = base;
+        opts.metricsEvery = 10'000;
+        applySweepArtifactPaths(copy, opts);
         ParallelSweepRunner runner({jobs});
         const auto results = runner.run(copy);
         for (const auto &result : results)
@@ -634,12 +637,19 @@ TEST(MetricsSystem, SweepMetricsFilesAreIdenticalAcrossJobCounts)
 TEST(MetricsSystem, MetricsPathDerivationMatchesTraces)
 {
     std::vector<SweepPoint> points(2);
-    applySweepMetricsPaths(points, "fig4.jsonl", 500);
+    BenchOptions opts;
+    opts.tracePath = "fig4.jsonl";
+    opts.metricsPath = "fig4.jsonl";
+    opts.metricsEvery = 500;
+    applySweepArtifactPaths(points, opts);
     EXPECT_EQ(points[0].metricsPath, "fig4.0.jsonl");
     EXPECT_EQ(points[1].metricsPath, "fig4.1.jsonl");
+    EXPECT_EQ(points[1].metricsPath, points[1].tracePath);
     EXPECT_EQ(points[1].metricsSampleEvery, 500u);
-    applySweepMetricsPaths(points, "");
+    applySweepArtifactPaths(points, BenchOptions{});
     EXPECT_EQ(points[0].metricsPath, "");
+    EXPECT_EQ(points[0].tracePath, "");
+    EXPECT_EQ(points[1].metricsSampleEvery, 500u);
 }
 
 } // namespace

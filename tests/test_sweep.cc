@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -17,6 +19,7 @@
 
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/span.hh"
 #include "system/stream_tape.hh"
 #include "system/sweep.hh"
 
@@ -760,6 +763,155 @@ TEST(ScopedFatalThrows, ConvertsFatalToException)
                   std::string::npos);
     }
     EXPECT_TRUE(threw);
+}
+
+/** The FatalError message of `run`, or "" when it does not throw. */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&run)
+{
+    try {
+        ScopedFatalThrows guard;
+        run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ScopedFatalThrows, HugeMigrationCostsAreFatal)
+{
+    // 2^64 - 1 cycles used to wrap event times and panic in the event
+    // queue; every migration cost is bounded far below that.
+    SystemConfig config = ExperimentRunner::hardwareConfig(
+        WorkloadKind::Apache, 1000, ~Cycle{0});
+    EXPECT_NE(fatalMessage([&] { config.validate(); })
+                  .find("migrationOneWayCycles"),
+              std::string::npos);
+    config.migrationOneWayCycles = kMaxMigrationCycles;
+    config.validate();
+
+    config.topology.interNodeHopCycles = kMaxMigrationCycles + 1;
+    EXPECT_NE(fatalMessage([&] { config.validate(); })
+                  .find("interNodeHopCycles"),
+              std::string::npos);
+    config.topology.interNodeHopCycles = 0;
+    config.topology.intraNodeHopCycles = ~Cycle{0};
+    EXPECT_NE(fatalMessage([&] { config.validate(); })
+                  .find("intraNodeHopCycles 18446744073709551615"),
+              std::string::npos);
+}
+
+TEST(ScopedFatalThrows, BadServingValuesAreFatal)
+{
+    ServingConfig serving;
+    serving.meanInterarrivalCycles = 0.5;
+    EXPECT_NE(fatalMessage([&] { serving.validate(); })
+                  .find("meanInterarrivalCycles must be >= 1, got 0.5"),
+              std::string::npos);
+    serving = ServingConfig{};
+    serving.burstProbability = std::nan("");
+    EXPECT_NE(fatalMessage([&] { serving.validate(); })
+                  .find("burstProbability"),
+              std::string::npos);
+    serving = ServingConfig{};
+    serving.clientsPerCore = 0;
+    EXPECT_NE(fatalMessage([&] { serving.validate(); })
+                  .find("clientsPerCore must be >= 1, got 0"),
+              std::string::npos);
+}
+
+TEST(ScopedFatalThrows, SpanRecorderOnSegmentModeIsFatal)
+{
+    System system(quickConfig(WorkloadKind::Apache, 1000, 100));
+    SpanRecorder recorder;
+    EXPECT_NE(fatalMessage([&] { system.setSpanRecorder(&recorder); })
+                  .find("serves no requests"),
+              std::string::npos);
+}
+
+TEST(SweepRunner, ConfigErrorsFailOnlyTheirPoints)
+{
+    // Three configurations that used to abort the whole process, each
+    // between good neighbours: each fails its own point with one
+    // message naming the cause, and every other point equals its run
+    // alone, at any job count.
+    std::vector<SweepPoint> points = sampleGrid();
+    points.resize(4);
+    SweepPoint latency = points[0];
+    latency.label = "huge-latency";
+    latency.config.migrationOneWayCycles = ~Cycle{0};
+    SweepPoint serving = shardedServingPoint({42});
+    serving.label = "bad-serving";
+    serving.replicaSeeds.clear();
+    auto bad_rate = std::make_shared<ServingConfig>(*serving.config.serving);
+    bad_rate->meanInterarrivalCycles = 0.5;
+    serving.config.serving = std::move(bad_rate);
+    SweepPoint spans = points[2];
+    spans.label = "segment-spans";
+    spans.recordSpans = true;
+    points.insert(points.begin() + 1, latency);
+    points.insert(points.begin() + 3, serving);
+    points.insert(points.begin() + 5, spans);
+    const std::vector<std::pair<std::size_t, std::string>> bad = {
+        {1, "migrationOneWayCycles"},
+        {3, "meanInterarrivalCycles"},
+        {5, "serves no requests"}};
+
+    std::vector<std::string> solo(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SweepPointResult alone =
+            ParallelSweepRunner({1}).run({points[i]}).front();
+        alone.index = i;
+        solo[i] = sweepPointResultsJson(alone);
+    }
+    for (unsigned jobs : {1u, 4u}) {
+        ExperimentRunner::clearBaselineCache();
+        ParallelSweepRunner::clearWarmSnapshotCache();
+        const auto results = ParallelSweepRunner({jobs}).run(points);
+        ASSERT_EQ(results.size(), points.size());
+        std::size_t failed = 0;
+        for (const auto &[index, cause] : bad) {
+            EXPECT_FALSE(results[index].ok) << points[index].label;
+            EXPECT_NE(results[index].error.find(cause), std::string::npos)
+                << results[index].error;
+        }
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (!results[i].ok) {
+                ++failed;
+                continue;
+            }
+            EXPECT_EQ(sweepPointResultsJson(results[i]), solo[i])
+                << "point " << i << " at jobs=" << jobs;
+        }
+        EXPECT_EQ(failed, bad.size()) << "jobs " << jobs;
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(sweepExitStatus(results, /*report_written=*/true), 1);
+        const std::string reported =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(std::count(reported.begin(), reported.end(), '\n'),
+                  static_cast<std::ptrdiff_t>(bad.size()))
+            << reported;
+    }
+    EXPECT_EQ(StreamTape::live(), 0u);
+    EXPECT_EQ(StallTape::live(), 0u);
+}
+
+TEST(BenchOptions, SpansOnASegmentPointIsOneFatal)
+{
+    std::vector<SweepPoint> points = sampleGrid();
+    points.resize(2);
+    BenchOptions opts;
+    opts.spansPath = "spans.jsonl";
+    const std::string message =
+        fatalMessage([&] { applySweepArtifactPaths(points, opts); });
+    EXPECT_NE(message.find("point 'p0' serves no requests"),
+              std::string::npos)
+        << message;
+
+    points = {shardedServingPoint({42})};
+    applySweepArtifactPaths(points, opts);
+    EXPECT_EQ(points[0].spansPath, "spans.0.jsonl");
 }
 
 TEST(ScopedFatalThrowsDeath, FatalStillExitsOutsideGuard)

@@ -248,20 +248,6 @@ TEST(TraceDiff, SplitHandlesMissingFinalNewline)
     EXPECT_TRUE(splitTraceLines("").empty());
 }
 
-TEST(TraceDiff, MissingFileDiffsAsEmptyTrace)
-{
-    const std::string path = tempPath("trace_diff_present.jsonl");
-    {
-        std::ofstream out(path);
-        out << "x\n";
-    }
-    const TraceDiffReport report =
-        diffTraceFiles(path, tempPath("trace_diff_absent.jsonl"));
-    EXPECT_FALSE(report.identical);
-    EXPECT_EQ(report.rightLineCount, 0u);
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------
 // Replay verification
 
@@ -323,7 +309,9 @@ TEST(TraceReplay, SweepTraceFilesAreIdenticalAcrossJobCounts)
 
     auto run_with = [&](unsigned jobs, const std::string &base) {
         std::vector<SweepPoint> copy = points;
-        applySweepTracePaths(copy, base);
+        BenchOptions opts;
+        opts.tracePath = base;
+        applySweepArtifactPaths(copy, opts);
         ParallelSweepRunner runner({jobs});
         const auto results = runner.run(copy);
         for (const auto &result : results)
