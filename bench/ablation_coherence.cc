@@ -13,53 +13,49 @@
 
 #include <cstdio>
 
-#include "system/experiment.hh"
-
-namespace
-{
-
-using namespace oscar;
-
-constexpr InstCount kMeasure = 2'000'000;
-constexpr InstCount kWarmup = 800'000;
-
-} // namespace
+#include "bench_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace oscar;
     const std::vector<double> couplings = {1.0, 0.5, 0.0};
     const std::vector<InstCount> thresholds = {0, 100, 1000, 10000};
 
+    const BenchOptions opts = BenchOptions::parse(argc, argv, "");
+
     std::printf("== Ablation: OS/user coherence coupling (apache, "
                 "100-cycle off-load) ==\n(normalized to a baseline "
                 "with the same coupling)\n\n");
+
+    // Coupling changes the workload itself, so each point normalises
+    // against a coupling-matched baseline (see baselineVariant).
+    std::vector<SweepPoint> points;
+    for (double coupling : couplings) {
+        for (InstCount n : thresholds) {
+            SystemConfig config = ExperimentRunner::hardwareConfig(
+                WorkloadKind::Apache, n, 100);
+            config.osCouplingScale = coupling;
+            config.measureInstructions = 2'000'000;
+            config.warmupInstructions = 800'000;
+            points.push_back(sweepPoint(
+                "apache/coupling=" + formatDouble(coupling, 1) + "/N=" +
+                    std::to_string(n),
+                std::move(config), true));
+        }
+    }
+    const auto results = runSweep(points, opts, /*fork=*/false);
 
     std::vector<std::string> headers = {"coupling"};
     for (InstCount n : thresholds)
         headers.push_back("N=" + std::to_string(n));
     TextTable table(headers);
-
+    auto next = results.begin();
     for (double coupling : couplings) {
         std::vector<std::string> row = {formatDouble(coupling, 1)};
-        // Coupling changes the workload itself, so compare against a
-        // coupling-matched baseline.
-        SystemConfig base =
-            ExperimentRunner::baselineConfig(WorkloadKind::Apache);
-        base.osCouplingScale = coupling;
-        base.measureInstructions = kMeasure;
-        base.warmupInstructions = kWarmup;
-        const double base_thr = ExperimentRunner::run(base).throughput;
-
-        for (InstCount n : thresholds) {
-            SystemConfig config = ExperimentRunner::hardwareConfig(
-                WorkloadKind::Apache, n, 100);
-            config.osCouplingScale = coupling;
-            config.measureInstructions = kMeasure;
-            config.warmupInstructions = kWarmup;
-            const SimResults r = ExperimentRunner::run(config);
-            row.push_back(formatDouble(r.throughput / base_thr, 3));
+        for (std::size_t i = 0; i < thresholds.size(); ++i, ++next) {
+            row.push_back(next->ok ? formatDouble(next->normalized, 3)
+                                   : "fail");
         }
         table.addRow(row);
     }
@@ -69,5 +65,5 @@ main()
                 "window traps and I/O copies; with coupling removed "
                 "(0.0) full\noff-loading approaches the pure "
                 "cache-isolation benefit.\n");
-    return 0;
+    return finishSweep("ablation_coherence", "report", opts, results);
 }

@@ -12,62 +12,73 @@
 
 #include <cstdio>
 
-#include "system/experiment.hh"
-
-namespace
-{
-
-using namespace oscar;
-
-constexpr InstCount kMeasure = 2'400'000;
-constexpr InstCount kWarmup = 1'000'000;
-
-double
-normalized(SystemConfig config)
-{
-    config.measureInstructions = kMeasure;
-    config.warmupInstructions = kWarmup;
-    return ExperimentRunner::normalizedThroughput(config);
-}
-
-} // namespace
+#include "bench_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace oscar;
     const std::vector<InstCount> kStatics = {0,    100,  500,
                                              1000, 5000, 10000};
+    const WorkloadKind kinds[] = {WorkloadKind::Apache,
+                                  WorkloadKind::SpecJbb};
+    const Cycle latencies[] = {100, 5000};
+
+    const BenchOptions opts = BenchOptions::parse(argc, argv, "");
 
     std::printf("== Ablation: dynamic N vs oracle static N (HI "
                 "policy) ==\n\n");
+
+    // Per (workload, latency): every static N, then the dynamic
+    // controller, each normalised against its uni-processor baseline.
+    std::vector<SweepPoint> points;
+    for (WorkloadKind kind : kinds) {
+        for (Cycle latency : latencies) {
+            const auto add = [&](const std::string &what,
+                                 SystemConfig config) {
+                config.measureInstructions = 2'400'000;
+                config.warmupInstructions = 1'000'000;
+                points.push_back(sweepPoint(
+                    workloadName(kind) + "/lat=" + std::to_string(latency) +
+                        "/" + what,
+                    std::move(config), true));
+            };
+            for (InstCount n : kStatics) {
+                add("N=" + std::to_string(n),
+                    ExperimentRunner::hardwareConfig(kind, n, latency));
+            }
+            add("dynamic",
+                ExperimentRunner::hardwareDynamicConfig(kind, latency));
+        }
+    }
+    const auto results = runSweep(points, opts, /*fork=*/false);
+
     TextTable table({"workload", "latency", "best static", "at N",
                      "dynamic", "sampling cost"});
-
-    for (WorkloadKind kind :
-         {WorkloadKind::Apache, WorkloadKind::SpecJbb}) {
-        for (Cycle latency : {Cycle(100), Cycle(5000)}) {
+    auto next = results.begin();
+    for (WorkloadKind kind : kinds) {
+        for (Cycle latency : latencies) {
+            bool ok = true;
             double best = 0.0;
             InstCount best_n = 0;
             for (InstCount n : kStatics) {
-                const double norm = normalized(
-                    ExperimentRunner::hardwareConfig(kind, n,
-                                                     latency));
-                if (norm > best) {
-                    best = norm;
+                ok = ok && next->ok;
+                if (next->normalized > best) {
+                    best = next->normalized;
                     best_n = n;
                 }
+                ++next;
             }
-            const double dynamic =
-                normalized(ExperimentRunner::hardwareDynamicConfig(
-                    kind, latency));
+            const double dynamic = next->normalized;
+            ok = ok && (next++)->ok;
             table.addRow({
                 workloadName(kind),
                 std::to_string(latency) + " cy",
-                formatDouble(best, 3),
-                std::to_string(best_n),
-                formatDouble(dynamic, 3),
-                formatDouble((best - dynamic) * 100.0, 1) + " pp",
+                ok ? formatDouble(best, 3) : "fail",
+                ok ? std::to_string(best_n) : "fail",
+                ok ? formatDouble(dynamic, 3) : "fail",
+                ok ? formatDouble((best - dynamic) * 100.0, 1) + " pp"
+                   : "fail",
             });
         }
     }
@@ -76,5 +87,5 @@ main()
                 "search gives up relative to an\noracle that knows "
                 "the optimal N in advance — the price of the paper's "
                 "claim that no\nper-configuration tuning is needed.\n");
-    return 0;
+    return finishSweep("ablation_dynamic_n", "report", opts, results);
 }

@@ -12,50 +12,57 @@
 
 #include <cstdio>
 
-#include "system/experiment.hh"
-
-namespace
-{
-
-using namespace oscar;
-
-/** Normalized runtime (>1 = slower) with DI cost at every OS entry. */
-double
-overheadFor(WorkloadKind kind, Cycle di_cost)
-{
-    SystemConfig config = ExperimentRunner::baselineConfig(kind);
-    config.offloadEnabled = true;
-    config.policy = PolicyKind::DynamicInstrumentation;
-    config.diDecisionCost = di_cost;
-    // A threshold no invocation reaches: decisions always say "stay".
-    config.staticThreshold = 1ULL << 40;
-    const SimResults base = ExperimentRunner::baselineResults(config);
-    const SimResults di = ExperimentRunner::run(config);
-    return base.throughput / di.throughput;
-}
-
-} // namespace
+#include "bench_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace oscar;
     const std::vector<Cycle> costs = {50, 100, 250};
 
+    const BenchOptions opts = BenchOptions::parse(argc, argv, "");
+
     std::printf("== Figure 1: runtime overhead of dynamic software "
                 "instrumentation of all OS entry points ==\n\n");
 
-    TextTable table({"workload", "cost=50cy", "cost=100cy",
-                     "cost=250cy"});
     std::vector<WorkloadKind> all = serverWorkloads();
     for (WorkloadKind kind : computeWorkloads())
         all.push_back(kind);
 
+    // Per workload: its uninstrumented baseline, then DI cost at every
+    // OS entry with a threshold no invocation reaches, so decisions
+    // always say "stay".
+    std::vector<SweepPoint> points;
     for (WorkloadKind kind : all) {
-        std::vector<std::string> row = {workloadName(kind)};
+        SystemConfig config = ExperimentRunner::baselineConfig(kind);
+        points.push_back(
+            sweepPoint(workloadName(kind) + "/baseline", config, false));
+        config.offloadEnabled = true;
+        config.policy = PolicyKind::DynamicInstrumentation;
+        config.staticThreshold = 1ULL << 40;
         for (Cycle cost : costs) {
-            const double overhead = overheadFor(kind, cost);
-            row.push_back(formatDouble(overhead, 3) + "x");
+            config.diDecisionCost = cost;
+            points.push_back(sweepPoint(
+                workloadName(kind) + "/di=" + std::to_string(cost), config,
+                false));
+        }
+    }
+    const auto results = runSweep(points, opts, /*fork=*/false);
+
+    TextTable table({"workload", "cost=50cy", "cost=100cy",
+                     "cost=250cy"});
+    auto next = results.begin();
+    for (WorkloadKind kind : all) {
+        const SweepPointResult &base = *next++;
+        std::vector<std::string> row = {workloadName(kind)};
+        for (std::size_t c = 0; c < costs.size(); ++c, ++next) {
+            // Normalized runtime (>1 = slower).
+            row.push_back(base.ok && next->ok
+                              ? formatDouble(base.results.throughput /
+                                                 next->results.throughput,
+                                             3) +
+                                    "x"
+                              : "fail");
         }
         table.addRow(row);
     }
@@ -64,5 +71,6 @@ main()
                 "baseline; the paper's Figure 1 shows the same "
                 "workload-dependent slowdown, largest for the "
                 "OS-intensive server workloads.\n");
-    return 0;
+    return finishSweep("fig1_instrumentation_overhead", "report", opts,
+                       results);
 }

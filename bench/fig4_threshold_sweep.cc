@@ -19,7 +19,7 @@
 
 #include <cstdio>
 
-#include "system/sweep.hh"
+#include "bench_common.hh"
 
 namespace
 {
@@ -132,9 +132,7 @@ main(int argc, char **argv)
                 "HI predictor, single-cycle decisions)\n\n");
 
     std::vector<SweepPoint> points = buildPoints();
-    applySweepArtifactPaths(points, opts);
-    ParallelSweepRunner runner({opts.jobs, opts.fork});
-    const auto results = runner.run(points);
+    const auto results = runSweep(points, opts, opts.fork);
     render(results);
 
     std::printf("trends: latency dominates; optimum N is small (100-"
@@ -142,15 +140,5 @@ main(int argc, char **argv)
                 "gets costlier; N=0 underperforms N=100 even at zero "
                 "overhead (window-trap coherence).\n");
 
-    bool report_written = true;
-    if (!opts.jsonPath.empty()) {
-        SweepReport report("fig4_threshold_sweep",
-                           runner.effectiveJobs(points.size()));
-        report.addAll(results);
-        report_written = report.writeTo(opts.jsonPath);
-        if (report_written)
-            std::printf("report: %s (%zu points)\n",
-                        opts.jsonPath.c_str(), report.size());
-    }
-    return sweepExitStatus(results, report_written);
+    return finishSweep("fig4_threshold_sweep", "report", opts, results);
 }

@@ -26,7 +26,7 @@
 #include <cstdio>
 #include <map>
 
-#include "system/sweep.hh"
+#include "bench_common.hh"
 
 namespace
 {
@@ -51,12 +51,9 @@ comparisonWorkloads()
 SweepPoint
 sized(std::string label, SystemConfig config)
 {
-    SweepPoint point;
-    point.label = std::move(label);
-    point.config = std::move(config);
-    point.config.measureInstructions = kMeasure;
-    point.config.warmupInstructions = kWarmup;
-    return point;
+    config.measureInstructions = kMeasure;
+    config.warmupInstructions = kWarmup;
+    return sweepPoint(std::move(label), std::move(config), true);
 }
 
 /** Points in (design point, workload, SI/DI/HI) order, then the
@@ -155,9 +152,7 @@ main(int argc, char **argv)
         profiles[kind] = ExperimentRunner::profileServices(kind);
 
     std::vector<SweepPoint> points = buildPoints(profiles);
-    applySweepArtifactPaths(points, opts);
-    ParallelSweepRunner runner({opts.jobs, opts.fork});
-    const auto results = runner.run(points);
+    const auto results = runSweep(points, opts, opts.fork);
     render(results);
 
     std::printf("paper headline: HI up to 18%% over the no-off-load "
@@ -165,15 +160,5 @@ main(int argc, char **argv)
                 "achievable latencies; the gap over software grows as "
                 "migration gets faster.\n");
 
-    bool report_written = true;
-    if (!opts.jsonPath.empty()) {
-        SweepReport report("fig5_policy_comparison",
-                           runner.effectiveJobs(points.size()));
-        report.addAll(results);
-        report_written = report.writeTo(opts.jsonPath);
-        if (report_written)
-            std::printf("report: %s (%zu points)\n",
-                        opts.jsonPath.c_str(), report.size());
-    }
-    return sweepExitStatus(results, report_written);
+    return finishSweep("fig5_policy_comparison", "report", opts, results);
 }

@@ -32,13 +32,7 @@
  * which shrinks the request horizon for CI smoke runs.
  */
 
-#include <cstdio>
-#include <cstring>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "system/sweep.hh"
+#include "bench_common.hh"
 
 namespace
 {
@@ -51,30 +45,6 @@ struct Scenario
     const char *name;
     TopologyConfig topology;
 };
-
-/** Open-loop client fleet shared by every point. */
-std::shared_ptr<const ServingConfig>
-makeServing(double mean_interarrival, bool tiny)
-{
-    auto serving = std::make_shared<ServingConfig>();
-    serving->arrival = ArrivalModel::OpenLoop;
-    // Tenant state stays node-local, so off-loads hit a same-node
-    // home OS core whenever the placement provides one.
-    serving->dispatch = DispatchPolicy::NodeAffinity;
-    serving->meanInterarrivalCycles = mean_interarrival;
-    serving->diurnalAmplitude = 0.3;
-    serving->diurnalPeriodCycles = 2'000'000;
-    serving->burstProbability = 0.02;
-    serving->burstRateMultiplier = 3.0;
-    serving->burstMeanRequests = 16.0;
-    serving->tenants = 64;
-    serving->tenantSkew = 0.99;
-    serving->meanSegments = 3.0;
-    serving->segmentsSigma = 0.5;
-    serving->warmupRequests = tiny ? 40 : 150;
-    serving->measureRequests = tiny ? 150 : 1'000;
-    return serving;
-}
 
 TopologyConfig
 makeTopology(unsigned os_cores, OsPlacement placement,
@@ -94,31 +64,6 @@ makeTopology(unsigned os_cores, OsPlacement placement,
     return topo;
 }
 
-/** Headers for the per-phase attribution table: a label column plus
- * one column per span phase, in schema order. */
-std::vector<std::string>
-phaseHeaders(const char *label)
-{
-    std::vector<std::string> headers = {label};
-    for (std::size_t p = 0; p < kNumSpanPhases; ++p)
-        headers.push_back(spanPhaseName(static_cast<SpanPhase>(p)));
-    return headers;
-}
-
-/** Per-phase p99 cells for one cell's merged span aggregates. */
-std::vector<std::string>
-phaseP99Cells(const SimResults &r)
-{
-    std::vector<std::string> cells;
-    for (std::size_t p = 0; p < kNumSpanPhases; ++p) {
-        cells.push_back(r.spans == nullptr
-                            ? "-"
-                            : std::to_string(
-                                  r.spans->phase[p].quantile(0.99)));
-    }
-    return cells;
-}
-
 } // namespace
 
 int
@@ -126,19 +71,9 @@ main(int argc, char **argv)
 {
     using namespace oscar;
 
-    // --tiny (CI smoke scale) is ours; everything else is shared.
     bool tiny = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--tiny") == 0) {
-            tiny = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    const BenchOptions opts =
-        BenchOptions::parse(static_cast<int>(args.size()), args.data(),
-                            "numa_topology.sweep.json");
+    const BenchOptions opts = parseServingOptions(
+        argc, argv, "numa_topology.sweep.json", tiny);
 
     const WorkloadKind workload = WorkloadKind::Apache;
     const unsigned user_cores = 4;
@@ -195,8 +130,12 @@ main(int argc, char **argv)
                 workload, static_n, migration, seeds.front());
             point.config.userCores = user_cores;
             point.config.topology = scenario.topology;
+            // Tenant state stays node-local, so off-loads hit a
+            // same-node home OS core whenever the placement provides
+            // one.
             point.config.serving =
-                makeServing(load.meanInterarrival, tiny);
+                makeServing(load.meanInterarrival,
+                            DispatchPolicy::NodeAffinity, tiny);
             point.normalize = false;
             point.replicaSeeds = seeds;
             point.recordSpans = true;
@@ -205,10 +144,7 @@ main(int argc, char **argv)
             points.push_back(std::move(point));
         }
     }
-    applySweepArtifactPaths(points, opts);
-
-    const ParallelSweepRunner runner({opts.jobs, opts.fork});
-    const auto results = runner.run(points);
+    const auto results = runSweep(points, opts, opts.fork);
 
     // Each point already pooled its seed replicas; every percentile
     // is over the merged sample population. The queue-wait column
@@ -244,11 +180,8 @@ main(int argc, char **argv)
         // over the same pooled population — which leg of the request
         // path each topology loses on.
         for (std::size_t s = 0; s < scenarios.size(); ++s) {
-            std::vector<std::string> cells = {scenarios[s].name};
-            const std::vector<std::string> phases =
-                phaseP99Cells(results[cell + s].results);
-            cells.insert(cells.end(), phases.begin(), phases.end());
-            attribution.addRow(std::move(cells));
+            attribution.addRow(phaseP99Row(scenarios[s].name,
+                                           results[cell + s].results));
         }
         std::printf("%s\n", attribution.render().c_str());
     }
@@ -261,16 +194,5 @@ main(int argc, char **argv)
                 "queue slack,\nand stealing converts the idle remote "
                 "core into overflow capacity for bursts.\n");
 
-    bool report_written = true;
-    if (!opts.jsonPath.empty()) {
-        SweepReport report("numa_topology",
-                           runner.effectiveJobs(points.size()));
-        report.addAll(results);
-        report_written = report.writeTo(opts.jsonPath);
-        if (report_written) {
-            std::printf("sweep report: %s (%zu points)\n",
-                        opts.jsonPath.c_str(), report.size());
-        }
-    }
-    return sweepExitStatus(results, report_written);
+    return finishSweep("numa_topology", "sweep report", opts, results);
 }

@@ -10,30 +10,12 @@
 
 #include <cstdio>
 
-#include "system/experiment.hh"
+#include "bench_common.hh"
 
 namespace
 {
 
 using namespace oscar;
-
-PredictorStats
-statsFor(WorkloadKind kind, PredictorKind predictor)
-{
-    SystemConfig config = ExperimentRunner::baselineConfig(kind);
-    config.offloadEnabled = true;
-    config.policy = PolicyKind::HardwarePredictor;
-    config.predictor = predictor;
-    config.staticThreshold = 1ULL << 40;
-    // The paper warms 50 M instructions before measuring; use a
-    // proportionally long warmup so the predictor tables are trained
-    // before accuracy is scored (compute workloads invoke few
-    // syscalls, so cold-start otherwise dominates their stats).
-    config.warmupInstructions = 1'500'000;
-    config.measureInstructions = 3'000'000;
-    System system(config);
-    return system.run().accuracy;
-}
 
 const char *
 predictorName(PredictorKind kind)
@@ -49,32 +31,64 @@ predictorName(PredictorKind kind)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace oscar;
+    const PredictorKind predictors[] = {PredictorKind::Cam,
+                                        PredictorKind::DirectMapped,
+                                        PredictorKind::Infinite};
+
+    const BenchOptions opts = BenchOptions::parse(argc, argv, "");
 
     std::printf("== Section III-A: run-length prediction accuracy ==\n\n");
 
-    TextTable table({"predictor", "exact", "within5%", "miss",
-                     "underest.", "storage"});
     std::vector<WorkloadKind> all = serverWorkloads();
     for (WorkloadKind kind : computeWorkloads())
         all.push_back(kind);
+    std::vector<SweepPoint> points;
+    for (PredictorKind predictor : predictors) {
+        for (WorkloadKind kind : all) {
+            SystemConfig config = ExperimentRunner::baselineConfig(kind);
+            config.offloadEnabled = true;
+            config.policy = PolicyKind::HardwarePredictor;
+            config.predictor = predictor;
+            config.staticThreshold = 1ULL << 40;
+            // The paper warms 50 M instructions before measuring; use
+            // a proportionally long warmup so the predictor tables are
+            // trained before accuracy is scored (compute workloads
+            // invoke few syscalls, so cold-start otherwise dominates
+            // their stats).
+            config.warmupInstructions = 1'500'000;
+            config.measureInstructions = 3'000'000;
+            points.push_back(
+                sweepPoint(std::string(predictorName(predictor)) + "/" +
+                               workloadName(kind),
+                           std::move(config), false));
+        }
+    }
+    const auto results = runSweep(points, opts, /*fork=*/false);
 
-    for (PredictorKind predictor :
-         {PredictorKind::Cam, PredictorKind::DirectMapped,
-          PredictorKind::Infinite}) {
+    TextTable table({"predictor", "exact", "within5%", "miss",
+                     "underest.", "storage"});
+    auto next = results.begin();
+    for (PredictorKind predictor : predictors) {
         PredictorStats merged;
-        for (WorkloadKind kind : all)
-            merged.merge(statsFor(kind, predictor));
+        bool ok = true;
+        for (std::size_t k = 0; k < all.size(); ++k, ++next) {
+            ok = ok && next->ok;
+            merged.merge(next->results.accuracy);
+        }
+        const auto rate = [&](double value) {
+            return ok ? formatPercent(value, 1) : std::string("fail");
+        };
 
         const auto table_ptr = makePredictor(predictor);
         table.addRow({
             predictorName(predictor),
-            formatPercent(merged.exactRate(), 1),
-            formatPercent(merged.withinToleranceRate(), 1),
-            formatPercent(merged.missRate(), 1),
-            formatPercent(merged.underestimateShare(), 1),
+            rate(merged.exactRate()),
+            rate(merged.withinToleranceRate()),
+            rate(merged.missRate()),
+            rate(merged.underestimateShare()),
             std::to_string(table_ptr->storageBits() / 8 / 1024) + "." +
                 std::to_string(table_ptr->storageBits() / 8 % 1024 *
                                10 / 1024) +
@@ -86,5 +100,5 @@ main()
                 "misses under-estimate (interrupt extensions); the "
                 "direct-mapped and infinite organizations perform "
                 "similarly.\n");
-    return 0;
+    return finishSweep("predictor_accuracy", "report", opts, results);
 }

@@ -15,7 +15,7 @@
 
 #include <cstdio>
 
-#include "system/sweep.hh"
+#include "bench_common.hh"
 
 namespace
 {
@@ -34,25 +34,19 @@ buildPoints()
 {
     std::vector<SweepPoint> points;
     for (unsigned user_cores : kUserCores) {
-        SweepPoint offload;
-        offload.label =
-            "specjbb/" + std::to_string(user_cores) + ":1/offload";
-        offload.config = ExperimentRunner::hardwareConfig(
+        const std::string cores = std::to_string(user_cores);
+        SystemConfig offload = ExperimentRunner::hardwareConfig(
             WorkloadKind::SpecJbb, 100, 1000);
-        offload.config.userCores = user_cores;
-        offload.config.measureInstructions = kMeasurePerThread;
-        offload.normalize = false;
-        points.push_back(std::move(offload));
-
-        SweepPoint base;
-        base.label =
-            "specjbb/" + std::to_string(user_cores) + "cores/baseline";
-        base.config =
+        SystemConfig base =
             ExperimentRunner::baselineConfig(WorkloadKind::SpecJbb);
-        base.config.userCores = user_cores;
-        base.config.measureInstructions = kMeasurePerThread;
-        base.normalize = false;
-        points.push_back(std::move(base));
+        for (SystemConfig *config : {&offload, &base}) {
+            config->userCores = user_cores;
+            config->measureInstructions = kMeasurePerThread;
+        }
+        points.push_back(sweepPoint("specjbb/" + cores + ":1/offload",
+                                    std::move(offload), false));
+        points.push_back(sweepPoint("specjbb/" + cores + "cores/baseline",
+                                    std::move(base), false));
     }
     return points;
 }
@@ -72,9 +66,7 @@ main(int argc, char **argv)
                 "overhead)\n\n");
 
     std::vector<SweepPoint> points = buildPoints();
-    applySweepArtifactPaths(points, opts);
-    ParallelSweepRunner runner({opts.jobs, opts.fork});
-    const auto results = runner.run(points);
+    const auto results = runSweep(points, opts, opts.fork);
 
     TextTable table({"user:OS cores", "mean queue delay", "max",
                      "OS-core busy", "agg. throughput vs no-offload"});
@@ -104,15 +96,5 @@ main(int argc, char **argv)
                 "aggregate), >25,000 cycles at 4:1 (throughput loss); "
                 "conclusion: provision OS cores 1:1.\n");
 
-    bool report_written = true;
-    if (!opts.jsonPath.empty()) {
-        SweepReport report("scalability",
-                           runner.effectiveJobs(points.size()));
-        report.addAll(results);
-        report_written = report.writeTo(opts.jsonPath);
-        if (report_written)
-            std::printf("report: %s (%zu points)\n",
-                        opts.jsonPath.c_str(), report.size());
-    }
-    return sweepExitStatus(results, report_written);
+    return finishSweep("scalability", "report", opts, results);
 }

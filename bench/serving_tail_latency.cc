@@ -30,14 +30,9 @@
  * which shrinks the request horizon for CI smoke runs.
  */
 
-#include <cstdio>
-#include <cstring>
 #include <iterator>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "system/sweep.hh"
+#include "bench_common.hh"
 
 namespace
 {
@@ -50,53 +45,6 @@ struct PolicySetup
     PolicyKind kind;
 };
 
-/** Serving front-end shared by every point of the sweep. */
-std::shared_ptr<const ServingConfig>
-makeServing(double mean_interarrival, bool tiny)
-{
-    auto serving = std::make_shared<ServingConfig>();
-    serving->arrival = ArrivalModel::OpenLoop;
-    serving->dispatch = DispatchPolicy::RoundRobin;
-    serving->meanInterarrivalCycles = mean_interarrival;
-    serving->diurnalAmplitude = 0.3;
-    serving->diurnalPeriodCycles = 2'000'000;
-    serving->burstProbability = 0.02;
-    serving->burstRateMultiplier = 3.0;
-    serving->burstMeanRequests = 16.0;
-    serving->tenants = 64;
-    serving->tenantSkew = 0.99;
-    serving->meanSegments = 3.0;
-    serving->segmentsSigma = 0.5;
-    serving->warmupRequests = tiny ? 40 : 150;
-    serving->measureRequests = tiny ? 150 : 1'000;
-    return serving;
-}
-
-/** Headers for the per-phase attribution table: a label column plus
- * one column per span phase, in schema order. */
-std::vector<std::string>
-phaseHeaders(const char *label)
-{
-    std::vector<std::string> headers = {label};
-    for (std::size_t p = 0; p < kNumSpanPhases; ++p)
-        headers.push_back(spanPhaseName(static_cast<SpanPhase>(p)));
-    return headers;
-}
-
-/** Per-phase p99 cells for one cell's merged span aggregates. */
-std::vector<std::string>
-phaseP99Cells(const SimResults &r)
-{
-    std::vector<std::string> cells;
-    for (std::size_t p = 0; p < kNumSpanPhases; ++p) {
-        cells.push_back(r.spans == nullptr
-                            ? "-"
-                            : std::to_string(
-                                  r.spans->phase[p].quantile(0.99)));
-    }
-    return cells;
-}
-
 } // namespace
 
 int
@@ -104,19 +52,9 @@ main(int argc, char **argv)
 {
     using namespace oscar;
 
-    // --tiny (CI smoke scale) is ours; everything else is shared.
     bool tiny = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (i > 0 && std::strcmp(argv[i], "--tiny") == 0) {
-            tiny = true;
-            continue;
-        }
-        args.push_back(argv[i]);
-    }
-    const BenchOptions opts =
-        BenchOptions::parse(static_cast<int>(args.size()), args.data(),
-                            "serving_tail_latency.sweep.json");
+    const BenchOptions opts = parseServingOptions(
+        argc, argv, "serving_tail_latency.sweep.json", tiny);
 
     const WorkloadKind workload = WorkloadKind::Apache;
     const unsigned user_cores = 2;
@@ -172,7 +110,8 @@ main(int argc, char **argv)
                 }
                 point.config.userCores = user_cores;
                 point.config.serving =
-                    makeServing(load.meanInterarrival, tiny);
+                    makeServing(load.meanInterarrival,
+                                DispatchPolicy::RoundRobin, tiny);
                 point.normalize = false;
                 point.replicaSeeds = seeds;
                 point.recordSpans = true;
@@ -183,10 +122,7 @@ main(int argc, char **argv)
             }
         }
     }
-    applySweepArtifactPaths(points, opts);
-
-    const ParallelSweepRunner runner({opts.jobs, opts.fork});
-    const auto results = runner.run(points);
+    const auto results = runSweep(points, opts, opts.fork);
 
     // Each point already pooled its seed replicas: percentiles are
     // over the merged sample population (LatencyHistogram::merge),
@@ -221,11 +157,8 @@ main(int argc, char **argv)
             // total over the same pooled population — where the tail
             // cycles actually go, phase by phase.
             for (std::size_t p = 0; p < std::size(policies); ++p) {
-                std::vector<std::string> cells = {policies[p].name};
-                const std::vector<std::string> phases =
-                    phaseP99Cells(results[cell + p].results);
-                cells.insert(cells.end(), phases.begin(), phases.end());
-                attribution.addRow(std::move(cells));
+                attribution.addRow(phaseP99Row(
+                    policies[p].name, results[cell + p].results));
             }
             std::printf("%s\n", attribution.render().c_str());
         }
@@ -238,16 +171,5 @@ main(int argc, char **argv)
                 "load and migration cost — exactly the sensitivity "
                 "this sweep exposes.\n");
 
-    bool report_written = true;
-    if (!opts.jsonPath.empty()) {
-        SweepReport report("serving_tail_latency",
-                           runner.effectiveJobs(points.size()));
-        report.addAll(results);
-        report_written = report.writeTo(opts.jsonPath);
-        if (report_written) {
-            std::printf("sweep report: %s (%zu points)\n",
-                        opts.jsonPath.c_str(), report.size());
-        }
-    }
-    return sweepExitStatus(results, report_written);
+    return finishSweep("serving_tail_latency", "sweep report", opts, results);
 }

@@ -10,49 +10,56 @@
  * off-load threshold N (the quantity behind Table III).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
-#include "system/experiment.hh"
+#include "bench_common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace oscar;
+
+    const BenchOptions opts = BenchOptions::parse(argc, argv, "");
 
     std::printf("== Workload characterization (uni-processor baseline) "
                 "==\n\n");
 
-    TextTable table({"workload", "IPC", "priv%", "L1D%", "L1I%", "L2%",
-                     "inv/Minst", "mean-len", ">100", ">1k", ">5k",
-                     ">10k"});
-
     std::vector<WorkloadKind> all = serverWorkloads();
     for (WorkloadKind kind : computeWorkloads())
         all.push_back(kind);
-
+    std::vector<SweepPoint> points;
     for (WorkloadKind kind : all) {
-        SystemConfig config = ExperimentRunner::baselineConfig(kind);
-        System system(config);
-        const SimResults results = system.run();
-        const CoreMemStats memstats = system.measuredMemStats(0);
+        points.push_back(sweepPoint(workloadName(kind),
+                                    ExperimentRunner::baselineConfig(kind),
+                                    false));
+    }
+    const auto results = runSweep(points, opts, /*fork=*/false);
 
-        table.addRow({
-            results.workload,
-            formatDouble(results.throughput, 3),
-            formatDouble(results.privFraction * 100.0, 1),
-            formatDouble(memstats.l1d.ratio() * 100.0, 1),
-            formatDouble(memstats.l1i.ratio() * 100.0, 1),
-            formatDouble(memstats.l2HitRate() * 100.0, 1),
-            formatDouble(results.invocations * 1e6 /
-                             static_cast<double>(results.retired),
-                         0),
-            formatDouble(results.meanInvocationLength, 0),
-            formatDouble(results.osShareAbove[0] * 100.0, 1),
-            formatDouble(results.osShareAbove[1] * 100.0, 1),
-            formatDouble(results.osShareAbove[2] * 100.0, 1),
-            formatDouble(results.osShareAbove[3] * 100.0, 1),
-        });
+    TextTable table({"workload", "IPC", "priv%", "L1D%", "L1I%", "L2%",
+                     "inv/Minst", "mean-len", ">100", ">1k", ">5k",
+                     ">10k"});
+    for (const SweepPointResult &point : results) {
+        const SimResults &r = point.results;
+        std::vector<std::string> row = {
+            point.label,
+            formatDouble(r.throughput, 3),
+            formatDouble(r.privFraction * 100.0, 1),
+            formatDouble(r.userL1dHitRate * 100.0, 1),
+            formatDouble(r.userL1iHitRate * 100.0, 1),
+            formatDouble(r.userL2HitRate * 100.0, 1),
+            formatDouble(r.invocations * 1e6 /
+                             static_cast<double>(r.retired), 0),
+            formatDouble(r.meanInvocationLength, 0),
+            formatDouble(r.osShareAbove[0] * 100.0, 1),
+            formatDouble(r.osShareAbove[1] * 100.0, 1),
+            formatDouble(r.osShareAbove[2] * 100.0, 1),
+            formatDouble(r.osShareAbove[3] * 100.0, 1),
+        };
+        if (!point.ok)
+            std::fill(row.begin() + 1, row.end(), "fail");
+        table.addRow(std::move(row));
     }
 
     std::printf("%s\n", table.render().c_str());
@@ -60,5 +67,6 @@ main()
                 "instructions spent inside OS invocations longer than\n"
                 "N instructions — the instruction-count ceiling on "
                 "Table III's OS-core utilization at that N.\n");
-    return 0;
+    return finishSweep("workload_characterization", "report", opts,
+                       results);
 }

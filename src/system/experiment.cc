@@ -291,15 +291,6 @@ ExperimentRunner::cachedBaselines()
     return baselineCache.size();
 }
 
-double
-ExperimentRunner::normalizedThroughput(const SystemConfig &config)
-{
-    const SimResults base = baselineResults(config);
-    const SimResults variant = run(config);
-    oscar_assert(base.throughput > 0.0);
-    return variant.throughput / base.throughput;
-}
-
 TextTable::TextTable(std::vector<std::string> headers)
     : columnHeaders(std::move(headers))
 {

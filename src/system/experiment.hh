@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment helpers shared by the bench harnesses and examples:
- * canned configurations, off-line profiling for SI, normalized
- * throughput comparisons, and plain-text table rendering.
+ * canned configurations, off-line profiling for SI, uni-processor
+ * baselines, and plain-text table rendering.
  */
 
 #ifndef OSCAR_SYSTEM_EXPERIMENT_HH_
@@ -75,13 +75,6 @@ class ExperimentRunner
                           TraceSink *trace = nullptr,
                           MetricRegistry *metrics = nullptr,
                           SpanRecorder *spans = nullptr);
-
-    /**
-     * Run a configuration and its uni-processor baseline with the same
-     * seed, returning variant throughput / baseline throughput — the
-     * normalized IPC of Figures 4 and 5.
-     */
-    static double normalizedThroughput(const SystemConfig &config);
 
     /**
      * Uni-processor baseline for a full variant configuration:

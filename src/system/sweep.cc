@@ -311,6 +311,8 @@ mergeReplicaResults(const std::vector<SimResults> &replicas)
     double makespan_sum = 0.0;
     double priv_num = 0.0;
     double warm_priv_num = 0.0;
+    double user_l1d_num = 0.0;
+    double user_l1i_num = 0.0;
     double user_l2_num = 0.0;
     double os_l2_num = 0.0;
     double combined_l2_num = 0.0;
@@ -325,6 +327,8 @@ mergeReplicaResults(const std::vector<SimResults> &replicas)
         makespan_sum += mk;
         priv_num += r.privFraction * ret;
         warm_priv_num += r.warmupPrivFraction * ret;
+        user_l1d_num += r.userL1dHitRate * ret;
+        user_l1i_num += r.userL1iHitRate * ret;
         user_l2_num += r.userL2HitRate * ret;
         os_l2_num += r.osL2HitRate * ret;
         combined_l2_num += r.combinedL2HitRate * ret;
@@ -405,6 +409,10 @@ mergeReplicaResults(const std::vector<SimResults> &replicas)
         retired_sum > 0.0 ? priv_num / retired_sum : 0.0;
     merged.warmupPrivFraction =
         retired_sum > 0.0 ? warm_priv_num / retired_sum : 0.0;
+    merged.userL1dHitRate =
+        retired_sum > 0.0 ? user_l1d_num / retired_sum : 0.0;
+    merged.userL1iHitRate =
+        retired_sum > 0.0 ? user_l1i_num / retired_sum : 0.0;
     merged.userL2HitRate =
         retired_sum > 0.0 ? user_l2_num / retired_sum : 0.0;
     merged.osL2HitRate =
@@ -1327,7 +1335,8 @@ BenchOptions::parse(int argc, char **argv,
                         "  --spans P         write per-point "
                         "oscar.spans.v1 files derived from P\n"
                         "                    (serving benches)\n",
-                        argv[0], default_json.c_str());
+                        argv[0],
+                        default_json.empty() ? "none" : default_json.c_str());
             std::exit(0);
         } else {
             oscar_fatal("unknown bench option '%s' (try --help)",

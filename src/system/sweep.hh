@@ -159,7 +159,7 @@ struct SweepPointResult
  * where the counts exist (throughput = pooled retired / pooled
  * makespan, offloadFraction from the pooled RatioStat, mean
  * invocation length weighted by invocation counts) and otherwise as
- * weighted means over the natural weight (L2 hit rates and priv
+ * weighted means over the natural weight (L1 and L2 hit rates and priv
  * fraction by retired instructions, utilizations by makespan).
  * Replica-0 wins for fields with no meaningful pooled form: the
  * threshold trajectory and final threshold (per-replica trajectories

@@ -1403,15 +1403,21 @@ System::collectResults() const
                       static_cast<double>(retired)
                 : 0.0;
 
+    double user_l1d = 0.0;
+    double user_l1i = 0.0;
     double user_l2 = 0.0;
     std::uint64_t c2c = 0;
     std::uint64_t invalidations = 0;
     for (unsigned c = 0; c < cfg.userCores; ++c) {
         const CoreMemStats user_stats = measuredMemStats(c);
+        user_l1d += user_stats.l1d.ratio();
+        user_l1i += user_stats.l1i.ratio();
         user_l2 += user_stats.l2HitRate();
         c2c += user_stats.c2cTransfers;
         invalidations += user_stats.invalidationsReceived;
     }
+    results.userL1dHitRate = user_l1d / cfg.userCores;
+    results.userL1iHitRate = user_l1i / cfg.userCores;
     results.userL2HitRate = user_l2 / cfg.userCores;
     double combined = user_l2;
     if (cfg.offloadEnabled) {

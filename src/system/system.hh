@@ -104,7 +104,9 @@ struct SimResults
     /** Fraction of measured instructions retired in privileged mode. */
     double privFraction = 0.0;
 
-    /** Mean L2 hit rate across user cores. */
+    /** Mean L1D, L1I and L2 hit rates across user cores. */
+    double userL1dHitRate = 0.0;
+    double userL1iHitRate = 0.0;
     double userL2HitRate = 0.0;
     /** OS core L2 hit rate (0 without an OS core). */
     double osL2HitRate = 0.0;

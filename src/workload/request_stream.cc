@@ -16,10 +16,10 @@ namespace oscar
 void
 ServingConfig::validate() const
 {
-    // Negated comparisons, so a NaN fails every check.
+    // A NaN fails every comparison, and no bound admits infinity.
     const auto require = [](bool ok, const char *field, const char *want,
                             double value) {
-        if (!ok) {
+        if (!ok || !std::isfinite(value)) {
             oscar_fatal("serving config: %s must be %s, got %g", field,
                         want, value);
         }

@@ -11,6 +11,7 @@
 
 #include "sim/logging.hh"
 #include "system/experiment.hh"
+#include "system/sweep.hh"
 
 namespace oscar
 {
@@ -137,12 +138,12 @@ TEST(ExperimentRunner, BaselineCacheReturnsSameResults)
 
 TEST(ExperimentRunner, NormalizedThroughputOfBaselineIsUnity)
 {
-    ExperimentRunner::clearBaselineCache();
-    SystemConfig config =
-        ExperimentRunner::baselineConfig(WorkloadKind::Derby, 11);
-    config.measureInstructions = 200'000;
-    EXPECT_NEAR(ExperimentRunner::normalizedThroughput(config), 1.0,
-                1e-9);
+    SweepPoint point;
+    point.config = ExperimentRunner::baselineConfig(WorkloadKind::Derby, 11);
+    point.config.measureInstructions = 200'000;
+    const SweepPointResult result = ParallelSweepRunner::runPoint(point, 0);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_NEAR(result.normalized, 1.0, 1e-9);
 }
 
 TEST(TextTable, RendersAlignedColumns)

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "system/experiment.hh"
+#include "system/sweep.hh"
 
 namespace oscar
 {
@@ -20,6 +20,17 @@ quick(SystemConfig config)
 {
     config.measureInstructions = kQuickMeasure;
     return config;
+}
+
+/** Variant / uni-processor baseline throughput, through the sweep. */
+double
+normalizedThroughput(const SystemConfig &config)
+{
+    SweepPoint point;
+    point.config = config;
+    const SweepPointResult result = ParallelSweepRunner::runPoint(point, 0);
+    EXPECT_TRUE(result.ok) << result.error;
+    return result.normalized;
 }
 
 TEST(Integration, ApacheIsOsDominated)
@@ -42,22 +53,20 @@ TEST(Integration, ComputeWorkloadsBarelyTouchTheOs)
 
 TEST(Integration, OffloadingApacheAtAggressiveLatencyWins)
 {
-    ExperimentRunner::clearBaselineCache();
     SystemConfig config = quick(ExperimentRunner::hardwareConfig(
         WorkloadKind::Apache, 100, 100));
     const double normalized =
-        ExperimentRunner::normalizedThroughput(config);
+        normalizedThroughput(config);
     EXPECT_GT(normalized, 1.02);
 }
 
 TEST(Integration, MigrationLatencyDominates)
 {
     // Figure 4's first trend: higher one-way latency, lower payoff.
-    ExperimentRunner::clearBaselineCache();
-    const double fast = ExperimentRunner::normalizedThroughput(
+    const double fast = normalizedThroughput(
         quick(ExperimentRunner::hardwareConfig(WorkloadKind::Apache,
                                                100, 100)));
-    const double slow = ExperimentRunner::normalizedThroughput(
+    const double slow = normalizedThroughput(
         quick(ExperimentRunner::hardwareConfig(WorkloadKind::Apache,
                                                100, 5000)));
     EXPECT_GT(fast, slow);
@@ -67,10 +76,9 @@ TEST(Integration, JbbNeverProfitsAtConservativeLatency)
 {
     // Figure 4/5: SPECjbb2005 with a 5,000-cycle migration never beats
     // the baseline for any small threshold.
-    ExperimentRunner::clearBaselineCache();
     for (InstCount n : {InstCount(100), InstCount(1000)}) {
         const double normalized =
-            ExperimentRunner::normalizedThroughput(
+            normalizedThroughput(
                 quick(ExperimentRunner::hardwareConfig(
                     WorkloadKind::SpecJbb, n, 5000)));
         EXPECT_LT(normalized, 1.01) << "N=" << n;
@@ -110,14 +118,13 @@ TEST(Integration, HiBeatsDiAtEqualDecisionQuality)
 {
     // DI pays per-invocation software cost; HI pays one cycle. Same
     // predictor, same threshold: HI must be at least as fast.
-    ExperimentRunner::clearBaselineCache();
     SystemConfig di = quick(ExperimentRunner::dynamicInstrConfig(
         WorkloadKind::Apache, 100, 250));
     SystemConfig hi = quick(
         ExperimentRunner::hardwareDynamicConfig(WorkloadKind::Apache,
                                                 100));
-    const double di_norm = ExperimentRunner::normalizedThroughput(di);
-    const double hi_norm = ExperimentRunner::normalizedThroughput(hi);
+    const double di_norm = normalizedThroughput(di);
+    const double hi_norm = normalizedThroughput(hi);
     EXPECT_GT(hi_norm, di_norm);
 }
 

@@ -250,6 +250,18 @@ TEST(Serving, AggregateMergesSeedReplicas)
               results[0].results.offloadRatio.total() +
                   results[1].results.offloadRatio.total());
     EXPECT_GT(merged.offloadRatio.total(), 0u);
+    // Hit rates pool weighted by retired instructions.
+    const SimResults &a = results[0].results;
+    const SimResults &b = results[1].results;
+    const double ra = static_cast<double>(a.retired);
+    const double rb = static_cast<double>(b.retired);
+    EXPECT_DOUBLE_EQ(merged.userL1dHitRate,
+                     (a.userL1dHitRate * ra + b.userL1dHitRate * rb) /
+                         (ra + rb));
+    EXPECT_DOUBLE_EQ(merged.userL1iHitRate,
+                     (a.userL1iHitRate * ra + b.userL1iHitRate * rb) /
+                         (ra + rb));
+    EXPECT_NE(a.userL1dHitRate, b.userL1dHitRate);
 }
 
 TEST(Serving, TenantAffinityDispatchRuns)

@@ -53,6 +53,8 @@ expectIdenticalResults(const SimResults &a, const SimResults &b)
     EXPECT_EQ(a.retired, b.retired);
     EXPECT_EQ(a.throughput, b.throughput);
     EXPECT_EQ(a.privFraction, b.privFraction);
+    EXPECT_EQ(a.userL1dHitRate, b.userL1dHitRate);
+    EXPECT_EQ(a.userL1iHitRate, b.userL1iHitRate);
     EXPECT_EQ(a.userL2HitRate, b.userL2HitRate);
     EXPECT_EQ(a.osL2HitRate, b.osL2HitRate);
     EXPECT_EQ(a.combinedL2HitRate, b.combinedL2HitRate);

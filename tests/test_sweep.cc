@@ -12,9 +12,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/json.hh"
@@ -819,6 +821,26 @@ TEST(ScopedFatalThrows, BadServingValuesAreFatal)
     EXPECT_NE(fatalMessage([&] { serving.validate(); })
                   .find("clientsPerCore must be >= 1, got 0"),
               std::string::npos);
+    // No double field admits infinity: the field is named, not run.
+    const std::pair<double ServingConfig::*, const char *> doubles[] = {
+        {&ServingConfig::meanInterarrivalCycles, "meanInterarrivalCycles"},
+        {&ServingConfig::diurnalAmplitude, "diurnalAmplitude"},
+        {&ServingConfig::burstProbability, "burstProbability"},
+        {&ServingConfig::burstRateMultiplier, "burstRateMultiplier"},
+        {&ServingConfig::burstMeanRequests, "burstMeanRequests"},
+        {&ServingConfig::meanThinkCycles, "meanThinkCycles"},
+        {&ServingConfig::tenantSkew, "tenantSkew"},
+        {&ServingConfig::meanSegments, "meanSegments"},
+        {&ServingConfig::segmentsSigma, "segmentsSigma"},
+    };
+    for (const auto &[field, name] : doubles) {
+        serving = ServingConfig{};
+        serving.*field = std::numeric_limits<double>::infinity();
+        EXPECT_NE(fatalMessage([&] { serving.validate(); })
+                      .find(std::string(name) + " must be"),
+                  std::string::npos)
+            << name;
+    }
 }
 
 TEST(ScopedFatalThrows, SpanRecorderOnSegmentModeIsFatal)

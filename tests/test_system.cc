@@ -52,6 +52,32 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(ra.userL2HitRate, rb.userL2HitRate);
 }
 
+TEST(System, UserHitRatesAreMeansOverUserCores)
+{
+    // Each user-core hit rate is the plain mean of the cores' measured
+    // ratios, so a uni-core run reports core 0's ratios bit for bit.
+    SystemConfig config = quickBaseline();
+    config.offloadEnabled = true;
+    config.policy = PolicyKind::HardwarePredictor;
+    config.userCores = 2;
+    System system(config);
+    const SimResults r = system.run();
+    const CoreMemStats a = system.measuredMemStats(0);
+    const CoreMemStats b = system.measuredMemStats(1);
+    EXPECT_EQ(r.userL1dHitRate, (a.l1d.ratio() + b.l1d.ratio()) / 2);
+    EXPECT_EQ(r.userL1iHitRate, (a.l1i.ratio() + b.l1i.ratio()) / 2);
+    EXPECT_EQ(r.userL2HitRate, (a.l2HitRate() + b.l2HitRate()) / 2);
+    EXPECT_GT(r.userL1dHitRate, 0.5);
+    EXPECT_LT(r.userL1dHitRate, 1.0);
+    EXPECT_GT(r.userL1iHitRate, 0.5);
+    EXPECT_LT(r.userL1iHitRate, 1.0);
+
+    System uni(quickBaseline());
+    const SimResults u = uni.run();
+    EXPECT_EQ(u.userL1dHitRate, uni.measuredMemStats(0).l1d.ratio());
+    EXPECT_EQ(u.userL1iHitRate, uni.measuredMemStats(0).l1i.ratio());
+}
+
 TEST(System, DifferentSeedsDiffer)
 {
     SystemConfig config = quickBaseline();
