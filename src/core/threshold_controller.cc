@@ -6,6 +6,8 @@
 #include "core/threshold_controller.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
@@ -23,8 +25,22 @@ ThresholdController::ThresholdController(const ThresholdConfig &config)
             cfg.ladder.end()) {
         oscar_fatal("threshold ladder must be strictly increasing");
     }
-    if (cfg.epochScale <= 0.0)
-        oscar_fatal("epochScale must be positive");
+    for (const auto &[name, value] :
+         {std::pair{"privFractionBoundary", cfg.privFractionBoundary},
+          std::pair{"improvementDelta", cfg.improvementDelta}}) {
+        if (!std::isfinite(value))
+            oscar_fatal("%s must be finite, got %g", name, value);
+    }
+    // The scaled epochs are cast to InstCount, and the run epoch
+    // doubles up to its cap, so each must stay below 2^63. NaN fails
+    // the first comparison, infinity the second.
+    const InstCount longest =
+        std::max({cfg.sampleEpoch, cfg.runEpoch, cfg.maxRunEpoch});
+    if (!(cfg.epochScale > 0.0 &&
+          cfg.epochScale * static_cast<double>(longest) < 0x1p63)) {
+        oscar_fatal("epochScale must be finite and positive, and scale no "
+                    "epoch past 2^63 instructions, got %g", cfg.epochScale);
+    }
 }
 
 InstCount

@@ -61,15 +61,35 @@ jsonNumber(double value)
     return std::string(buf, res.ptr);
 }
 
+ArtifactFile::ArtifactFile(const std::string &path)
+    : file(std::fopen(path.c_str(), "wb")), good(file != nullptr)
+{
+    if (good)
+        std::setvbuf(file, nullptr, _IONBF, 0);
+}
+
+void
+ArtifactFile::write(const std::string &bytes)
+{
+    good = good && std::fwrite(bytes.data(), 1, bytes.size(), file) ==
+                       bytes.size();
+}
+
+bool
+ArtifactFile::close()
+{
+    if (file != nullptr)
+        good = std::fclose(file) == 0 && good;
+    file = nullptr;
+    return good;
+}
+
 bool
 writeArtifactFile(const std::string &path, const std::string &doc)
 {
-    std::FILE *file = std::fopen(path.c_str(), "wb");
-    if (file == nullptr)
-        return false;
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    return std::fclose(file) == 0 && written == doc.size();
+    ArtifactFile out(path);
+    out.write(doc);
+    return out.close();
 }
 
 void

@@ -14,6 +14,7 @@
 #define OSCAR_SIM_JSON_HH_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,34 @@ std::string jsonEscape(const std::string &text);
 std::string jsonNumber(double value);
 
 /**
+ * The one write path of every artifact file, unbuffered stdio. ok()
+ * turns false at the first failed open, short write or close; the
+ * owner checks it and reports the failure, once.
+ */
+class ArtifactFile
+{
+  public:
+    explicit ArtifactFile(const std::string &path);
+    ~ArtifactFile() { close(); }
+
+    ArtifactFile(const ArtifactFile &) = delete;
+    ArtifactFile &operator=(const ArtifactFile &) = delete;
+
+    bool ok() const { return good; }
+    /** Append `bytes`; does nothing once ok() is false. */
+    void write(const std::string &bytes);
+    /** Close the file (once) and return ok(). */
+    bool close();
+
+  private:
+    std::FILE *file;
+    bool good;
+};
+
+/**
  * Write an artifact document to `path`, replacing the file. Returns
- * false when the file cannot be opened or is written short; the caller
- * reports the failure, once.
+ * false when the file cannot be opened, is written short or fails to
+ * close; the caller reports the failure, once.
  */
 bool writeArtifactFile(const std::string &path, const std::string &doc);
 

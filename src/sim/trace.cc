@@ -171,9 +171,9 @@ MemoryTraceSink::lines() const
 
 JsonlTraceSink::JsonlTraceSink(const std::string &path,
                                const std::string &header_line)
-    : out(path, std::ios::binary | std::ios::trunc)
+    : out(path)
 {
-    if (!out)
+    if (!out.ok())
         return;
     buffer.reserve(kBufferBytes + 512);
     if (!header_line.empty()) {
@@ -182,37 +182,22 @@ JsonlTraceSink::JsonlTraceSink(const std::string &path,
     }
 }
 
-JsonlTraceSink::~JsonlTraceSink()
-{
-    flush();
-}
-
-void
-JsonlTraceSink::drain()
-{
-    if (out && !buffer.empty())
-        out.write(buffer.data(),
-                  static_cast<std::streamsize>(buffer.size()));
-    buffer.clear();
-}
-
 void
 JsonlTraceSink::flush()
 {
-    drain();
-    if (out)
-        out.flush();
+    out.write(buffer);
+    buffer.clear();
 }
 
 void
 JsonlTraceSink::record(const TraceEvent &event)
 {
-    if (!out)
+    if (!out.ok())
         return;
     buffer += traceEventJson(event);
     buffer += '\n';
     if (buffer.size() >= kBufferBytes)
-        drain();
+        flush();
 }
 
 } // namespace oscar

@@ -28,10 +28,10 @@
 #define OSCAR_SIM_TRACE_HH_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/types.hh"
 
 namespace oscar
@@ -203,16 +203,16 @@ class MemoryTraceSink : public TraceSink
  * followed by one line per event.
  *
  * Lines accumulate in an in-memory buffer that is written out in
- * kBufferBytes-sized chunks: a busy trace emits tens of events per
- * invocation, and paying stream formatting + a write per line made
+ * kBufferBytes-sized chunks through ArtifactFile: a busy trace emits
+ * tens of events per invocation, and paying a write per line made
  * `--trace` runs measurably slower than untraced ones. The buffer is
- * drained on overflow, on flush(), and at destruction; the bytes
- * produced are identical to the unbuffered writer's.
+ * drained on overflow, on flush(), and at destruction; the bytes are
+ * an unbuffered writer's.
  */
 class JsonlTraceSink : public TraceSink
 {
   public:
-    /** Buffered bytes before the sink writes a chunk to the stream. */
+    /** Buffered bytes before the sink writes a chunk to the file. */
     static constexpr std::size_t kBufferBytes = 64 * 1024;
 
     /**
@@ -223,25 +223,22 @@ class JsonlTraceSink : public TraceSink
     JsonlTraceSink(const std::string &path,
                    const std::string &header_line);
 
-    ~JsonlTraceSink() override;
+    ~JsonlTraceSink() override { flush(); }
 
     /**
-     * False when the file could not be opened or a write failed; the
-     * sink itself reports nothing, so its owner checks and reports.
+     * False once the open or a chunk's write (flush() writes the last)
+     * failed; the owner checks it and reports.
      */
-    bool ok() const { return static_cast<bool>(out); }
+    bool ok() const { return out.ok(); }
 
-    /** Flush buffered lines to disk. */
+    /** Write the buffered lines to the file. */
     void flush();
 
   protected:
     void record(const TraceEvent &event) override;
 
   private:
-    /** Write the accumulated buffer to the stream. */
-    void drain();
-
-    std::ofstream out;
+    ArtifactFile out;
     std::string buffer;
 };
 

@@ -221,8 +221,7 @@ sweepWarmupKey(const SystemConfig &config)
 std::string
 sweepPlacementKey(const SystemConfig &config)
 {
-    if (config.userCores != 1 || config.serving != nullptr ||
-        config.dynamicThreshold ||
+    if (!streamTapeable(config) || config.dynamicThreshold ||
         config.policy == PolicyKind::StaticInstrumentation)
         return {};
     std::string key = sweepWarmupKey(config);

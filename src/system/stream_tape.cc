@@ -249,4 +249,10 @@ StallTape::Reader::expectEnd() const
     }
 }
 
+bool
+stallReplayable(const SystemConfig &config, TapeUse stream)
+{
+    return stream == TapeUse::Replay && !sweepPlacementKey(config).empty();
+}
+
 } // namespace oscar

@@ -48,7 +48,7 @@ namespace oscar
  * MemorySystem::accessBatch only reads the line. Words are kept in
  * fixed-size chunks, so recording never copies what it has stored.
  *
- * A tape is written by one system (System::recordStreamTape) and is
+ * A tape is written by one system (see System::attachTapes) and is
  * immutable once finish() has run. After that, readers on any number
  * of threads may share it.
  */
@@ -177,7 +177,7 @@ class StreamTape final : public RefBlockSink
  * end of the run; a reader checks each segment it consumes against
  * the record.
  *
- * Written by one system (System::recordStallTape) and immutable once
+ * Written by one system (see System::attachTapes) and immutable once
  * finish() has run; after that any number of readers may share it.
  */
 class StallTape
@@ -266,6 +266,39 @@ class StallTape
     static std::atomic<std::size_t> liveRecords;
     static std::atomic<std::uint64_t> replayCount;
 };
+
+/** What a system does with a tape. */
+enum class TapeUse
+{
+    None,
+    Record,
+    Replay,
+};
+
+/**
+ * The tapes a system records or replays (System::attachTapes): its
+ * fork group's stream tape and its placement class's stall tape.
+ */
+struct TapePlan
+{
+    TapeUse stream = TapeUse::None;
+    std::shared_ptr<StreamTape> streamTape;
+    TapeUse stall = TapeUse::None;
+    std::shared_ptr<StallTape> stallTape;
+};
+
+/** A stream tape needs one user thread and no serving front-end. */
+inline bool
+streamTapeable(const SystemConfig &config)
+{
+    return config.userCores == 1 && config.serving == nullptr;
+}
+
+/**
+ * A stall replay rides a stream replay (`stream`) of a point with a
+ * non-empty sweepPlacementKey().
+ */
+bool stallReplayable(const SystemConfig &config, TapeUse stream);
 
 } // namespace oscar
 

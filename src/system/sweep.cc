@@ -173,20 +173,25 @@ writeResultsJson(JsonWriter &w, const SweepPointResult &point)
     w.endObject();
 }
 
+/**
+ * One point's JSON object; only the `report` names its artifact files
+ * and wall time, which vary with where and when a run happens.
+ */
 void
-writePointJson(JsonWriter &w, const SweepPointResult &point,
-               bool include_wall)
+writePointJson(JsonWriter &w, const SweepPointResult &point, bool report)
 {
     w.beginObject();
     w.field("index", static_cast<std::uint64_t>(point.index));
     w.field("label", point.label);
     w.field("ok", point.ok);
     w.field("error", point.error);
-    w.field("metrics_path", point.metricsPath);
-    // Span-exporting points record their file; everything else keeps
-    // the pre-existing byte layout.
-    if (!point.spansPath.empty())
-        w.field("spans_path", point.spansPath);
+    if (report) {
+        w.field("metrics_path", point.metricsPath);
+        // Span-exporting points record their file; everything else
+        // keeps the pre-existing byte layout.
+        if (!point.spansPath.empty())
+            w.field("spans_path", point.spansPath);
+    }
     // Sharded points record their replica seeds; classic points emit
     // nothing here, so pre-existing artifacts stay byte-identical.
     if (!point.replicaSeeds.empty()) {
@@ -198,7 +203,7 @@ writePointJson(JsonWriter &w, const SweepPointResult &point,
             w.value(seed);
         w.endArray();
     }
-    if (include_wall)
+    if (report)
         w.field("wall_ms", point.wallMs);
     w.key("config");
     w.beginObject();
@@ -252,18 +257,6 @@ forkEligible(const SweepPoint &point)
     if (point.config.serving != nullptr)
         return point.config.serving->warmupRequests > 0;
     return point.config.warmupInstructions > 0;
-}
-
-/**
- * True when the points of a fork group share one measured-region
- * stream: one user thread and no serving front-end (stream_tape.hh).
- * Such a group tapes that stream and normalises against a Baseline
- * replay of it.
- */
-bool
-tapeable(const SystemConfig &config)
-{
-    return config.userCores == 1 && config.serving == nullptr;
 }
 
 } // namespace
@@ -475,31 +468,11 @@ ParallelSweepRunner::effectiveJobs(std::size_t point_count) const
 namespace
 {
 
-/** What a forked point does with a tape. */
-enum class TapeUse
-{
-    None,
-    Record,
-    Replay,
-};
-
-/**
- * The tapes a forked sub-job records or replays: its group's stream
- * tape and its placement class's stall tape (see stream_tape.hh).
- */
-struct TapePlan
-{
-    TapeUse stream = TapeUse::None;
-    std::shared_ptr<StreamTape> streamTape;
-    TapeUse stall = TapeUse::None;
-    std::shared_ptr<StallTape> stallTape;
-};
-
 /**
  * Execute one sub-job with timing and failure capture. A forked
- * sub-job clones its group's warm snapshot and then records or
- * replays the tapes `tapes` names; any other sub-job runs fresh, with
- * its trace, metrics and spans attached.
+ * sub-job clones its group's warm snapshot and attaches the tapes
+ * `tapes` names (none for a group that is not taped); any other
+ * sub-job runs fresh, with its trace, metrics and spans attached.
  */
 SweepPointResult
 executePoint(const SweepPoint &point, std::size_t index, bool fork,
@@ -524,14 +497,7 @@ executePoint(const SweepPoint &point, std::size_t index, bool fork,
                 warmSnapshot(point.config);
             const std::unique_ptr<System> forked = snapshot->clone();
             forked->reconfigureForMeasurement(point.config);
-            if (tapes.stream == TapeUse::Record)
-                forked->recordStreamTape(tapes.streamTape);
-            else if (tapes.stream == TapeUse::Replay)
-                forked->replayStreamTape(tapes.streamTape);
-            if (tapes.stall == TapeUse::Record)
-                forked->recordStallTape(tapes.stallTape);
-            else if (tapes.stall == TapeUse::Replay)
-                forked->replayStallTape(tapes.stallTape);
+            forked->attachTapes(tapes);
             result.results = forked->resumeRun();
         } else {
             std::unique_ptr<JsonlTraceSink> trace;
@@ -691,14 +657,15 @@ mergeReplicaPoint(const SweepPoint &point, std::size_t index,
  * Fork-eligible sub-jobs that share a warm-up key form a group and
  * fork from its warm snapshot; every other sub-job runs fresh. Every
  * normalising point gets a baseline sub-job, appended after the
- * points. In a tapeable group it is one Baseline sub-job per distinct
- * horizon among the group's normalising points: the group's warm
- * snapshot reconfigured to sweepWarmerConfig() at that horizon. Its OS
- * cores stay idle, so its throughput equals the uni-core baseline's
- * bit for bit. Any other point gets a fresh ExperimentRunner::run of
- * baselineVariant(), one per baselineCacheKey(), which is exactly
- * what ExperimentRunner::baselineResults computes. normalize() divides
- * each point by its baseline once the pool has drained.
+ * points. In a tapeable group (streamTapeable()) it is one Baseline
+ * sub-job per distinct horizon among the group's normalising points:
+ * the group's warm snapshot reconfigured to sweepWarmerConfig() at
+ * that horizon. Its OS cores stay idle, so its throughput equals the
+ * uni-core baseline's bit for bit. Any other point gets a fresh
+ * ExperimentRunner::run of baselineVariant(), one per
+ * baselineCacheKey(), which is exactly what
+ * ExperimentRunner::baselineResults computes. normalize() divides each
+ * point by its baseline once the pool has drained.
  *
  * Sub-jobs share inputs, each made by one producer sub-job and dropped
  * when its last reader completes. A group's warm snapshot is read by
@@ -765,7 +732,7 @@ class SweepSchedule
         // stall tape: take() relies on that order.
         for (const auto &[key, members] : groups) {
             addInput(InputKind::Snapshot, kNone, members, key);
-            if (members.size() < 2 || !tapeable(subs[members[0]].config))
+            if (members.size() < 2 || !streamTapeable(subs[members[0]].config))
                 continue;
             // The recorder covers every member's horizon.
             const std::size_t recorder = *std::max_element(
@@ -937,7 +904,7 @@ class SweepSchedule
                 continue;
             const SystemConfig &config = subs[j].config;
             const std::string group =
-                tapeable(config) ? warmKey[j] : std::string();
+                streamTapeable(config) ? warmKey[j] : std::string();
             const auto [it, added] = made.emplace(
                 std::make_pair(group,
                                baselineCacheKey(baselineVariant(config))),
@@ -1029,8 +996,8 @@ class SweepSchedule
             if (in.stream) {
                 tapes.stream = TapeUse::Replay;
                 tapes.streamTape = in.stream;
-            } else if (in.stall && tapes.stream == TapeUse::Replay) {
-                // A stall replay walks the stream tape's tokens.
+            } else if (in.stall &&
+                       stallReplayable(subs[job].config, tapes.stream)) {
                 tapes.stall = TapeUse::Replay;
                 tapes.stallTape = in.stall;
             }
@@ -1154,7 +1121,7 @@ SweepReport::toJson() const
     w.key("points");
     w.beginArray();
     for (const SweepPointResult &point : points)
-        writePointJson(w, point, /*include_wall=*/true);
+        writePointJson(w, point, /*report=*/true);
     w.endArray();
     w.endObject();
     oscar_assert(w.complete());
@@ -1190,7 +1157,7 @@ std::string
 sweepPointResultsJson(const SweepPointResult &result)
 {
     JsonWriter w;
-    writePointJson(w, result, /*include_wall=*/false);
+    writePointJson(w, result, /*report=*/false);
     oscar_assert(w.complete());
     return w.str();
 }

@@ -364,9 +364,9 @@ int sweepExitStatus(const std::vector<SweepPointResult> &results,
                     bool report_written);
 
 /**
- * Serialize one point's simulation results (excluding wall-clock, the
- * only nondeterministic field) — the byte-comparison hook used by the
- * determinism tests.
+ * Serialize one point's simulation results — the byte-comparison hook
+ * used by the determinism tests: its report object without wall time
+ * and artifact paths, which vary with when and where a run happens.
  */
 std::string sweepPointResultsJson(const SweepPointResult &result);
 

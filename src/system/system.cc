@@ -181,92 +181,68 @@ System::reconfigureForMeasurement(const SystemConfig &config)
 }
 
 void
-System::checkTapeAttach(const StreamTape &tape) const
+System::attachTapes(const TapePlan &plan)
 {
-    if (cfg.userCores != 1 || cfg.serving != nullptr) {
+    const StreamTape *stream = plan.streamTape.get();
+    const StallTape *stall = plan.stallTape.get();
+    if (plan.stream == TapeUse::None && plan.stall == TapeUse::None)
+        return;
+    oscar_assert((plan.stream == TapeUse::None || stream != nullptr) &&
+                 (plan.stall == TapeUse::None || stall != nullptr));
+    if (plan.stream != TapeUse::None && !streamTapeable(cfg)) {
         oscar_fatal("stream tapes need a single-thread segment-mode "
                     "system (this one has %u user cores%s)",
                     cfg.userCores,
                     cfg.serving != nullptr ? " and serves requests" : "");
     }
-    if (!started || !measuring || measuredRetired() != 0) {
-        oscar_fatal("a stream tape attaches only at measurement start");
-    }
-    if (tapeIn != nullptr || tapeOut != nullptr)
-        oscar_fatal("a stream tape is already attached");
-    if (tape.warmupKey() != sweepWarmupKey(cfg)) {
+    if (!started || !measuring || measuredRetired() != 0)
+        oscar_fatal("tapes attach only at measurement start");
+    if (tapeIn || tapeOut || stallIn || stallOut)
+        oscar_fatal("tapes are already attached");
+    if (plan.stream != TapeUse::None &&
+        stream->warmupKey() != sweepWarmupKey(cfg)) {
         oscar_fatal("stream tape of fork group '%s' does not fit this "
                     "system's group '%s'",
-                    tape.warmupKey().c_str(),
+                    stream->warmupKey().c_str(),
                     sweepWarmupKey(cfg).c_str());
     }
-}
-
-void
-System::recordStreamTape(std::shared_ptr<StreamTape> tape)
-{
-    oscar_assert(tape != nullptr);
-    checkTapeAttach(*tape);
-    if (tape->finished() || tape->tokenCount() != 0)
-        oscar_fatal("stream tape recording needs an empty tape");
-    tapeOut = std::move(tape);
-}
-
-void
-System::replayStreamTape(std::shared_ptr<const StreamTape> tape)
-{
-    oscar_assert(tape != nullptr);
-    checkTapeAttach(*tape);
-    if (!tape->finished())
-        oscar_fatal("stream tape replay needs a finished tape");
-    tapeIn = std::move(tape);
-    tapeReader = StreamTape::Reader(*tapeIn);
-}
-
-void
-System::checkStallAttach() const
-{
-    if (!started || !measuring || measuredRetired() != 0)
-        oscar_fatal("a stall tape attaches only at measurement start");
-    if (stallIn != nullptr || stallOut != nullptr)
-        oscar_fatal("a stall tape is already attached");
-}
-
-void
-System::recordStallTape(std::shared_ptr<StallTape> tape)
-{
-    oscar_assert(tape != nullptr);
-    checkStallAttach();
-    if (tape->finished() || tape->segmentCount() != 0)
-        oscar_fatal("stall tape recording needs an empty tape");
-    stallOut = std::move(tape);
-}
-
-void
-System::replayStallTape(std::shared_ptr<const StallTape> tape)
-{
-    oscar_assert(tape != nullptr);
-    checkStallAttach();
-    if (tapeIn == nullptr)
+    if (plan.stall == TapeUse::Replay && !stallReplayable(cfg, plan.stream)) {
         oscar_fatal("a stall tape replays only over a replayed stream "
-                    "tape");
-    if (sweepPlacementKey(cfg).empty()) {
-        oscar_fatal("stall tapes need a point whose placement cannot "
-                    "read latency or timing (not SI, not dynamic N)");
+                    "tape, at a point whose placement cannot read latency "
+                    "or timing (not SI, not dynamic N)");
     }
-    if (!tape->finished() || tape->coreCount() != cores.size())
-        oscar_fatal("stall tape replay needs a finished tape of a "
-                    "%zu-core system", cores.size());
-    stallIn = std::move(tape);
-    char point[160];
-    std::snprintf(point, sizeof(point), "%s/%s/N=%llu/lat=%llu/seed=%llu",
-                  makeWorkloadSpec(cfg.workload).name.c_str(),
-                  policyShortName(cfg.policy),
-                  static_cast<unsigned long long>(cfg.staticThreshold),
-                  static_cast<unsigned long long>(
-                      cfg.migrationOneWayCycles),
-                  static_cast<unsigned long long>(cfg.seed));
-    stallReader = StallTape::Reader(*stallIn, point);
+    if ((plan.stream == TapeUse::Record &&
+         (stream->finished() || stream->tokenCount() != 0)) ||
+        (plan.stall == TapeUse::Record &&
+         (stall->finished() || stall->segmentCount() != 0)))
+        oscar_fatal("a tape to record must be empty");
+    if ((plan.stream == TapeUse::Replay && !stream->finished()) ||
+        (plan.stall == TapeUse::Replay &&
+         (!stall->finished() || stall->coreCount() != cores.size())))
+        oscar_fatal("a tape to replay must be sealed (a stall tape of "
+                    "%zu cores)", cores.size());
+
+    if (plan.stream == TapeUse::Record)
+        tapeOut = plan.streamTape;
+    if (plan.stream == TapeUse::Replay) {
+        tapeIn = plan.streamTape;
+        tapeReader = StreamTape::Reader(*tapeIn);
+    }
+    if (plan.stall == TapeUse::Record)
+        stallOut = plan.stallTape;
+    if (plan.stall == TapeUse::Replay) {
+        stallIn = plan.stallTape;
+        char point[160];
+        std::snprintf(point, sizeof(point),
+                      "%s/%s/N=%llu/lat=%llu/seed=%llu",
+                      makeWorkloadSpec(cfg.workload).name.c_str(),
+                      policyShortName(cfg.policy),
+                      static_cast<unsigned long long>(cfg.staticThreshold),
+                      static_cast<unsigned long long>(
+                          cfg.migrationOneWayCycles),
+                      static_cast<unsigned long long>(cfg.seed));
+        stallReader = StallTape::Reader(*stallIn, point);
+    }
 }
 
 System::~System()

@@ -384,47 +384,18 @@ class System : private detail::SystemState
     void reconfigureForMeasurement(const SystemConfig &config);
 
     /**
-     * Record the measured-region stream into an empty `tape` while
-     * this system runs live (see system/stream_tape.hh). Call at
-     * measurement start; resumeRun() seals the tape when the run
-     * reaches its horizon. Fatal unless the system has one user
-     * thread, is not serving requests, sits at measurement start and
-     * has the tape's sweepWarmupKey().
+     * Attach the tapes `plan` names (see system/stream_tape.hh); an
+     * empty plan attaches nothing. Call once, at measurement start.
+     * Recorded tapes are sealed when resumeRun() reaches the horizon.
+     * A replayed stream tape supplies tokens, interrupt extensions and
+     * references, a replayed stall tape each segment's stall and the
+     * final cache statistics; the results are byte-identical to a live
+     * run's, within the recorded horizon. Fatal unless the plan obeys
+     * streamTapeable() and stallReplayable(), the stream tape has this
+     * system's sweepWarmupKey(), and each tape to record is empty and
+     * each to replay sealed. A replaying system cannot be cloned.
      */
-    void recordStreamTape(std::shared_ptr<StreamTape> tape);
-
-    /**
-     * Replay a sealed tape instead of generating the stream: tokens,
-     * interrupt extensions and references come from the tape, and
-     * only the memory system is probed. Results are byte-identical to
-     * a live run from the same point, provided the run's horizon is
-     * within the recorded one (reading past the end is fatal). Same
-     * preconditions as recordStreamTape(); the system can no longer
-     * be cloned.
-     */
-    void replayStreamTape(std::shared_ptr<const StreamTape> tape);
-
-    /**
-     * Record every measured segment's core, context, instruction
-     * count and stall into an empty `tape`, and, when the run reaches
-     * its horizon, every core's final cache statistics, then seal it
-     * (see StallTape). Call at measurement start; works live,
-     * recording a stream tape, or replaying one.
-     */
-    void recordStallTape(std::shared_ptr<StallTape> tape);
-
-    /**
-     * Take each segment's stall from a sealed `tape` instead of
-     * probing the memory system, which then stays as it was at
-     * measurement start; measuredMemStats() and the results report
-     * the record's final statistics. Needs a replayed stream tape
-     * (tokens still come from it), a point of its recorder's
-     * placement class (a non-empty sweepPlacementKey()) and
-     * measurement start. Each segment is checked against the record:
-     * a segment that differs, or a record not read to its end, is a
-     * panic. The system can no longer be cloned.
-     */
-    void replayStallTape(std::shared_ptr<const StallTape> tape);
+    void attachTapes(const TapePlan &plan);
 
     /**
      * Attach an invocation-level trace recorder (see sim/trace.hh).
@@ -625,12 +596,6 @@ class System : private detail::SystemState
     Cycle executeSegment(Thread &thread, CoreId core, ExecContext ctx,
                          InstCount instructions,
                          const SegmentProfile &profile);
-
-    /** Fatal unless `tape` may be attached to this system now. */
-    void checkTapeAttach(const StreamTape &tape) const;
-
-    /** Fatal unless a stall tape may be attached to this system now. */
-    void checkStallAttach() const;
 
     /** Switch from warmup to the measured region. */
     void enterMeasurement();

@@ -45,6 +45,13 @@ SystemConfig::validate() const
         oscar_fatal("osCouplingScale must be a finite number >= 0, "
                     "got %g", osCouplingScale);
     }
+    // Only 0 switches interrupts off: NaN and infinity did so silently.
+    if (!std::isfinite(interrupts.meanInterarrivalCycles) ||
+        interrupts.meanInterarrivalCycles < 0.0) {
+        oscar_fatal("interrupts.meanInterarrivalCycles must be finite and "
+                    ">= 0 (0 = off), got %g",
+                    interrupts.meanInterarrivalCycles);
+    }
     if (serving)
         serving->validate();
     if (geometry.l1i.lineBytes != geometry.l2.lineBytes ||

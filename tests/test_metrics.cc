@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/metrics_reader.hh"
@@ -580,7 +581,10 @@ TEST(MetricsSystem, AttachingRegistryLeavesTraceAndResultsIdentical)
 
     EXPECT_EQ(a.metricsPath, "");
     EXPECT_EQ(b.metricsPath, metered.metricsPath);
-    EXPECT_NE(sweepPointResultsJson(b).find("\"metrics_path\":"),
+    SweepReport report("metrics", 1);
+    report.add(b);
+    EXPECT_NE(report.toJson().find("\"metrics_path\":\"" +
+                                   jsonEscape(metered.metricsPath) + "\""),
               std::string::npos);
 
     const MetricsFile file = loadMetricsFile(metered.metricsPath);

@@ -393,8 +393,8 @@ recordTapes(const System &warm, const SystemConfig &prober)
                     std::make_shared<StallTape>()};
     const std::unique_ptr<System> forked = warm.clone();
     forked->reconfigureForMeasurement(prober);
-    forked->recordStreamTape(records.stream);
-    forked->recordStallTape(records.stall);
+    forked->attachTapes({TapeUse::Record, records.stream, TapeUse::Record,
+                         records.stall});
     forked->resumeRun();
     return records;
 }
@@ -406,8 +406,8 @@ stallReplay(const System &warm, const SystemConfig &config,
 {
     std::unique_ptr<System> forked = warm.clone();
     forked->reconfigureForMeasurement(config);
-    forked->replayStreamTape(records.stream);
-    forked->replayStallTape(records.stall);
+    forked->attachTapes({TapeUse::Replay, records.stream, TapeUse::Replay,
+                         records.stall});
     return forked;
 }
 
@@ -441,19 +441,23 @@ TEST(SweepStallTapeGuards, ReplayNeedsAStreamReplayAndAStaticPoint)
 
     const std::unique_ptr<System> live = warm->clone();
     live->reconfigureForMeasurement(config);
-    EXPECT_THROW(live->replayStallTape(records.stall), FatalError);
+    EXPECT_THROW(live->attachTapes({TapeUse::None, nullptr, TapeUse::Replay,
+                                    records.stall}),
+                 FatalError);
 
     SystemConfig dynamic = config;
     dynamic.dynamicThreshold = true;
     const std::unique_ptr<System> steered = warm->clone();
     steered->reconfigureForMeasurement(dynamic);
-    steered->replayStreamTape(records.stream);
-    EXPECT_THROW(steered->replayStallTape(records.stall), FatalError);
+    EXPECT_THROW(steered->attachTapes({TapeUse::Replay, records.stream,
+                                       TapeUse::Replay, records.stall}),
+                 FatalError);
 
     const std::unique_ptr<System> unsealed = warm->clone();
     unsealed->reconfigureForMeasurement(config);
-    unsealed->replayStreamTape(records.stream);
-    EXPECT_THROW(unsealed->replayStallTape(std::make_shared<StallTape>()),
+    EXPECT_THROW(unsealed->attachTapes({TapeUse::Replay, records.stream,
+                                        TapeUse::Replay,
+                                        std::make_shared<StallTape>()}),
                  FatalError);
 }
 

@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -99,20 +100,27 @@ struct Outcome
     std::vector<CycleBreakdown> cycles;
 };
 
+/** A plan that uses the stream tape `tape` as `use`, and no stall tape. */
+TapePlan
+streamPlan(TapeUse use, std::shared_ptr<StreamTape> tape)
+{
+    TapePlan plan;
+    plan.stream = use;
+    plan.streamTape = std::move(tape);
+    return plan;
+}
+
 /**
- * Fork `config` from `warm` and run its measured region, recording
- * into or replaying from `tape` per `use` (0 live, 1 record, 2 replay).
+ * Fork `config` from `warm` and run its measured region, live or
+ * recording into or replaying from `tape` per `use`.
  */
 Outcome
-runForked(const System &warm, const SystemConfig &config, int use,
+runForked(const System &warm, const SystemConfig &config, TapeUse use,
           const std::shared_ptr<StreamTape> &tape)
 {
     const std::unique_ptr<System> forked = warm.clone();
     forked->reconfigureForMeasurement(config);
-    if (use == 1)
-        forked->recordStreamTape(tape);
-    else if (use == 2)
-        forked->replayStreamTape(tape);
+    forked->attachTapes(streamPlan(use, tape));
     SweepPointResult point;
     point.config = config;
     point.ok = true;
@@ -173,16 +181,18 @@ expectReplayMatchesLive(std::uint64_t seed)
         const std::unique_ptr<System> warm = warmSnapshot(grid[i]);
         auto tape = std::make_shared<StreamTape>(grid[i]);
         const Outcome recorded =
-            runForked(*warm, grid[longest], 1, tape);
+            runForked(*warm, grid[longest], TapeUse::Record, tape);
         ASSERT_TRUE(tape->finished());
         EXPECT_GT(tape->refCount(), 0u);
-        expectSameOutcome(runForked(*warm, grid[longest], 0, nullptr),
-                          recorded, "recording: " + key);
+        expectSameOutcome(
+            runForked(*warm, grid[longest], TapeUse::None, nullptr),
+            recorded, "recording: " + key);
         for (std::size_t j : members) {
             const std::string what = "point " + std::to_string(j) +
                                      " seed " + std::to_string(seed);
-            expectSameOutcome(runForked(*warm, grid[j], 0, nullptr),
-                              runForked(*warm, grid[j], 2, tape), what);
+            expectSameOutcome(
+                runForked(*warm, grid[j], TapeUse::None, nullptr),
+                runForked(*warm, grid[j], TapeUse::Replay, tape), what);
         }
     }
     // Servers share a group across Figure 4 and Table III; the
@@ -210,9 +220,10 @@ TEST(StreamTape, ReplayMatchesLiveUnderHeavyInterrupts)
     config.interrupts.meanInterarrivalCycles = 2'000.0;
     const std::unique_ptr<System> warm = warmSnapshot(config);
     auto tape = std::make_shared<StreamTape>(config);
-    runForked(*warm, config, 1, tape);
-    expectSameOutcome(runForked(*warm, config, 0, nullptr),
-                      runForked(*warm, config, 2, tape), "irq");
+    runForked(*warm, config, TapeUse::Record, tape);
+    expectSameOutcome(
+        runForked(*warm, config, TapeUse::None, nullptr),
+        runForked(*warm, config, TapeUse::Replay, tape), "irq");
 }
 
 /** A finished tape of `config`'s measured region. */
@@ -220,7 +231,7 @@ std::shared_ptr<StreamTape>
 recordTape(const System &warm, const SystemConfig &config)
 {
     auto tape = std::make_shared<StreamTape>(config);
-    runForked(warm, config, 1, tape);
+    runForked(warm, config, TapeUse::Record, tape);
     return tape;
 }
 
@@ -241,9 +252,11 @@ TEST(StreamTapeGuards, MultiThreadSystemRejectsTape)
     const std::unique_ptr<System> forked = warm->clone();
     forked->reconfigureForMeasurement(config);
     ScopedFatalThrows fatal_throws;
-    EXPECT_THROW(forked->recordStreamTape(tape), FatalError);
+    EXPECT_THROW(forked->attachTapes(streamPlan(TapeUse::Record, tape)),
+                 FatalError);
     tape->finish();
-    EXPECT_THROW(forked->replayStreamTape(tape), FatalError);
+    EXPECT_THROW(forked->attachTapes(streamPlan(TapeUse::Replay, tape)),
+                 FatalError);
 }
 
 TEST(StreamTapeGuards, ServingSystemRejectsTape)
@@ -259,7 +272,8 @@ TEST(StreamTapeGuards, ServingSystemRejectsTape)
     tape->finish();
     const std::unique_ptr<System> forked = warm->clone();
     ScopedFatalThrows fatal_throws;
-    EXPECT_THROW(forked->replayStreamTape(tape), FatalError);
+    EXPECT_THROW(forked->attachTapes(streamPlan(TapeUse::Replay, tape)),
+                 FatalError);
 }
 
 TEST(StreamTapeGuards, TapeFedSystemCannotBeCloned)
@@ -269,7 +283,7 @@ TEST(StreamTapeGuards, TapeFedSystemCannotBeCloned)
     const std::shared_ptr<StreamTape> tape = recordTape(*warm, config);
     const std::unique_ptr<System> forked = warm->clone();
     forked->reconfigureForMeasurement(config);
-    forked->replayStreamTape(tape);
+    forked->attachTapes(streamPlan(TapeUse::Replay, tape));
     ScopedFatalThrows fatal_throws;
     EXPECT_THROW(forked->clone(), FatalError);
 }
@@ -283,7 +297,7 @@ TEST(StreamTapeGuards, ReadingPastTheEndIsFatal)
     longer.measureInstructions *= 2;
     const std::unique_ptr<System> forked = warm->clone();
     forked->reconfigureForMeasurement(longer);
-    forked->replayStreamTape(tape);
+    forked->attachTapes(streamPlan(TapeUse::Replay, tape));
     ScopedFatalThrows fatal_throws;
     try {
         forked->resumeRun();
@@ -306,7 +320,22 @@ TEST(StreamTapeGuards, TapeOfAnotherForkGroupIsRejected)
     const std::unique_ptr<System> forked = other_warm->clone();
     forked->reconfigureForMeasurement(other);
     ScopedFatalThrows fatal_throws;
-    EXPECT_THROW(forked->replayStreamTape(tape), FatalError);
+    EXPECT_THROW(forked->attachTapes(streamPlan(TapeUse::Replay, tape)),
+                 FatalError);
+}
+
+TEST(StreamTapeGuards, TapesAttachOnce)
+{
+    const SystemConfig config = guardConfig();
+    const std::unique_ptr<System> warm = warmSnapshot(config);
+    const std::shared_ptr<StreamTape> tape = recordTape(*warm, config);
+    const std::unique_ptr<System> forked = warm->clone();
+    forked->reconfigureForMeasurement(config);
+    forked->attachTapes(TapePlan{});
+    forked->attachTapes(streamPlan(TapeUse::Replay, tape));
+    ScopedFatalThrows fatal_throws;
+    EXPECT_THROW(forked->attachTapes(streamPlan(TapeUse::Replay, tape)),
+                 FatalError);
 }
 
 TEST(StreamTapeGuards, AttachOnlyAtMeasurementStart)
@@ -315,7 +344,8 @@ TEST(StreamTapeGuards, AttachOnlyAtMeasurementStart)
     auto tape = std::make_shared<StreamTape>(config);
     System cold(config);
     ScopedFatalThrows fatal_throws;
-    EXPECT_THROW(cold.recordStreamTape(tape), FatalError);
+    EXPECT_THROW(cold.attachTapes(streamPlan(TapeUse::Record, tape)),
+                 FatalError);
 }
 
 } // namespace

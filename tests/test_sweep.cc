@@ -653,6 +653,35 @@ TEST(SweepReplicas, ReplicaPathDerivation)
     EXPECT_EQ(sweepReplicaPath("trace", 0), "trace.r0.jsonl");
 }
 
+TEST(SweepReport, HookOmitsArtifactPathsTheReportNames)
+{
+    // Two runs of one point that differ only in where they write
+    // their artifacts compare equal; the report still names the files.
+    SweepPointResult one;
+    one.label = "point";
+    one.ok = true;
+    SweepPointResult two = one;
+    one.metricsPath = "one/p.metrics.jsonl";
+    one.spansPath = "one/p.spans.jsonl";
+    two.metricsPath = "two/p.metrics.jsonl";
+    two.spansPath = "two/p.spans.jsonl";
+    EXPECT_EQ(sweepPointResultsJson(one), sweepPointResultsJson(two));
+    EXPECT_EQ(sweepPointResultsJson(one).find("_path"), std::string::npos);
+
+    SweepReport report("paths", 1);
+    report.add(one);
+    report.add(two);
+    const std::string doc = report.toJson();
+    for (const SweepPointResult &point : {one, two}) {
+        EXPECT_NE(doc.find("\"metrics_path\":\"" + point.metricsPath + "\""),
+                  std::string::npos)
+            << point.metricsPath;
+        EXPECT_NE(doc.find("\"spans_path\":\"" + point.spansPath + "\""),
+                  std::string::npos)
+            << point.spansPath;
+    }
+}
+
 TEST(SweepReport, WriteToBadPathFailsGracefully)
 {
     // The writer only returns the failure; sweepExitStatus reports it,
@@ -841,6 +870,62 @@ TEST(ScopedFatalThrows, BadServingValuesAreFatal)
                   std::string::npos)
             << name;
     }
+}
+
+TEST(ScopedFatalThrows, BadControllerValuesAreFatal)
+{
+    const double nan = std::nan("");
+    const double inf = std::numeric_limits<double>::infinity();
+    // The fatal of a controller built with `set` applied.
+    const auto controllerFatal = [](auto set) {
+        ThresholdConfig config;
+        set(config);
+        return fatalMessage([&] { ThresholdController controller(config); });
+    };
+    for (const double bad : {nan, inf}) {
+        EXPECT_NE(controllerFatal([&](ThresholdConfig &c) {
+                      c.privFractionBoundary = bad;
+                  }).find("privFractionBoundary must be finite"),
+                  std::string::npos);
+        EXPECT_NE(controllerFatal([&](ThresholdConfig &c) {
+                      c.improvementDelta = -bad;
+                  }).find("improvementDelta must be finite"),
+                  std::string::npos);
+    }
+    for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
+        EXPECT_NE(controllerFatal([&](ThresholdConfig &c) {
+                      c.epochScale = bad;
+                  }).find("epochScale must be finite and positive"),
+                  std::string::npos)
+            << bad;
+    }
+    // A finite scale that overflows the scaled epochs is named too;
+    // 4e8 * 1e10 instructions still fit.
+    EXPECT_NE(controllerFatal([](ThresholdConfig &c) {
+                  c.epochScale = 1e11;
+              }).find("past 2^63 instructions"),
+              std::string::npos);
+    EXPECT_EQ(controllerFatal([](ThresholdConfig &c) {
+                  c.epochScale = 1e10;
+              }),
+              "");
+}
+
+TEST(ScopedFatalThrows, BadInterruptRateIsFatal)
+{
+    SystemConfig config;
+    for (const double bad :
+         {std::nan(""), -1.0, std::numeric_limits<double>::infinity()}) {
+        config.interrupts.meanInterarrivalCycles = bad;
+        EXPECT_NE(fatalMessage([&] { config.validate(); })
+                      .find("interrupts.meanInterarrivalCycles must be "
+                            "finite and >= 0"),
+                  std::string::npos)
+            << bad;
+    }
+    // 0 still switches interrupts off.
+    config.interrupts.meanInterarrivalCycles = 0.0;
+    EXPECT_EQ(fatalMessage([&] { config.validate(); }), "");
 }
 
 TEST(ScopedFatalThrows, SpanRecorderOnSegmentModeIsFatal)

@@ -52,11 +52,13 @@ groupBaseline(const SystemConfig &config)
     const auto tape = std::make_shared<StreamTape>(config);
     const std::unique_ptr<System> recorder = warm.clone();
     recorder->reconfigureForMeasurement(config);
-    recorder->recordStreamTape(tape);
+    recorder->attachTapes(
+        {TapeUse::Record, tape, TapeUse::None, nullptr});
     (void)recorder->resumeRun();
     const std::unique_ptr<System> baseline = warm.clone();
     baseline->reconfigureForMeasurement(sweepWarmerConfig(config));
-    baseline->replayStreamTape(tape);
+    baseline->attachTapes(
+        {TapeUse::Replay, tape, TapeUse::None, nullptr});
     return baseline->resumeRun();
 }
 
