@@ -5,6 +5,8 @@
 
 #include "system/trace_capture.hh"
 
+#include <memory>
+
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -150,6 +152,34 @@ goldenTraceConfigs()
             // Five always-off-loading threads trace densely; a shorter
             // measured region keeps this golden in line with the rest.
             g.config.measureInstructions = 15'000;
+            list.push_back(std::move(g));
+        }
+        {
+            // Serving point on the same two-node fabric: the only
+            // golden with reqstart/reqend records, and the one whose
+            // spans document (checked in beside the trace) pins every
+            // span phase, steal and spill transfers included.
+            GoldenTraceConfig g;
+            g.name = "apache_hi_serving_steal";
+            g.config = ExperimentRunner::hardwareConfig(
+                WorkloadKind::Apache, /*static_n=*/100,
+                /*migration_one_way=*/100);
+            g.config.userCores = 4;
+            g.config.topology.osCores = 2;
+            g.config.topology.numaNodes = 2;
+            g.config.topology.placement = OsPlacement::Spread;
+            g.config.topology.dispatch = OsDispatchPolicy::WorkStealing;
+            g.config.topology.spillDepth = 1;
+            g.config.topology.intraNodeHopCycles = 20;
+            g.config.topology.interNodeHopCycles = 400;
+            auto serving = std::make_shared<ServingConfig>();
+            serving->arrival = ArrivalModel::OpenLoop;
+            serving->meanInterarrivalCycles = 8'000.0;
+            serving->tenants = 8;
+            serving->meanSegments = 2.0;
+            serving->warmupRequests = 10;
+            serving->measureRequests = 40;
+            g.config.serving = std::move(serving);
             list.push_back(std::move(g));
         }
         return list;

@@ -7,7 +7,9 @@
  * scenario and byte-compares the freshly captured trace against the
  * golden; any behavioural change in the decision pipeline (predictor
  * updates, controller rounds, event ordering, RNG consumption) fails
- * the diff and prints the first divergent record with context.
+ * the diff and prints the first divergent record with context. A
+ * serving scenario also has a checked-in `oscar.spans.v1` document,
+ * byte-compared against the spans of a run with a SpanRecorder.
  *
  * To inspect or re-bless after an intended change:
  *   build/examples/example_oscar_tools trace capture <name> \
@@ -21,7 +23,9 @@
 #include <sstream>
 #include <string>
 
+#include "sim/span.hh"
 #include "sim/trace_diff.hh"
+#include "system/span_capture.hh"
 #include "system/trace_capture.hh"
 
 #ifndef OSCAR_GOLDEN_TRACE_DIR
@@ -34,10 +38,18 @@ namespace
 {
 
 std::string
-goldenPath(const std::string &name)
+goldenPath(const std::string &name, const char *suffix = ".trace.jsonl")
 {
-    return std::string(OSCAR_GOLDEN_TRACE_DIR) + "/" + name +
-           ".trace.jsonl";
+    return std::string(OSCAR_GOLDEN_TRACE_DIR) + "/" + name + suffix;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
 }
 
 class GoldenTraceTest : public testing::TestWithParam<std::string>
@@ -83,6 +95,27 @@ goldenNames()
 INSTANTIATE_TEST_SUITE_P(Catalogue, GoldenTraceTest,
                          testing::ValuesIn(goldenNames()),
                          [](const auto &info) { return info.param; });
+
+TEST(GoldenSpans, ServingPointsMatchCheckedInDocuments)
+{
+    std::size_t serving_points = 0;
+    for (const GoldenTraceConfig &golden : goldenTraceConfigs()) {
+        if (golden.config.serving == nullptr)
+            continue;
+        ++serving_points;
+        const std::string path = goldenPath(golden.name, ".spans.jsonl");
+        const std::string expected = readFile(path);
+        ASSERT_FALSE(expected.empty()) << "missing golden spans '"
+                                       << path << "'";
+        SpanRecorder recorder;
+        (void)ExperimentRunner::run(golden.config, nullptr, nullptr,
+                                    &recorder);
+        EXPECT_EQ(spansDocument(recorder.results(), golden.config),
+                  expected)
+            << "golden spans '" << golden.name << "' diverged";
+    }
+    EXPECT_GE(serving_points, 1u);
+}
 
 TEST(GoldenTraceCatalogue, NamesAreUniqueAndLookupWorks)
 {
