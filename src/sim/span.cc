@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "sim/logging.hh"
+#include "sim/trace.hh"
 
 namespace oscar
 {
@@ -93,96 +94,114 @@ SpanRecorder::bind(std::size_t thread_count, std::uint64_t run_seed)
 }
 
 void
-SpanRecorder::begin(std::uint32_t tid, std::uint64_t request_id,
-                    std::uint32_t tenant, std::uint32_t segments,
-                    Cycle issued, Cycle now)
+SpanRecorder::record(const TraceEvent &event)
 {
-    oscar_assert(tid < threads.size() && "span recorder not bound");
-    ActiveSpan &slot = threads[tid];
+    // A segment is [cycle, cycle + latency) on the record's service
+    // and queue unless its kind says otherwise.
+    SpanSegment seg{SpanPhase::kCount, event.cycle, event.latency,
+                    event.service, event.queue};
+    switch (event.kind) {
+      case TraceEventKind::RequestStart:
+        openSpan(event);
+        return;
+      case TraceEventKind::RequestEnd:
+        closeSpan(event);
+        return;
+      case TraceEventKind::UserBurst:
+        seg.phase = SpanPhase::User;
+        seg.cycles = event.cycles;
+        break;
+      case TraceEventKind::Decision:
+        seg.phase = SpanPhase::Decision;
+        break;
+      case TraceEventKind::InvocationEnd:
+        // An off-load's segments were recorded on its way.
+        if (event.offload)
+            return;
+        seg.phase = SpanPhase::OsInline;
+        seg.start = event.start;
+        seg.cycles = event.cycles;
+        break;
+      case TraceEventKind::Migration:
+        seg.phase = event.toOs ? SpanPhase::MigrationOut
+                               : SpanPhase::MigrationBack;
+        seg.start = event.toOs ? event.start : event.cycle;
+        break;
+      case TraceEventKind::Spill:
+        seg.phase = SpanPhase::Spill;
+        break;
+      case TraceEventKind::Steal:
+        seg.phase = SpanPhase::Steal;
+        break;
+      case TraceEventKind::OsQueueWait:
+        seg.phase = SpanPhase::OsQueueWait;
+        seg.start -= event.latency;
+        break;
+      case TraceEventKind::OsExec:
+        seg.phase = SpanPhase::OsExec;
+        seg.cycles = event.cycles;
+        break;
+      default:
+        return;
+    }
+    oscar_assert(event.thread < threads.size() && "span recorder not bound");
+    ActiveSpan &slot = threads[event.thread];
+    // A segment for a request that began before a reset() is dropped:
+    // the span will never be completed into the aggregates either.
+    if (!slot.active)
+        return;
+    // The wait an OsQueueWait reports spans arrival to service start,
+    // so it includes any steal transfer since; carve that out.
+    if (seg.phase == SpanPhase::Steal) {
+        slot.pendingSteal += seg.cycles;
+    } else if (seg.phase == SpanPhase::OsQueueWait) {
+        oscar_assert(slot.pendingSteal <= seg.cycles);
+        seg.cycles -= slot.pendingSteal;
+        slot.pendingSteal = 0;
+    }
+    if (seg.cycles != 0)
+        slot.span.segs.push_back(seg);
+}
+
+void
+SpanRecorder::openSpan(const TraceEvent &event)
+{
+    oscar_assert(event.thread < threads.size() && "span recorder not bound");
+    ActiveSpan &slot = threads[event.thread];
     slot.active = true;
     slot.pendingSteal = 0;
     // Every field is set here, and the segment vector keeps its
     // capacity from one request to the next.
     slot.span.segs.clear();
     slot.span.completed = 0;
-    slot.span.requestId = request_id;
-    slot.span.tenant = tenant;
-    slot.span.thread = tid;
-    slot.span.segments = segments;
+    slot.span.requestId = event.requestId;
+    slot.span.tenant = event.tenant;
+    slot.span.thread = event.thread;
+    slot.span.segments = static_cast<std::uint32_t>(event.actual);
     slot.span.seed = runSeed;
-    slot.span.issued = issued;
-    slot.span.started = now;
+    slot.span.issued = event.cycle - event.latency;
+    slot.span.started = event.cycle;
     // The dispatch-wait segment is recorded even when zero so every
     // span's first segment anchors at the issue instant.
     SpanSegment seg;
     seg.phase = SpanPhase::DispatchWait;
-    seg.start = issued;
-    seg.cycles = now - issued;
+    seg.start = slot.span.issued;
+    seg.cycles = event.latency;
     slot.span.segs.push_back(seg);
 }
 
 void
-SpanRecorder::segment(std::uint32_t tid, SpanPhase phase, Cycle start,
-                      Cycle cycles, std::uint16_t service,
-                      std::uint32_t queue)
+SpanRecorder::closeSpan(const TraceEvent &event)
 {
-    oscar_assert(tid < threads.size() && "span recorder not bound");
-    ActiveSpan &slot = threads[tid];
-    // A segment for a request that began before a reset() is dropped:
-    // the span will never be completed into the aggregates either.
-    if (!slot.active || cycles == 0)
-        return;
-    SpanSegment seg;
-    seg.phase = phase;
-    seg.start = start;
-    seg.cycles = cycles;
-    seg.service = service;
-    seg.queue = queue;
-    slot.span.segs.push_back(seg);
-}
-
-void
-SpanRecorder::stealTransfer(std::uint32_t tid, Cycle now, Cycle transfer,
-                            std::uint32_t thief_queue)
-{
-    oscar_assert(tid < threads.size() && "span recorder not bound");
-    ActiveSpan &slot = threads[tid];
-    if (!slot.active)
-        return;
-    segment(tid, SpanPhase::Steal, now, transfer, kNoSpanService,
-            thief_queue);
-    // The wait the System reports at dispatch spans arrival to start
-    // and therefore includes this transfer; remember it so queueWait()
-    // can carve it out.
-    slot.pendingSteal += transfer;
-}
-
-void
-SpanRecorder::queueWait(std::uint32_t tid, Cycle start, Cycle waited,
-                        std::uint32_t queue)
-{
-    oscar_assert(tid < threads.size() && "span recorder not bound");
-    ActiveSpan &slot = threads[tid];
-    if (!slot.active)
-        return;
-    oscar_assert(slot.pendingSteal <= waited);
-    segment(tid, SpanPhase::OsQueueWait, start - waited,
-            waited - slot.pendingSteal, kNoSpanService, queue);
-    slot.pendingSteal = 0;
-}
-
-void
-SpanRecorder::complete(std::uint32_t tid, Cycle now, bool measuring)
-{
-    oscar_assert(tid < threads.size() && "span recorder not bound");
-    ActiveSpan &slot = threads[tid];
+    oscar_assert(event.thread < threads.size() && "span recorder not bound");
+    ActiveSpan &slot = threads[event.thread];
     if (!slot.active)
         return;
     slot.active = false;
-    if (!measuring)
+    if (!event.measuring)
         return;
     RequestSpan &span = slot.span;
-    span.completed = now;
+    span.completed = event.cycle;
     // Segments are recorded in event order; steal transfers land
     // before the queue wait they interrupt, so restore timeline order.
     // Few spans are out of order, and stable_sort allocates.

@@ -15,9 +15,11 @@
  * gaps or overlaps: the sum of segment cycles equals the end-to-end
  * latency *exactly*, which the validator and a ctest both enforce.
  *
- * The recorder follows the trace-sink discipline: a System holds a
- * nullable pointer and emits nothing when detached, so golden traces
- * and sweep artifacts stay byte-identical with spans off.
+ * The recorder reads the same records a trace sink does (TraceEvent,
+ * sim/trace.hh), span-only kinds included, and owns the mapping from
+ * event kinds to phases. A System holds a nullable pointer and builds
+ * no span-only record when detached, so golden traces and sweep
+ * artifacts stay byte-identical with spans off.
  */
 
 #ifndef OSCAR_SIM_SPAN_HH_
@@ -32,6 +34,8 @@
 
 namespace oscar
 {
+
+struct TraceEvent;
 
 /**
  * Pipeline phase a span segment belongs to. Order is the canonical
@@ -149,9 +153,9 @@ struct SpanResults
 };
 
 /**
- * Records spans for one System. Attach before run() via
- * System::setSpanRecorder; the System null-checks the pointer at every
- * emission site, so a detached run pays nothing.
+ * Records spans for one System from its event records. Attach before
+ * run() via System::setSpanRecorder, which hands it every record the
+ * System emits.
  */
 class SpanRecorder
 {
@@ -162,31 +166,12 @@ class SpanRecorder
     /** Size per-thread state; called by the System on attach. */
     void bind(std::size_t thread_count, std::uint64_t run_seed);
 
-    /** Open a span: the request left the dispatch queue. Records the
-     *  DispatchWait segment [issued, now). */
-    void begin(std::uint32_t tid, std::uint64_t request_id,
-               std::uint32_t tenant, std::uint32_t segments,
-               Cycle issued, Cycle now);
-
-    /** Record one phase segment on the thread's open span. */
-    void segment(std::uint32_t tid, SpanPhase phase, Cycle start,
-                 Cycle cycles, std::uint16_t service = kNoSpanService,
-                 std::uint32_t queue = kNoSpanQueue);
-
-    /** Record a steal transfer [now, now + transfer) into the thief
-     *  queue. The transfer is remembered and subtracted from the next
-     *  queueWait() so wait and transfer do not double-count. */
-    void stealTransfer(std::uint32_t tid, Cycle now, Cycle transfer,
-                       std::uint32_t thief_queue);
-
-    /** Record OS-queue wait ending at start; waited includes any
-     *  pending steal transfer, which is split into its own segment. */
-    void queueWait(std::uint32_t tid, Cycle start, Cycle waited,
-                   std::uint32_t queue);
-
-    /** Close the thread's span at now; folds it into the aggregates
-     *  when the measurement window is open. */
-    void complete(std::uint32_t tid, Cycle now, bool measuring);
+    /**
+     * Read one event record: a request start opens the thread's span,
+     * a request end closes it (and folds it into the aggregates when
+     * measuring), and each event between adds its phase's segment.
+     */
+    void record(const TraceEvent &event);
 
     /** Drop open spans and aggregates (measurement-window reset). */
     void reset();
@@ -198,9 +183,13 @@ class SpanRecorder
     struct ActiveSpan
     {
         bool active = false;
+        /** Steal transfer inside the wait the next OsQueueWait ends. */
         Cycle pendingSteal = 0;
         RequestSpan span;
     };
+
+    void openSpan(const TraceEvent &event);
+    void closeSpan(const TraceEvent &event);
 
     std::vector<ActiveSpan> threads;
     SpanResults aggregates;

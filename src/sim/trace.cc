@@ -29,6 +29,9 @@ traceEventKindName(TraceEventKind kind)
       case TraceEventKind::RequestEnd: return "reqend";
       case TraceEventKind::Steal: return "steal";
       case TraceEventKind::Spill: return "spill";
+      case TraceEventKind::UserBurst: return "user";
+      case TraceEventKind::OsQueueWait: return "osqueue";
+      case TraceEventKind::OsExec: return "osexec";
     }
     oscar_panic("unknown trace event kind %u",
                 static_cast<unsigned>(kind));
@@ -141,6 +144,11 @@ traceEventJson(const TraceEvent &event)
         w.field("d", event.depth);
         w.field("lat", event.latency);
         break;
+      case TraceEventKind::UserBurst:
+      case TraceEventKind::OsQueueWait:
+      case TraceEventKind::OsExec:
+        oscar_panic("span-only event kind %s has no trace line",
+                    traceEventKindName(event.kind));
     }
     w.endObject();
     oscar_assert(w.complete());

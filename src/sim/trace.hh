@@ -11,12 +11,12 @@
  * enter/exit, the controller's incumbent N and switch count around an
  * epoch boundary) and stamps it with the current simulated cycle.
  *
- * Each emission site guards with a null check, so a trace-disabled run
- * costs one predicted-not-taken branch per site. Since simulation is
- * single-threaded per System, events arrive in a deterministic total
- * order: the same configuration and seed always produce a
- * byte-identical serialized trace, which is what the replay and
- * golden-trace regression tests assert.
+ * A TraceEvent is the one record of an event: built once, under one
+ * guard, and read by the TraceSink and the SpanRecorder (sim/span.hh)
+ * alike. Since simulation is single-threaded per System, events arrive
+ * in a deterministic total order: the same configuration and seed
+ * always produce a byte-identical serialized trace, which is what the
+ * replay and golden-trace regression tests assert.
  *
  * Two sinks are provided: MemoryTraceSink (keeps every event, for
  * tests) and JsonlTraceSink (streaming `oscar.trace.v1` JSONL
@@ -80,14 +80,21 @@ enum class TraceEventKind : std::uint8_t
     Steal,
     /** An arrival overflowed from its home queue to a peer queue. */
     Spill,
+    // Span-only kinds, after every traced one: no trace line shows
+    // a user burst, an OS-queue wait ending (latency includes steal
+    // transfers) or an OS core's execution of an off-loaded service.
+    UserBurst,
+    OsQueueWait,
+    OsExec,
 };
 
 /** Stable serialization name of an event kind. */
 const char *traceEventKindName(TraceEventKind kind);
 
 /**
- * One trace record. A flat struct: every field exists for every kind,
- * but only the subset listed per kind in DESIGN.md is serialized.
+ * One event record. A flat struct: every field exists for every kind,
+ * but only the subset listed per kind in DESIGN.md is serialized, and
+ * the span fields (start, cycles, measuring) never are.
  */
 struct TraceEvent
 {
@@ -96,7 +103,7 @@ struct TraceEvent
     Cycle cycle = 0;
     /** Emitting thread, or kNoTraceThread. */
     std::uint32_t thread = kNoTraceThread;
-    /** Service id, or kNoTraceService. */
+    /** Service id, or kNoTraceService (shown on begin/decision/end). */
     std::uint16_t service = kNoTraceService;
     /** AState hash (begin/lookup events). */
     std::uint64_t astate = 0;
@@ -134,26 +141,25 @@ struct TraceEvent
     std::uint32_t tenant = 0;
     /**
      * OS-core queue the event concerns (admitting/receiving queue for
-     * steal and spill), or kNoTraceQueue. Multi-queue topologies
-     * annotate queue and migration events with it; single-queue runs
-     * leave the sentinel so their serialization stays byte-identical
-     * to the legacy single-OS-core format.
+     * steal and spill), or kNoTraceQueue. A trace sink sees the
+     * sentinel when there is a single queue, so such traces keep the
+     * legacy single-OS-core format.
      */
     std::uint32_t queue = kNoTraceQueue;
     /** Queue a steal/spill moved the request away from. */
     std::uint32_t queueFrom = kNoTraceQueue;
+    /** Span segment start where it is after `cycle` (decision cost). */
+    Cycle start = 0;
+    /** Cycles a user burst, inline OS service or OS-core service ran. */
+    Cycle cycles = 0;
+    /** The measured region was open at emission. */
+    bool measuring = false;
 };
 
 /** Serialize one event as a single-line JSON object (no newline). */
 std::string traceEventJson(const TraceEvent &event);
 
-/**
- * Destination of trace events.
- *
- * The emitter holds a `TraceSink *` that is null when tracing is off
- * and constructs events only inside the null check, so disabled
- * tracing is a single branch per site.
- */
+/** Destination of trace events (every kind but the span-only ones). */
 class TraceSink
 {
   public:

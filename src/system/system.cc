@@ -38,6 +38,13 @@ validated(const SystemConfig &config)
     return config;
 }
 
+/** An invocation's service id as event records carry it. */
+std::uint16_t
+serviceOf(const OsInvocation &inv)
+{
+    return static_cast<std::uint16_t>(inv.service->id);
+}
+
 } // namespace
 
 namespace detail
@@ -259,27 +266,31 @@ System::setTraceSink(TraceSink *sink)
 }
 
 void
-System::emitTrace(TraceEvent &event)
+System::emit(TraceEvent event)
 {
     event.cycle = events.now();
+    event.measuring = measuring;
+    if (spans != nullptr)
+        spans->record(event);
+    if (trace == nullptr || event.kind >= TraceEventKind::UserBurst)
+        return;
+    // A trace line keeps the oscar.trace.v1 fields: a queue only when
+    // there are several, and no service on migrate or spill lines.
+    if (queues.size() == 1)
+        event.queue = kNoTraceQueue;
+    if (event.kind == TraceEventKind::Migration ||
+        event.kind == TraceEventKind::Spill) {
+        event.service = kNoTraceService;
+    }
     trace->emit(event);
-}
-
-std::uint32_t
-System::traceQueue(unsigned k) const
-{
-    return queues.size() > 1 ? k : kNoTraceQueue;
 }
 
 void
 System::traceThresholdChange(InstCount before)
 {
-    TraceEvent event;
-    event.kind = TraceEventKind::ThresholdChange;
-    event.thresholdBefore = before;
-    event.threshold = controller.incumbent();
-    event.depth = controller.rounds();
-    emitTrace(event);
+    emit({.kind = TraceEventKind::ThresholdChange,
+          .threshold = controller.incumbent(), .thresholdBefore = before,
+          .depth = controller.rounds()});
 }
 
 void
@@ -572,12 +583,9 @@ System::retire(Thread &thread, InstCount count, bool privileged)
             if (trace != nullptr) {
                 if (controller.switches() != switches)
                     traceThresholdChange(incumbent);
-                TraceEvent event;
-                event.kind = TraceEventKind::EpochEnd;
-                event.instruction = measured;
-                event.threshold = controller.currentThreshold();
-                event.feedback = feedback;
-                emitTrace(event);
+                emit({.kind = TraceEventKind::EpochEnd,
+                      .threshold = controller.currentThreshold(),
+                      .instruction = measured, .feedback = feedback});
             }
             thresholdTrajectory.push_back(
                 {measured, controller.currentThreshold()});
@@ -625,11 +633,8 @@ System::enterMeasurement()
             : 0.0;
 
     if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::MeasurementStart;
-        event.instruction = warmup_retired;
-        event.feedback = warmupPrivFraction;
-        emitTrace(event);
+        emit({.kind = TraceEventKind::MeasurementStart,
+              .instruction = warmup_retired, .feedback = warmupPrivFraction});
     }
 
     resetMeasuredRegion();
@@ -729,8 +734,10 @@ System::threadStep(std::uint32_t tid)
             thread.workload->userProfile());
         cores[thread.core].user += cycles;
         retire(thread, token.burstLength, false);
-        if (spans != nullptr)
-            spans->segment(tid, SpanPhase::User, now, cycles);
+        if (spans != nullptr) {
+            emit({.kind = TraceEventKind::UserBurst, .thread = tid,
+                  .cycles = cycles});
+        }
         scheduleThread(tid, now + cycles);
         return;
     }
@@ -745,43 +752,27 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     const Cycle now = events.now();
 
     if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::InvocationBegin;
-        event.thread = tid;
-        event.service = static_cast<std::uint16_t>(inv.service->id);
-        event.astate = inv.astate();
-        event.actual = inv.trueLength;
-        emitTrace(event);
+        emit({.kind = TraceEventKind::InvocationBegin, .thread = tid,
+              .service = serviceOf(inv), .astate = inv.astate(),
+              .actual = inv.trueLength});
     }
 
     const OffloadDecision decision = thread.policy->decide(inv);
     if (trace != nullptr && decision.predictorUsed) {
-        TraceEvent event;
-        event.kind = TraceEventKind::PredictorLookup;
-        event.thread = tid;
-        event.astate = inv.astate();
-        event.predicted = decision.predictedLength;
-        event.confidence = decision.prediction.confidence;
-        event.fromGlobal = decision.prediction.fromGlobal;
-        event.tableHit = decision.prediction.tableHit;
-        event.threshold = decision.threshold;
-        emitTrace(event);
+        emit({.kind = TraceEventKind::PredictorLookup, .thread = tid,
+              .astate = inv.astate(), .predicted = decision.predictedLength,
+              .threshold = decision.threshold,
+              .confidence = decision.prediction.confidence,
+              .fromGlobal = decision.prediction.fromGlobal,
+              .tableHit = decision.prediction.tableHit});
     }
     cores[thread.core].decision += decision.cost;
-    if (spans != nullptr) {
-        spans->segment(tid, SpanPhase::Decision, now, decision.cost,
-                       static_cast<std::uint16_t>(inv.service->id));
-    }
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::Decision;
-        event.thread = tid;
-        event.service = static_cast<std::uint16_t>(inv.service->id);
-        event.offload = cfg.offloadEnabled && decision.offload;
-        event.latency = decision.cost;
-        event.predicted = decision.predictedLength;
-        event.predictorUsed = decision.predictorUsed;
-        emitTrace(event);
+    if (probed()) {
+        emit({.kind = TraceEventKind::Decision, .thread = tid,
+              .service = serviceOf(inv), .predicted = decision.predictedLength,
+              .latency = decision.cost,
+              .offload = cfg.offloadEnabled && decision.offload,
+              .predictorUsed = decision.predictorUsed});
     }
     ++counts.invocations;
     ++counts.invocationsByService[static_cast<std::size_t>(
@@ -797,21 +788,13 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
         thread.policy->observe(inv, decision, length);
         profile.observe(inv.service->id, length);
         recordInvocationLength(length);
-        if (trace != nullptr) {
-            TraceEvent event;
-            event.kind = TraceEventKind::InvocationEnd;
-            event.thread = tid;
-            event.service = static_cast<std::uint16_t>(inv.service->id);
-            event.actual = length;
-            event.offload = false;
-            emitTrace(event);
+        if (probed()) {
+            emit({.kind = TraceEventKind::InvocationEnd, .thread = tid,
+                  .service = serviceOf(inv), .actual = length,
+                  .offload = false, .start = now + decision.cost,
+                  .cycles = cycles});
         }
         retire(thread, length, true);
-        if (spans != nullptr) {
-            spans->segment(tid, SpanPhase::OsInline,
-                           now + decision.cost, cycles,
-                           static_cast<std::uint16_t>(inv.service->id));
-        }
         if (servingMode()) {
             oscar_assert(thread.servingRequest &&
                          thread.segmentsLeft > 0);
@@ -829,20 +812,10 @@ System::handleInvocation(std::uint32_t tid, const OsInvocation &inv)
     const Cycle one_way = topo.migrationOneWay(thread.core, os_core);
     cores[thread.core].migration += one_way;
     countMigration(thread.core, os_core);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::Migration;
-        event.thread = tid;
-        event.toOs = true;
-        event.latency = one_way;
-        event.queue = traceQueue(target);
-        emitTrace(event);
-    }
-    if (spans != nullptr) {
-        spans->segment(tid, SpanPhase::MigrationOut,
-                       now + decision.cost, one_way,
-                       static_cast<std::uint16_t>(inv.service->id),
-                       target);
+    if (probed()) {
+        emit({.kind = TraceEventKind::Migration, .thread = tid,
+              .service = serviceOf(inv), .latency = one_way, .toOs = true,
+              .queue = target, .start = now + decision.cost});
     }
     thread.pendingInv = inv;
     thread.pendingDecision = decision;
@@ -877,22 +850,12 @@ System::osCoreArrival(std::uint32_t tid)
             countMigration(from_core, to_core);
             queues.queue(home).countSpillOut();
             queues.queue(spill).countSpillIn();
-            if (trace != nullptr) {
-                TraceEvent event;
-                event.kind = TraceEventKind::Spill;
-                event.thread = tid;
-                event.queueFrom = home;
-                event.queue = spill;
-                event.depth = static_cast<std::uint32_t>(
-                    queues.queue(home).depth());
-                event.latency = transfer;
-                emitTrace(event);
-            }
-            if (spans != nullptr) {
-                spans->segment(tid, SpanPhase::Spill, now, transfer,
-                               static_cast<std::uint16_t>(
-                                   thread.pendingInv.service->id),
-                               spill);
+            if (probed()) {
+                emit({.kind = TraceEventKind::Spill, .thread = tid,
+                      .service = serviceOf(thread.pendingInv),
+                      .latency = transfer,
+                      .depth = queues.queue(home).depth(),
+                      .queue = spill, .queueFrom = home});
             }
             thread.pendingQueue = spill;
             thread.offloadArrival = now + transfer;
@@ -909,12 +872,8 @@ System::osCoreArrival(std::uint32_t tid)
     const bool admitted = queues.queue(home).offer(request, now);
     if (trace != nullptr) {
         // Depth after the offer: 0 when service starts at once.
-        TraceEvent event;
-        event.kind = TraceEventKind::QueueEnter;
-        event.thread = tid;
-        event.depth = queues.queue(home).depth();
-        event.queue = traceQueue(home);
-        emitTrace(event);
+        emit({.kind = TraceEventKind::QueueEnter, .thread = tid,
+              .depth = queues.queue(home).depth(), .queue = home});
     }
     if (admitted) {
         startOsExecution(tid, now, home);
@@ -938,8 +897,10 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
     oscar_assert(start >= thread.offloadArrival);
     const Cycle waited = start - thread.offloadArrival;
     cores[thread.core].queueWait += waited;
-    if (spans != nullptr)
-        spans->queueWait(tid, start, waited, target);
+    if (spans != nullptr) {
+        emit({.kind = TraceEventKind::OsQueueWait, .thread = tid,
+              .latency = waited, .queue = target});
+    }
 
     const InstCount length = extendedLength(thread.pendingInv);
     const Cycle cycles = executeSegment(
@@ -947,10 +908,9 @@ System::startOsExecution(std::uint32_t tid, Cycle start, unsigned target)
         thread.workload->serviceProfile(thread.pendingInv.service->id));
     cores[os_core].os += cycles;
     if (spans != nullptr) {
-        spans->segment(tid, SpanPhase::OsExec, start, cycles,
-                       static_cast<std::uint16_t>(
-                           thread.pendingInv.service->id),
-                       target);
+        emit({.kind = TraceEventKind::OsExec, .thread = tid,
+              .service = serviceOf(thread.pendingInv), .queue = target,
+              .cycles = cycles});
     }
 
     events.schedulePayload(
@@ -971,14 +931,9 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
     profile.observe(thread.pendingInv.service->id, executed_length);
     recordInvocationLength(executed_length);
     if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::InvocationEnd;
-        event.thread = tid;
-        event.service = static_cast<std::uint16_t>(
-            thread.pendingInv.service->id);
-        event.actual = executed_length;
-        event.offload = true;
-        emitTrace(event);
+        emit({.kind = TraceEventKind::InvocationEnd, .thread = tid,
+              .service = serviceOf(thread.pendingInv),
+              .actual = executed_length, .offload = true});
     }
     retire(thread, executed_length, true);
 
@@ -987,20 +942,10 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
         topo.migrationOneWay(thread.servingOsCore, thread.core);
     cores[thread.core].migration += one_way;
     countMigration(thread.servingOsCore, thread.core);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::Migration;
-        event.thread = tid;
-        event.toOs = false;
-        event.latency = one_way;
-        event.queue = traceQueue(queue_idx);
-        emitTrace(event);
-    }
-    if (spans != nullptr) {
-        spans->segment(tid, SpanPhase::MigrationBack, now, one_way,
-                       static_cast<std::uint16_t>(
-                           thread.pendingInv.service->id),
-                       queue_idx);
+    if (probed()) {
+        emit({.kind = TraceEventKind::Migration, .thread = tid,
+              .service = serviceOf(thread.pendingInv), .latency = one_way,
+              .toOs = false, .queue = queue_idx});
     }
     if (servingMode()) {
         oscar_assert(thread.servingRequest && thread.segmentsLeft > 0);
@@ -1016,12 +961,8 @@ System::osCoreComplete(std::uint32_t tid, InstCount executed_length)
         return;
     }
     if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::QueueExit;
-        event.thread = next.threadId;
-        event.latency = now - next.arrival;
-        event.queue = traceQueue(queue_idx);
-        emitTrace(event);
+        emit({.kind = TraceEventKind::QueueExit, .thread = next.threadId,
+              .latency = now - next.arrival, .queue = queue_idx});
     }
     startOsExecution(next.threadId, now, queue_idx);
 }
@@ -1039,17 +980,10 @@ System::maybeSteal(unsigned thief, Cycle now)
     const Cycle transfer = topo.migrationOneWay(from_core, to_core);
     cores[thread.core].migration += transfer;
     countMigration(from_core, to_core);
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::Steal;
-        event.thread = req.threadId;
-        event.queueFrom = victim;
-        event.queue = thief;
-        event.latency = transfer;
-        emitTrace(event);
+    if (probed()) {
+        emit({.kind = TraceEventKind::Steal, .thread = req.threadId,
+              .latency = transfer, .queue = thief, .queueFrom = victim});
     }
-    if (spans != nullptr)
-        spans->stealTransfer(req.threadId, now, transfer, thief);
     thread.pendingQueue = thief;
     // The thief is committed now (so later arrivals queue behind the
     // stolen request) but service starts after the transfer.
@@ -1138,25 +1072,15 @@ System::beginRequest(std::uint32_t tid, Cycle now)
     const Cycle waited = now - thread.currentRequest.issued;
     if (measuring)
         requestDispatchWait.add(static_cast<double>(waited));
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::RequestStart;
-        event.thread = tid;
-        event.requestId = thread.currentRequest.id;
-        event.tenant = thread.currentRequest.tenant;
-        event.actual = thread.currentRequest.segments;
-        event.latency = waited;
-        // Carry the home dispatch queue when K>1, matching the
-        // qenter/qexit convention, so spans reconstructed from traces
-        // can bind a request to its queue.
-        event.queue = traceQueue(topo.homeQueue(thread.core));
-        emitTrace(event);
-    }
-    if (spans != nullptr) {
-        spans->begin(tid, thread.currentRequest.id,
-                     thread.currentRequest.tenant,
-                     thread.currentRequest.segments,
-                     thread.currentRequest.issued, now);
+    if (probed()) {
+        // The home dispatch queue, as qenter/qexit carry theirs (a
+        // trace line shows it when K>1), so spans reconstructed from
+        // traces can bind a request to its queue.
+        emit({.kind = TraceEventKind::RequestStart, .thread = tid,
+              .actual = thread.currentRequest.segments, .latency = waited,
+              .requestId = thread.currentRequest.id,
+              .tenant = thread.currentRequest.tenant,
+              .queue = topo.homeQueue(thread.core)});
     }
     return true;
 }
@@ -1170,20 +1094,14 @@ System::completeRequest(std::uint32_t tid, Cycle now)
     const Cycle latency = now - thread.currentRequest.issued;
 
     ++counts.requestsCompleted;
-    if (trace != nullptr) {
-        TraceEvent event;
-        event.kind = TraceEventKind::RequestEnd;
-        event.thread = tid;
-        event.requestId = thread.currentRequest.id;
-        event.tenant = thread.currentRequest.tenant;
-        event.latency = latency;
-        event.queue = traceQueue(topo.homeQueue(thread.core));
-        emitTrace(event);
-    }
     // Before the measuring block: the request that triggers
     // enterMeasurement below is warmup, exactly like requestLatency.
-    if (spans != nullptr)
-        spans->complete(tid, now, measuring);
+    if (probed()) {
+        emit({.kind = TraceEventKind::RequestEnd, .thread = tid,
+              .latency = latency, .requestId = thread.currentRequest.id,
+              .tenant = thread.currentRequest.tenant,
+              .queue = topo.homeQueue(thread.core)});
+    }
 
     if (measuring) {
         requestLatency.add(latency);

@@ -424,11 +424,13 @@ class System : private detail::SystemState
     /**
      * Attach a per-request span recorder (see sim/span.hh).
      *
-     * Serving mode only; must be called before run(). Every phase a
-     * request passes through — dispatch wait, user execution, the
-     * offload decision, migrations, queueing, steals/spills, OS
-     * execution — is recorded as a span segment, and per-phase totals
-     * fold into the recorder's histograms at request completion.
+     * Serving mode only; must be called before run(). The recorder
+     * reads every event record the system builds, the ones a trace
+     * sink reads included, and turns each phase a request passes
+     * through — dispatch wait, user execution, the offload decision,
+     * migrations, queueing, steals/spills, OS execution — into a span
+     * segment; per-phase totals fold into the recorder's histograms
+     * at request completion.
      * Spans never feed back into simulation: an attached recorder
      * leaves results and traces byte-identical to a detached run.
      * Null detaches (the default).
@@ -558,14 +560,17 @@ class System : private detail::SystemState
     /** Count one migration between two cores (NUMA accounting). */
     void countMigration(CoreId from, CoreId to);
 
-    /** Stamp `event` with the current cycle and emit it (trace on). */
-    void emitTrace(TraceEvent &event);
+    /** A trace sink or a span recorder reads event records. */
+    bool probed() const { return trace != nullptr || spans != nullptr; }
 
     /**
-     * Queue index as trace events carry it: kNoTraceQueue when there
-     * is a single queue, so such traces keep the single-OS-core format.
+     * Stamp `event` with the current cycle and measured-region flag,
+     * hand it to the span recorder, and hand a traced kind to the
+     * trace sink. Each event's record is built once, at one site whose
+     * guard names its readers: `trace` for trace-only kinds, `spans`
+     * for span-only ones, probed() for the kinds both read.
      */
-    std::uint32_t traceQueue(unsigned k) const;
+    void emit(TraceEvent event);
 
     /**
      * Emit an N-switch record: the controller's incumbent moved from

@@ -58,6 +58,12 @@ SystemConfig::validate() const
         geometry.l1d.lineBytes != geometry.l2.lineBytes) {
         oscar_fatal("L1/L2 line sizes must match");
     }
+    // The OS pools are laid out in 64-byte lines; a longer line would
+    // misalign every region placed after them.
+    if (geometry.l2.lineBytes > 64) {
+        oscar_fatal("cache line size must be at most 64 bytes, got %u",
+                    geometry.l2.lineBytes);
+    }
 }
 
 void

@@ -928,6 +928,21 @@ TEST(ScopedFatalThrows, BadInterruptRateIsFatal)
     EXPECT_EQ(fatalMessage([&] { config.validate(); }), "");
 }
 
+TEST(ScopedFatalThrows, CacheLineAbove64BytesIsFatal)
+{
+    // The OS pools are laid out in 64-byte lines: a longer line used
+    // to misalign the regions placed after them and panic in
+    // AddressRegion instead of naming the field.
+    SystemConfig config = quickConfig(WorkloadKind::Apache, 1000, 100);
+    config.geometry.l1i.lineBytes = 4096;
+    config.geometry.l1d.lineBytes = 4096;
+    config.geometry.l2.lineBytes = 4096;
+    EXPECT_NE(fatalMessage([&] { (void)ExperimentRunner::run(config); })
+                  .find("cache line size must be at most 64 bytes, got "
+                        "4096"),
+              std::string::npos);
+}
+
 TEST(ScopedFatalThrows, SpanRecorderOnSegmentModeIsFatal)
 {
     System system(quickConfig(WorkloadKind::Apache, 1000, 100));
