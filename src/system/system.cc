@@ -853,8 +853,7 @@ System::osCoreArrival(std::uint32_t tid)
             if (probed()) {
                 emit({.kind = TraceEventKind::Spill, .thread = tid,
                       .service = serviceOf(thread.pendingInv),
-                      .latency = transfer,
-                      .depth = queues.queue(home).depth(),
+                      .latency = transfer, .depth = queues.queue(home).depth(),
                       .queue = spill, .queueFrom = home});
             }
             thread.pendingQueue = spill;
