@@ -93,6 +93,10 @@ SpanRecorder::bind(std::size_t thread_count, std::uint64_t run_seed)
     runSeed = run_seed;
 }
 
+// A segment takes its service and queue from the record as they are.
+static_assert(kNoSpanService == kNoTraceService &&
+              kNoSpanQueue == kNoTraceQueue);
+
 void
 SpanRecorder::record(const TraceEvent &event)
 {
